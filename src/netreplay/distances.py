@@ -6,8 +6,15 @@ distance is estimated by sampling sources uniformly from the giant component
 until the running mean settles. The diameter is bracketed from below by
 double-sweep eccentricities and from above by the diameter of a BFS tree,
 which contains all of the graph's nodes but only a subset of its links, so
-its diameter (computable exactly by two tree sweeps) can only overestimate.
-Repeating both with fresh starting points tightens the bracket.
+its diameter can only overestimate. Repeating both with fresh starting points
+tightens the bracket.
+
+Estimator sources and double-sweep starts are drawn 64 at a time and
+traversed together by a bit-parallel BFS (one ``uint64`` word per node, one
+bit per source), following Then et al., "The More the Merrier: Efficient
+Multi-Source Graph Traversal" (VLDB 2014); the stopping rules still consume
+them one by one. The BFS-tree bound runs one FIFO BFS with parents per root
+and takes the tree's exact diameter from subtree heights, level by level.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -86,45 +93,114 @@ class DistanceReport:
     converged: bool
 
 
+class BatchResult(NamedTuple):
+    """Per-source results of one :func:`bfs_batch` call, in source order."""
+
+    distance_sums: np.ndarray  # int64 sum of hops to every reached node
+    reached: np.ndarray  # int64 reached nodes, the source included
+    eccentricity: np.ndarray  # int64 largest hop count reached
+    farthest: np.ndarray  # int64 smallest-index node at that hop count
+
+
+_WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
+
+
 def _bfs_levels(
-    offsets: np.ndarray,
-    neighbors: np.ndarray,
-    source: int,
-    want_parent: bool = False,
-) -> tuple[np.ndarray, Optional[np.ndarray]]:
+    offsets: np.ndarray, neighbors: np.ndarray, source: int
+) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
     """Level-synchronous BFS equivalent to a FIFO queue with neighbors
-    visited in ascending order; parents, when requested, match that order."""
+    visited in ascending order.
+
+    Returns (dist, parent, levels): hops from ``source`` (-1 where
+    unreached), each reached node's FIFO parent (-1 at the source and where
+    unreached), and each level's nodes in discovery order. The gathered
+    entries of a level come in (frontier rank, neighbor) order, so a node's
+    first entry is the one a FIFO queue would pop it from; in particular the
+    children of one parent are contiguous within their level.
+    """
     n = offsets.size - 1
     dist = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32) if want_parent else None
+    parent = np.full(n, -1, dtype=np.int32)
+    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)  # each node's first entry
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
-    level = 0
-    while frontier.size:
+    levels = [frontier]
+    while True:
         nbrs, origin = frontier_neighbors(offsets, neighbors, frontier)
-        if nbrs.size == 0:
+        pos = np.flatnonzero(dist[nbrs] < 0)
+        if pos.size == 0:
             break
-        unseen = dist[nbrs] < 0
-        cand = nbrs[unseen]
-        if cand.size == 0:
-            break
-        level += 1
-        uniq, first = np.unique(cand, return_index=True)
-        discovery_order = np.argsort(first, kind="stable")
-        frontier = uniq[discovery_order].astype(np.int64)
-        dist[frontier] = level
-        if want_parent:
-            parent[frontier] = origin[unseen][first[discovery_order]]
-    return dist, parent
+        cand = nbrs[pos]
+        np.minimum.at(first, cand, pos)
+        keep = pos[first[cand] == pos]
+        frontier = nbrs[keep].astype(np.int64)
+        dist[frontier] = len(levels)
+        parent[frontier] = origin[keep]
+        levels.append(frontier)
+    return dist, parent, levels
 
 
 def bfs(snapshot: Snapshot, source: int) -> BfsResult:
     """Hop distances from ``source``; unreached nodes get -1."""
     if not 0 <= source < snapshot.n:
         raise IndexError(f"source {source} out of range [0, {snapshot.n})")
-    dist, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
     far = int(np.argmax(dist))
     return BfsResult(dist=dist, farthest=far, farthest_dist=int(dist[far]))
+
+
+def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
+    """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
+
+    Each level costs one gather of the frontier words over the adjacency
+    array and one ``bitwise_or.reduceat`` over the nodes' segments, however
+    many sources share the call. Sources may repeat. Per source it returns
+    what :func:`bfs` would give summed or reduced: the total of the reached
+    nodes' distances, their number, the eccentricity, and the farthest node
+    with the same smallest-index tie rule.
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    k = sources.size
+    if not 1 <= k <= _WORD:
+        raise ValueError(f"between 1 and {_WORD} sources per batch, got {k}")
+    n = snapshot.n
+    if sources.min() < 0 or sources.max() >= n:
+        raise IndexError(f"source out of range [0, {n})")
+    offsets, neighbors = snapshot.offsets, snapshot.neighbors
+    linked = np.flatnonzero(np.diff(offsets))
+    # reduceat reads an empty segment as its next entry, so only nodes with
+    # neighbors get one; their segments tile the adjacency array in order.
+    segment_starts = offsets[linked]
+    seen = np.zeros(n, dtype=np.uint64)
+    np.bitwise_or.at(seen, sources, np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64)))
+    frontier = seen
+    sums = np.zeros(k, dtype=np.int64)
+    reached = np.ones(k, dtype=np.int64)
+    ecc = np.zeros(k, dtype=np.int64)
+    far = sources.copy()
+    reach = np.zeros(n, dtype=np.uint64)
+    level = 0
+    while linked.size:
+        reach[linked] = np.bitwise_or.reduceat(frontier[neighbors], segment_starts)
+        frontier = reach & ~seen
+        hit = np.flatnonzero(frontier)
+        if hit.size == 0:
+            break
+        level += 1
+        seen = seen | frontier
+        # one row per newly reached node (ascending), one column per source
+        bits = np.unpackbits(
+            frontier[hit].astype("<u8").view(np.uint8).reshape(hit.size, 8),
+            axis=1,
+            bitorder="little",
+        )[:, :k]
+        counts = bits.sum(axis=0, dtype=np.int64)
+        sums += level * counts
+        reached += counts
+        got = counts > 0
+        ecc[got] = level
+        far[got] = hit[bits.argmax(axis=0)[got]]
+    return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
 
 
 def mean_distance_from(snapshot: Snapshot, giant_mask: np.ndarray, source: int) -> float:
@@ -132,7 +208,7 @@ def mean_distance_from(snapshot: Snapshot, giant_mask: np.ndarray, source: int) 
     the source's own zero included."""
     if not giant_mask[source]:
         raise ValueError(f"source {source} is outside the giant component")
-    dist, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
     inside = dist[giant_mask]
     if np.any(inside < 0):
         raise ValueError("giant mask contains nodes unreachable from source")
@@ -149,25 +225,35 @@ def estimate_average_distance(
     estimates in a row each changed by less than ``config.epsilon``. Returns
     (estimate, number of sources sampled); the sample count is always at
     least i_min + 1.
+
+    Sources are drawn and traversed in blocks of 64; a block draw yields the
+    same sources as 64 single draws, and the rule consumes them in order, so
+    the blocks change neither the estimate nor the count. ``giant_mask`` must
+    be a connected component: a source that reaches a different number of
+    nodes than the mask holds is an error.
     """
     nodes = np.nonzero(giant_mask)[0]
     if nodes.size < 2:
         raise ValueError("giant component must have at least 2 nodes")
+    size = int(nodes.size)
     rng = np.random.default_rng(config.rng_seed)
     samples: list[float] = []
     means: list[float] = []
     while True:
-        v = int(nodes[rng.integers(nodes.size)])
-        samples.append(mean_distance_from(snapshot, giant_mask, v))
-        means.append(math.fsum(samples) / len(samples))
-        i = len(means)
-        if i > config.i_min:
-            window = means[i - config.i_min - 1 :]
-            if all(
-                abs(window[j + 1] - window[j]) < config.epsilon
-                for j in range(len(window) - 1)
-            ):
-                return means[-1], i
+        batch = bfs_batch(snapshot, nodes[rng.integers(size, size=_WORD)])
+        if np.any(batch.reached != size):
+            raise ValueError("giant mask is not the component of its sources")
+        for total in batch.distance_sums.tolist():
+            samples.append(total / size)
+            means.append(math.fsum(samples) / len(samples))
+            i = len(means)
+            if i > config.i_min:
+                window = means[i - config.i_min - 1 :]
+                if all(
+                    abs(window[j + 1] - window[j]) < config.epsilon
+                    for j in range(len(window) - 1)
+                ):
+                    return means[-1], i
 
 
 def average_distance_exact(snapshot: Snapshot, giant_mask: np.ndarray) -> float:
@@ -192,34 +278,43 @@ def diameter_lower_bound(
     return second.farthest_dist, first.farthest
 
 
+def _tree_diameter(parent: np.ndarray, levels: list[np.ndarray]) -> int:
+    """Exact diameter of the tree given by ``parent``, from subtree heights.
+
+    ``levels`` are the tree's levels as :func:`_bfs_levels` returns them, so
+    all children of a node sit in the next level and are contiguous there.
+    Going up from the deepest level, each node's two tallest child subtrees
+    give the longest path that turns at it.
+    """
+    height = np.zeros(parent.size, dtype=np.int64)
+    diameter = 0
+    for kids in reversed(levels[1:]):
+        up = height[kids] + 1  # height of each kid's subtree, seen from its parent
+        owner = parent[kids]
+        opens = np.concatenate(([True], owner[1:] != owner[:-1]))  # a new parent's run
+        first = np.flatnonzero(opens)
+        top = np.maximum.reduceat(up, first)
+        is_top = up == top[np.cumsum(opens) - 1]
+        tops = np.add.reduceat(is_top, first)
+        rest = np.maximum.reduceat(np.where(is_top, 0, up), first)
+        second = np.where(tops > 1, top, rest)
+        diameter = max(diameter, int((top + second).max()))
+        height[owner[first]] = top
+    return diameter
+
+
 def diameter_upper_bound(snapshot: Snapshot, giant_mask: np.ndarray, root: int) -> int:
     """Exact diameter of the BFS tree rooted at ``root``.
 
     The tree spans the giant component with a subset of its links, so every
     graph distance is at most the tree distance and the tree diameter bounds
-    the graph diameter from above. On a tree, two sweeps give the exact
-    diameter.
+    the graph diameter from above. The tree is the FIFO one (see
+    :func:`_bfs_levels`); its diameter comes from subtree heights.
     """
     if not giant_mask[root]:
         raise ValueError(f"root {root} is outside the giant component")
-    n = snapshot.n
-    dist, parent = _bfs_levels(snapshot.offsets, snapshot.neighbors, root, want_parent=True)
-    reached = np.nonzero(dist >= 0)[0]
-    children = reached[reached != root]
-    if children.size == 0:
-        return 0
-    parents = parent[children].astype(np.int64)
-    src = np.concatenate((children, parents))
-    dst = np.concatenate((parents, children))
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    tree_offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=tree_offsets[1:])
-    tree_neighbors = dst.astype(np.int32)
-    sweep1, _ = _bfs_levels(tree_offsets, tree_neighbors, root)
-    far = int(np.argmax(sweep1))
-    sweep2, _ = _bfs_levels(tree_offsets, tree_neighbors, far)
-    return int(sweep2.max())
+    _, parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbors, root)
+    return _tree_diameter(parent, levels)
 
 
 def diameter_bounds(
@@ -232,6 +327,11 @@ def diameter_bounds(
     order (lowering the upper bound), so the bracket can only tighten. Stops
     after at least ``min_iterations`` rounds once upper - lower < gap_target,
     or unconditionally at ``iteration_cap``.
+
+    The double sweeps run 64 rounds ahead: one batch BFS from 64 drawn starts,
+    then one from the 64 farthest nodes it found. Round t reads entry t, so
+    the bounds equal those of one sweep per round. Tree bounds stay one per
+    round.
     """
     nodes = np.nonzero(giant_mask)[0]
     if nodes.size < 2:
@@ -246,8 +346,11 @@ def diameter_bounds(
     t = 0
     while True:
         t += 1
-        start = int(nodes[rng.integers(nodes.size)])
-        candidate, _ = diameter_lower_bound(snapshot, giant_mask, start)
+        if (t - 1) % _WORD == 0:  # double sweeps for this round and the next 63
+            starts = nodes[rng.integers(nodes.size, size=_WORD)]
+            ends = bfs_batch(snapshot, starts).farthest
+            sweeps = bfs_batch(snapshot, ends).eccentricity
+        candidate = int(sweeps[(t - 1) % _WORD])
         if candidate > lower:
             lower = candidate
         root = int(root_order[(t - 1) % root_order.size])

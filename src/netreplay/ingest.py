@@ -109,7 +109,8 @@ def parse_event_stream(
 
     Blank lines and lines starting with ``#`` are skipped. Malformed lines
     and timestamp regressions raise StreamFormatError with the 1-based line
-    number. Timestamps must be non-negative integers.
+    number. Timestamps must be integers in [0, 2^64), the range the
+    normalized stream and its cache store.
     """
     last_time = None
     synthetic = 0
@@ -135,8 +136,8 @@ def parse_event_stream(
                 raise StreamFormatError(
                     f"malformed line {lineno}: bad timestamp {parts[0]!r}"
                 ) from None
-            if t < 0:
-                raise StreamFormatError(f"malformed line {lineno}: negative timestamp")
+            if not 0 <= t < 2**64:
+                raise StreamFormatError(f"malformed line {lineno}: timestamp outside [0, 2^64)")
             src, dst = parts[1], parts[2]
         if last_time is not None and t < last_time:
             raise StreamFormatError(f"timestamp decreases at line {lineno}")
@@ -378,7 +379,7 @@ def load_cache(path: str) -> ArrivalStream:
     ru = rows["u"].astype(np.int64)
     rv = rows["v"].astype(np.int64)
     rt = rows["t"]
-    if np.any(np.diff(rt.astype(np.int64)) < 0):
+    if np.any(rt[1:] < rt[:-1]):
         raise ValueError("cache rows out of time order")
     count_at_row = np.maximum.accumulate(np.maximum(ru, rv) + 1)
     if int(count_at_row[-1]) != final_n:

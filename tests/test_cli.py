@@ -2,9 +2,12 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
+import netreplay
 from netreplay.cli import main
 
 
@@ -174,6 +177,20 @@ class TestAnalyze:
         )
         assert code == 1
         assert "line 2" in stderr
+
+    def test_timestamp_beyond_u64_exits_one_without_traceback(self, tmp_path):
+        bad = tmp_path / "huge.txt"
+        bad.write_text("1 a b\n18446744073709551616 b c\n")
+        src = os.path.dirname(os.path.dirname(netreplay.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreplay.cli", "analyze", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 2" in proc.stderr
 
     def test_bad_stats_group_exits_one(self, tmp_path, capsys):
         trace = self.make_stream(tmp_path, capsys)

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import deque
 
 import numpy as np
 import pytest
@@ -12,8 +13,10 @@ from netreplay.connectivity import components
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
+    _bfs_levels,
     average_distance_exact,
     bfs,
+    bfs_batch,
     diameter_bounds,
     diameter_lower_bound,
     diameter_upper_bound,
@@ -21,6 +24,7 @@ from netreplay.distances import (
     mean_distance_from,
 )
 from netreplay.graph import snapshot_from_edges
+from netreplay.pipeline import checkpoint_bounds_seed, checkpoint_estimator_seed
 
 from conftest import (
     adjacency_dict,
@@ -83,6 +87,129 @@ class TestBfs:
             want = bfs_dict(adjacency_dict(n, edges), src)
             for v in range(n):
                 assert got[v] == want.get(v, -1)
+
+
+def queue_bfs_tree(adj, root):
+    """FIFO queue BFS over ascending neighbor lists; returns {node: parent}."""
+    parent = {root: -1}
+    queue = deque([root])
+    while queue:
+        x = queue.popleft()
+        for y in adj[x]:
+            if y not in parent:
+                parent[y] = x
+                queue.append(y)
+    return parent
+
+
+class TestBfsBatch:
+    def check_against_oracle(self, n, edges, sources):
+        got = bfs_batch(snapshot_from_edges(edges, n=n), sources)
+        adj = adjacency_dict(n, edges)
+        for j, s in enumerate(sources):
+            dist = bfs_dict(adj, s)
+            ecc = max(dist.values())
+            assert got.distance_sums[j] == sum(dist.values())
+            assert got.reached[j] == len(dist)
+            assert got.eccentricity[j] == ecc
+            assert got.farthest[j] == min(v for v, d in dist.items() if d == ecc)
+
+    def test_matches_queue_bfs_on_random_graphs(self):
+        rng = np.random.default_rng(41)
+        for _ in range(30):
+            n = int(rng.integers(2, 80))
+            edges = random_edges(rng, n, float(rng.uniform(0.01, 0.2)))
+            sources = rng.integers(n, size=int(rng.integers(1, 65))).tolist()
+            self.check_against_oracle(n, edges, sources)
+
+    def test_disconnected_with_isolated_nodes(self):
+        # 0 and 9 have no links; 9 is the last node, so its CSR segment is
+        # empty at the very end of the adjacency array
+        edges = path_edges(4)[1:] + [(5, 6), (6, 7), (7, 5)]
+        self.check_against_oracle(10, edges, [0, 1, 3, 5, 8, 9, 2, 9, 0])
+
+    def test_graph_without_links(self):
+        self.check_against_oracle(3, [], [0, 2, 2])
+
+    def test_full_word_of_sources(self):
+        edges = connected_random_graph(8, 70, 0.06)
+        self.check_against_oracle(70, edges, list(range(64)))
+
+    def test_batch_size_limits(self):
+        snap = snapshot_from_edges(path_edges(70))
+        with pytest.raises(ValueError):
+            bfs_batch(snap, list(range(65)))
+        with pytest.raises(ValueError):
+            bfs_batch(snap, [])
+        with pytest.raises(IndexError):
+            bfs_batch(snap, [0, 70])
+
+    def test_fifo_parents_match_queue_bfs(self):
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            n = int(rng.integers(2, 60))
+            edges = random_edges(rng, n, 0.12)
+            snap = snapshot_from_edges(edges, n=n)
+            root = int(rng.integers(n))
+            _, parent, levels = _bfs_levels(snap.offsets, snap.neighbors, root)
+            want = queue_bfs_tree(adjacency_dict(n, edges), root)
+            assert {v: int(parent[v]) for v in np.flatnonzero(parent >= 0)} == {
+                v: p for v, p in want.items() if p >= 0
+            }
+            assert [int(v) for level in levels for v in level] == list(want)
+
+
+class TestBlockDraws:
+    """Sources are drawn 64 at a time; the sequence must equal one draw at a time."""
+
+    @pytest.mark.parametrize("seed_of", [checkpoint_estimator_seed, checkpoint_bounds_seed])
+    @pytest.mark.parametrize("size", [2, 3, 1000, 6000, 2**31 + 11])
+    def test_block_draws_equal_single_draws(self, seed_of, size):
+        for checkpoint in (0, 1, 57):
+            single = np.random.default_rng(seed_of(1, checkpoint))
+            block = np.random.default_rng(seed_of(1, checkpoint))
+            want = [int(single.integers(size)) for _ in range(200)]
+            got = np.concatenate([block.integers(size, size=64) for _ in range(4)])
+            assert got[:200].tolist() == want
+
+    def test_estimator_matches_one_source_at_a_time(self):
+        # i_min above 64 makes the rule consume several blocks
+        for seed in range(4):
+            edges = connected_random_graph(seed, 50, 0.08)
+            snap = snapshot_from_edges(edges, n=50)
+            mask = full_mask(50)
+            cfg = EstimatorConfig(i_min=70, epsilon=0.02, rng_seed=seed)
+            rng = np.random.default_rng(seed)
+            samples, means = [], []
+            while True:
+                samples.append(mean_distance_from(snap, mask, int(rng.integers(50))))
+                means.append(math.fsum(samples) / len(samples))
+                i = len(means)
+                window = np.abs(np.diff(means[max(0, i - cfg.i_min - 1) :]))
+                if i > cfg.i_min and np.all(window < cfg.epsilon):
+                    break
+            assert estimate_average_distance(snap, mask, cfg) == (means[-1], len(means))
+
+    def test_bounds_match_one_sweep_at_a_time(self):
+        # the bracket of this graph stays open, so all 150 rounds run
+        snap = snapshot_from_edges(connected_random_graph(0, 60, 0.05), n=60)
+        mask = full_mask(60)
+        cfg = BoundConfig(min_iterations=1, gap_target=1, iteration_cap=150, rng_seed=5)
+        out = diameter_bounds(snap, mask, cfg)
+        rng = np.random.default_rng(5)
+        roots = np.lexsort((np.arange(60), -snap.degrees))
+        lowers, uppers = [], []
+        for t in range(out.iterations):
+            lowers.append(diameter_lower_bound(snap, mask, int(rng.integers(60)))[0])
+            uppers.append(diameter_upper_bound(snap, mask, int(roots[t % 60])))
+        assert out.iterations == 150
+        assert out.lower_history == tuple(np.maximum.accumulate(lowers).tolist())
+        assert out.upper_history == tuple(np.minimum.accumulate(uppers).tolist())
+
+    def test_estimator_rejects_mask_that_is_not_a_component(self):
+        snap = snapshot_from_edges([(0, 1), (2, 3)])
+        with pytest.raises(ValueError):
+            estimate_average_distance(snap, full_mask(4))
 
 
 class TestMeanDistance:
@@ -280,6 +407,21 @@ class TestUpperBound:
         mask = components(snap).giant_mask()
         with pytest.raises(ValueError):
             diameter_upper_bound(snap, mask, 3)
+
+    def test_height_diameter_equals_two_sweep_tree_diameter(self):
+        rng = np.random.default_rng(47)
+        for _ in range(40):
+            n = int(rng.integers(2, 70))
+            edges = connected_random_graph(int(rng.integers(10**6)), n, 0.1)
+            snap = snapshot_from_edges(edges, n=n)
+            root = int(rng.integers(n))
+            tree = queue_bfs_tree(adjacency_dict(n, edges), root)
+            links = [(p, v) for v, p in tree.items() if p >= 0]
+            adj = adjacency_dict(n, links)
+            sweep = bfs_dict(adj, root)
+            far = min(v for v, d in sweep.items() if d == max(sweep.values()))
+            want = max(bfs_dict(adj, far).values())
+            assert diameter_upper_bound(snap, full_mask(n), root) == want
 
 
 class TestDiameterBounds:

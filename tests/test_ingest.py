@@ -35,6 +35,14 @@ class TestParse:
         with pytest.raises(StreamFormatError, match="line 1"):
             parse_lines("-3 a b\n")
 
+    def test_timestamp_beyond_u64_rejected(self):
+        with pytest.raises(StreamFormatError, match="line 2"):
+            parse_lines("1 a b\n18446744073709551616 b c\n")
+
+    def test_largest_u64_timestamp_allowed(self):
+        events = parse_lines("1 a b\n18446744073709551615 b c\n")
+        assert ingest.normalize(events).time.tolist() == [1, 2**64 - 1]
+
     def test_decreasing_timestamp_reports_line_number(self):
         with pytest.raises(StreamFormatError, match="timestamp decreases at line 2"):
             parse_lines("5 a b\n4 b c\n")
@@ -283,6 +291,10 @@ class TestCache:
             for i, (a, b) in enumerate(rng.integers(0, 500, size=(5000, 2)))
         ]
         self.roundtrip(ingest.normalize(events), tmp_path)
+
+    def test_roundtrip_times_beyond_int64(self, tmp_path):
+        s = ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2**63 + 5, "b", "c")])
+        self.roundtrip(s, tmp_path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.arrivals"

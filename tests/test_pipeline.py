@@ -253,6 +253,18 @@ class TestOutputs:
         assert manifest["timings_file"] == "timings.json"
         assert "python" in manifest["versions"]
 
+    def test_timings_split_distance_time(self, tmp_path):
+        _, out = self.run_to_dir(tmp_path, "out")
+        timings = json.loads((out / "timings.json").read_text())
+        for record in timings["per_checkpoint"]:
+            parts = record["dist_estimator"] + record["dist_bounds"]
+            assert 0.0 <= parts <= record["dist"]
+        assert sorted(timings["totals"]) == ["conn", "deg", "dist", "replay", "tri"]
+        for key in ("dist_estimator", "dist_bounds"):
+            assert timings["part_totals"][key] == pytest.approx(
+                sum(r[key] for r in timings["per_checkpoint"])
+            )
+
     def test_csv_round_numbers_survive(self, tmp_path):
         result, out = self.run_to_dir(tmp_path, "out")
         lines = (out / "average_degree.csv").read_text().splitlines()
