@@ -24,7 +24,7 @@ from netreplay.ingest import (
     replay_to,
     save_cache,
 )
-from netreplay.graph import GrowingGraph, Snapshot, finalize_snapshot, has_link, snapshot_from_edges
+from netreplay.graph import Snapshot, has_link, snapshot_from_edges
 from netreplay.connectivity import ComponentSummary, IncrementalComponents, components
 from netreplay.degrees import (
     BasicStats,

@@ -1,17 +1,21 @@
-"""Append-only graph storage and immutable sorted-adjacency snapshots.
+"""Immutable sorted-adjacency snapshots of a replayed link stream.
 
-The replay loop feeds links into a :class:`GrowingGraph` one at a time;
-statistics never run on the mutable structure. Instead, ``finalize_snapshot``
-freezes the current state into a :class:`Snapshot`: a compact CSR layout
-(offsets plus one concatenated neighbor array) whose per-node segments are
-sorted, so membership tests are binary searches and traversals are cheap
-vectorized gathers. Snapshots cost Theta(m) memory; finalizing after a batch
-of insertions only re-sorts the segments the batch touched.
+A :class:`Snapshot` is a compact CSR layout (offsets plus one concatenated
+neighbor array) whose per-node segments are sorted, so membership tests are
+binary searches and traversals are cheap vectorized gathers.
+
+Every replay sample is a prefix of one stream known in full before replay
+starts. So ``arrival_csr`` builds the final graph's CSR once, tagging each
+adjacency entry with the index of the link behind it, and
+``finalize_snapshot`` derives the sample after ``p`` links by keeping the
+entries whose arrival is below ``p``. Each snapshot costs Theta(final m)
+time and Theta(m) memory.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +29,6 @@ class Snapshot:
     neighbors: np.ndarray  # int32, length 2m
     n: int
     m: int
-    checkpoint_time: int = 0
 
     def __post_init__(self):
         self.offsets.setflags(write=False)
@@ -55,104 +58,59 @@ def has_link(snapshot: Snapshot, u: int, v: int) -> bool:
     return i < seg.size and int(seg[i]) == v
 
 
-class GrowingGraph:
-    """Mutable adjacency built by appending first-discovery links.
+class ArrivalCSR(NamedTuple):
+    """The final graph in CSR form plus, per adjacency entry, the index of
+    the link behind it in the stream (``arrival``, parallel to
+    ``neighbors``)."""
 
-    Per-node neighbor storage doubles in place, so a replay of m links costs
-    amortized Theta(1) per insertion. Callers guarantee links are not loops
-    and not repeats; node indices are dense but may arrive in any order, and
-    the node range silently extends to cover the largest endpoint seen.
+    offsets: np.ndarray  # int64, length final_n + 1
+    neighbors: np.ndarray  # int32, length 2m, sorted within each segment
+    arrival: np.ndarray  # int64, length 2m
+
+
+def arrival_csr(u: np.ndarray, v: np.ndarray, final_n: int) -> ArrivalCSR:
+    """Tag both directions of link i = (u[i], v[i]) with arrival i and sort
+    them by (node, neighbor). Callers guarantee distinct links, no loops and
+    endpoints in [0, final_n)."""
+    m = len(u)
+    src = np.concatenate((u, v)).astype(np.int64)
+    dst = np.concatenate((v, u)).astype(np.int64)
+    order = np.argsort(src * final_n + dst)
+    offsets = np.zeros(final_n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=final_n), out=offsets[1:])
+    arrival = np.where(order < m, order, order - m)
+    return ArrivalCSR(offsets, dst[order].astype(np.int32), arrival)
+
+
+def finalize_snapshot(csr: ArrivalCSR, position: int, n: int) -> Snapshot:
+    """The graph of the first ``position`` links over nodes [0, n).
+
+    Masking keeps each segment sorted, so the result equals a fresh build of
+    that prefix. ``n`` must cover every endpoint of the prefix; it may exceed
+    them to account for nodes discovered without links.
     """
-
-    def __init__(self, expected_nodes: int = 0):
-        self._nbr: list[np.ndarray] = []
-        self._deg: list[int] = []
-        self._dirty: set[int] = set()
-        self._m = 0
-        if expected_nodes:
-            self._extend(expected_nodes)
-
-    @property
-    def n(self) -> int:
-        return len(self._nbr)
-
-    @property
-    def m(self) -> int:
-        return self._m
-
-    def _extend(self, n: int) -> None:
-        while len(self._nbr) < n:
-            self._nbr.append(np.empty(4, dtype=np.int32))
-            self._deg.append(0)
-
-    def _append(self, x: int, y: int) -> None:
-        arr = self._nbr[x]
-        d = self._deg[x]
-        if d == arr.size:
-            grown = np.empty(2 * arr.size, dtype=np.int32)
-            grown[:d] = arr
-            self._nbr[x] = grown
-            arr = grown
-        arr[d] = y
-        self._deg[x] = d + 1
-        self._dirty.add(x)
-
-    def add_link(self, u: int, v: int) -> None:
-        if u == v:
-            raise ValueError(f"loop ({u}, {u}) is not a link")
-        if u < 0 or v < 0:
-            raise ValueError(f"negative node index in link ({u}, {v})")
-        hi = u if u > v else v
-        if hi >= len(self._nbr):
-            self._extend(hi + 1)
-        self._append(u, v)
-        self._append(v, u)
-        self._m += 1
-
-    def degree(self, v: int) -> int:
-        return self._deg[v]
-
-
-def finalize_snapshot(graph: GrowingGraph, n: int | None = None, checkpoint_time: int = 0) -> Snapshot:
-    """Freeze the graph into a Snapshot without disturbing future growth.
-
-    Only segments touched since the previous snapshot are re-sorted. ``n``
-    may exceed the largest linked node to account for nodes discovered
-    without links; the extra indices get empty segments.
-    """
-    if n is None:
-        n = graph.n
-    elif n < graph.n:
-        raise ValueError(f"snapshot n={n} smaller than linked range {graph.n}")
-    for x in graph._dirty:
-        graph._nbr[x][: graph._deg[x]].sort()
-    graph._dirty.clear()
-
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    if graph.n:
-        np.cumsum(graph._deg, out=offsets[1 : graph.n + 1])
-    offsets[graph.n + 1 :] = offsets[graph.n]
-    if graph._m:
-        neighbors = np.concatenate(
-            [graph._nbr[x][: graph._deg[x]] for x in range(graph.n)]
-        )
-    else:
-        neighbors = np.empty(0, dtype=np.int32)
+    keep = csr.arrival < position
+    # A segment's new start is the number of kept entries before its old one.
+    offsets = np.searchsorted(np.flatnonzero(keep), csr.offsets[: n + 1])
     return Snapshot(
-        offsets=offsets, neighbors=neighbors, n=n, m=graph.m, checkpoint_time=checkpoint_time
+        offsets=offsets, neighbors=csr.neighbors[keep], n=n, m=int(offsets[-1]) // 2
     )
 
 
-def snapshot_from_edges(
-    edges, n: int | None = None, checkpoint_time: int = 0
-) -> Snapshot:
+def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:
     """Build a snapshot directly from an iterable of distinct (u, v) pairs."""
-    g = GrowingGraph()
-    for u, v in edges:
-        g.add_link(int(u), int(v))
-    if n is not None and n < g.n:
-        raise ValueError(f"n={n} smaller than largest endpoint range {g.n}")
-    return finalize_snapshot(g, n=n, checkpoint_time=checkpoint_time)
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    if np.any(u == v):
+        raise ValueError(f"loop at node {int(u[u == v][0])} is not a link")
+    if np.any(pairs < 0):
+        raise ValueError("negative node index in links")
+    span = int(pairs.max()) + 1 if pairs.size else 0
+    if n is None:
+        n = span
+    elif n < span:
+        raise ValueError(f"n={n} smaller than largest endpoint range {span}")
+    return finalize_snapshot(arrival_csr(u, v, n), len(pairs), n)
 
 
 def frontier_neighbors(
@@ -171,7 +129,5 @@ def frontier_neighbors(
         e = np.empty(0, dtype=neighbors.dtype)
         return e, np.empty(0, dtype=frontier.dtype)
     ends = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts) + np.repeat(
-        starts, counts
-    )
+    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
     return neighbors[idx], np.repeat(frontier, counts)

@@ -15,19 +15,22 @@ standard schedule of target counts (percent-style steps of the final size).
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import os
 import struct
+import tempfile
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-CACHE_MAGIC = b"NRSTRM01"
+CACHE_MAGIC = b"NRSTRM02"
 
 # Cached streams store one row per surviving event: links as (u, v, t) with
 # u != v, bare node discoveries as (x, x, t).
 _CACHE_ROW = np.dtype([("u", "<u4"), ("v", "<u4"), ("t", "<u8")])
+_CACHE_HEADER = "<3Q3q"  # rows, final_n, final_m, then the cache_key fields
 
 _MAX_NODE = 2**31 - 1
 
@@ -78,21 +81,6 @@ class ArrivalStream:
     @property
     def n_events(self) -> int:
         return int(self.u.size)
-
-    def events(self) -> Iterator[tuple[int, int, int]]:
-        """Yield (u, v, time) per link event."""
-        for i in range(self.u.size):
-            yield int(self.u[i]), int(self.v[i]), int(self.time[i])
-
-    def to_events(self) -> list[RawEvent]:
-        """Render back to a raw event list that normalizes to this stream.
-
-        Links come out as first discoveries; nodes discovered by loops come
-        out as loop events placed to preserve discovery order. Indices are
-        rendered as decimal tokens.
-        """
-        ru, rv, rt = rendered_rows(self)
-        return [RawEvent(int(t), str(int(a)), str(int(b))) for a, b, t in zip(ru, rv, rt)]
 
 
 def open_event_file(path: str):
@@ -326,39 +314,58 @@ def checkpoint_sizes(final_n: int, nominal_count: int = 100) -> CheckpointSchedu
     return CheckpointSchedule(sizes=tuple(sizes), nominal_count=nominal_count, final_n=final_n)
 
 
-def save_cache(stream: ArrivalStream, path: str) -> None:
-    """Write the binary sidecar for a normalized stream.
+def cache_key(path: str, options: FormatOptions) -> tuple[int, int, int]:
+    """What a sidecar must have been written for to stand in for a fresh
+    parse of ``path``: the format switch, the input's size in bytes and its
+    modification time in nanoseconds."""
+    st = os.stat(path)
+    return int(options.no_time), st.st_size, st.st_mtime_ns
+
+
+def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> None:
+    """Write the binary sidecar for a normalized stream parsed under ``key``.
 
     Layout: 8-byte magic, three little-endian u64 counts (rows, final_n,
-    final_m), then one 16-byte row per event. Written atomically.
+    final_m), the three i64 fields of the key, then one 16-byte row per
+    event. Written to a unique temporary file in the same directory and
+    renamed into place, so concurrent writers never share a partial file.
     """
     ru, rv, rt = rendered_rows(stream)
     rows = np.empty(ru.size, dtype=_CACHE_ROW)
     rows["u"] = ru
     rows["v"] = rv
     rows["t"] = rt
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CACHE_MAGIC)
-        f.write(struct.pack("<QQQ", rows.size, stream.final_n, stream.final_m))
-        f.write(rows.tobytes())
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
+    )
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(CACHE_MAGIC)
+            f.write(struct.pack(_CACHE_HEADER, rows.size, stream.final_n, stream.final_m, *key))
+            f.write(rows.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
-def load_cache(path: str) -> ArrivalStream:
-    """Load a sidecar written by :func:`save_cache`.
+def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
+    """Load a sidecar written by :func:`save_cache` under the same ``key``.
 
     One linear pass reconstructs the node-count prefix; no deduplication is
-    repeated. Raises ValueError on any structural mismatch.
+    repeated. Raises ValueError on a key mismatch or any structural one.
     """
     with open(path, "rb") as f:
         magic = f.read(8)
         if magic != CACHE_MAGIC:
             raise ValueError(f"not a stream cache: {path}")
-        header = f.read(24)
-        if len(header) != 24:
+        header = f.read(struct.calcsize(_CACHE_HEADER))
+        if len(header) != struct.calcsize(_CACHE_HEADER):
             raise ValueError(f"truncated cache header: {path}")
-        n_rows, final_n, final_m = struct.unpack("<QQQ", header)
+        n_rows, final_n, final_m, *written_for = struct.unpack(_CACHE_HEADER, header)
+        if tuple(written_for) != tuple(key):
+            raise ValueError(f"cache written for another input or format: {path}")
         payload = f.read()
     if len(payload) != n_rows * _CACHE_ROW.itemsize:
         raise ValueError(f"truncated cache payload: {path}")

@@ -1,12 +1,14 @@
 """Replay orchestration: one pass over the stream, statistics per checkpoint.
 
-``run_evolution`` replays a normalized stream through a growing graph,
-pausing at each scheduled node-count checkpoint to freeze a snapshot and
-compute the enabled statistic groups. Connectivity is maintained
-incrementally (links only ever merge components); everything else runs on the
-frozen snapshot. Results come back as one EvolutionSeries per statistic and,
-when an output directory is configured, land on disk as CSV files plus a
-manifest, a gnuplot script, and a separate timing file.
+``run_evolution`` builds the final graph of a normalized stream once, with
+each adjacency entry tagged by its link's arrival. At each scheduled
+node-count checkpoint it takes the snapshot of the links seen so far as a
+prefix mask of that graph and computes the enabled statistic groups.
+Connectivity is maintained incrementally (links only ever merge components);
+everything else runs on the snapshot. Results come back as one
+EvolutionSeries per statistic and, when an output directory is configured,
+land on disk as CSV files plus a manifest, a gnuplot script, and a separate
+timing file.
 
 Determinism: all sampling derives from the global seed and the checkpoint
 index, never from global state, so a rerun with the same input and
@@ -40,10 +42,11 @@ from netreplay.distances import (
     diameter_bounds,
     estimate_average_distance,
 )
-from netreplay.graph import GrowingGraph, finalize_snapshot
+from netreplay.graph import arrival_csr, finalize_snapshot
 from netreplay.ingest import (
     ArrivalStream,
     FormatOptions,
+    cache_key,
     checkpoint_node_count,
     checkpoint_sizes,
     load_cache,
@@ -151,22 +154,24 @@ def load_stream(config: RunConfig) -> ArrivalStream:
     """Normalized stream for a run, via the binary sidecar when possible.
 
     The sidecar lives next to the input with an ``.arrivals`` suffix and is
-    only trusted when newer than the input. Failures to write it are
-    silently ignored; failures to read it fall back to a fresh parse.
+    only trusted when it was written for the input's current size and
+    modification time under the same format options. Failures to write it
+    are silently ignored; failures to read it fall back to a fresh parse.
     """
     path = config.input_path
     cache_path = path + ".arrivals"
-    if config.use_cache and os.path.exists(cache_path):
-        try:
-            if os.path.getmtime(cache_path) >= os.path.getmtime(path):
-                return load_cache(cache_path)
-        except (OSError, ValueError):
-            pass
+    if config.use_cache:
+        key = cache_key(path, config.format_options)
+        if os.path.exists(cache_path):
+            try:
+                return load_cache(cache_path, key)
+            except (OSError, ValueError):
+                pass
     with open_event_file(path) as f:
         stream = normalize(parse_event_stream(f, config.format_options))
     if config.use_cache:
         try:
-            save_cache(stream, cache_path)
+            save_cache(stream, cache_path, key)
         except OSError:
             pass
     return stream
@@ -214,7 +219,10 @@ def run_evolution(config: RunConfig) -> RunResult:
     schedule = checkpoint_sizes(stream.final_n, config.nominal_checkpoints)
     groups = config.stats
 
-    graph = GrowingGraph()
+    # A checkpoint's replay time runs from the end of the previous one, so
+    # the first includes building the final CSR.
+    t_replay = _time.perf_counter()
+    csr = arrival_csr(stream.u, stream.v, stream.final_n)
     inc = IncrementalComponents()
     records: list[CheckpointRecord] = []
     values: dict[str, list] = {name: [] for name in _series_names(groups)}
@@ -224,7 +232,6 @@ def run_evolution(config: RunConfig) -> RunResult:
     last_index = len(schedule.sizes) - 1
 
     for ci, target in enumerate(schedule.sizes):
-        t_replay = _time.perf_counter()
         if ci == last_index:
             new_pos = stream.n_events
             n_act = stream.final_n
@@ -233,16 +240,12 @@ def run_evolution(config: RunConfig) -> RunResult:
             n_act = checkpoint_node_count(stream, new_pos, target)
         if records and new_pos == records[-1].position and n_act == records[-1].n:
             continue  # the sample did not change; overshoot swallowed this target
-        u_arr, v_arr = stream.u, stream.v
-        for i in range(pos, new_pos):
-            a = int(u_arr[i])
-            b = int(v_arr[i])
-            graph.add_link(a, b)
+        for a, b in zip(stream.u[pos:new_pos].tolist(), stream.v[pos:new_pos].tolist()):
             inc.add_link(a, b)
         pos = new_pos
         inc.ensure(n_act)
         boundary_time = int(stream.time[new_pos - 1]) if new_pos else 0
-        snapshot = finalize_snapshot(graph, n=n_act, checkpoint_time=boundary_time)
+        snapshot = finalize_snapshot(csr, new_pos, n_act)
         record = CheckpointRecord(
             index=ci,
             target_n=target,
@@ -328,6 +331,7 @@ def run_evolution(config: RunConfig) -> RunResult:
 
         records.append(record)
         checkpoint_timings.append(timing)
+        t_replay = _time.perf_counter()
 
     if "deg" in groups:
         final_cumulative = cumulative(retained_dists[-1])

@@ -381,7 +381,6 @@ def test_checkpoints_match_fresh_recomputation(tmp_path):
             neighbors=dst[order].astype(np.int32),
             n=record.n,
             m=record.position,
-            checkpoint_time=record.time,
         )
 
     def val(name, k):

@@ -1,4 +1,4 @@
-"""Snapshot layout, incremental growth, and membership queries."""
+"""Snapshot layout, prefix snapshots of one final CSR, and membership queries."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay.graph import (
-    GrowingGraph,
-    Snapshot,
+    arrival_csr,
     finalize_snapshot,
     frontier_neighbors,
     has_link,
@@ -75,58 +74,51 @@ class TestSnapshotLayout:
             snapshot_from_edges([(0, 5)], n=3)
 
 
-class TestGrowingGraph:
+def csr_of(edges, n):
+    pairs = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    return arrival_csr(pairs[:, 0], pairs[:, 1], n)
+
+
+class TestPrefixSnapshots:
     def test_rejects_loop_and_negative(self):
-        g = GrowingGraph()
-        with pytest.raises(ValueError):
-            g.add_link(2, 2)
-        with pytest.raises(ValueError):
-            g.add_link(-1, 0)
+        with pytest.raises(ValueError, match="loop"):
+            snapshot_from_edges([(0, 1), (2, 2)])
+        with pytest.raises(ValueError, match="negative"):
+            snapshot_from_edges([(-1, 0)])
 
     def test_range_extends_to_largest_endpoint(self):
-        g = GrowingGraph()
-        g.add_link(0, 7)
-        assert g.n == 8
-        assert g.m == 1
-        assert g.degree(3) == 0
+        s = snapshot_from_edges([(0, 7)])
+        assert s.n == 8
+        assert s.m == 1
+        assert s.degree(3) == 0
 
-    def test_snapshot_then_grow_then_snapshot(self):
-        g = GrowingGraph()
-        g.add_link(0, 2)
-        g.add_link(0, 1)
-        first = finalize_snapshot(g)
-        g.add_link(1, 2)
-        g.add_link(3, 0)
-        second = finalize_snapshot(g)
-        # earlier snapshot is untouched by later growth
+    def test_earlier_snapshot_unchanged_by_later_ones(self):
+        csr = csr_of([(0, 2), (0, 1), (1, 2), (3, 0)], 4)
+        first = finalize_snapshot(csr, 2, 3)
+        second = finalize_snapshot(csr, 4, 4)
         assert segments(first) == [[1, 2], [0], [0]]
         assert segments(second) == [[1, 2, 3], [0, 2], [0, 1], [0]]
         assert first.m == 2 and second.m == 4
 
-    def test_many_interleaved_snapshots_match_rebuild(self):
+    def test_many_prefixes_match_rebuild(self):
         rng = np.random.default_rng(7)
-        g = GrowingGraph()
         seen = set()
         edges = []
-        for step in range(300):
+        for _ in range(300):
             u, v = rng.integers(0, 40, size=2)
             key = (min(u, v), max(u, v))
-            if u == v or key in seen:
-                continue
-            seen.add(key)
-            edges.append(key)
-            g.add_link(int(u), int(v))
-            if step % 17 == 0:
-                incremental = finalize_snapshot(g)
-                fresh = snapshot_from_edges(edges, n=incremental.n)
-                assert incremental.offsets.tolist() == fresh.offsets.tolist()
-                assert incremental.neighbors.tolist() == fresh.neighbors.tolist()
+            if u != v and key not in seen:
+                seen.add(key)
+                edges.append(key)
+        csr = csr_of(edges, 40)
+        for p in range(0, len(edges) + 1, 17):
+            snap = finalize_snapshot(csr, p, 40)
+            fresh = snapshot_from_edges(edges[:p], n=40)
+            assert snap.offsets.tolist() == fresh.offsets.tolist()
+            assert snap.neighbors.tolist() == fresh.neighbors.tolist()
 
-    def test_growth_buffer_doubling_keeps_all_neighbors(self):
-        g = GrowingGraph()
-        for v in range(1, 40):
-            g.add_link(0, v)
-        s = finalize_snapshot(g)
+    def test_large_segment_keeps_all_neighbors(self):
+        s = snapshot_from_edges([(0, v) for v in range(39, 0, -1)])
         assert s.neighbors_of(0).tolist() == list(range(1, 40))
 
 
@@ -213,3 +205,22 @@ class TestProperties:
         b = snapshot_from_edges(list(reversed(edges)), n=n)
         assert a.offsets.tolist() == b.offsets.tolist()
         assert a.neighbors.tolist() == b.neighbors.tolist()
+
+    @given(edge_lists(), st.integers(min_value=0, max_value=3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_prefix_matches_rebuild(self, case, pad):
+        _, edges = case
+        csr = csr_of(edges, max((max(e) for e in edges), default=-1) + 1 + pad)
+        for p in range(len(edges) + 1):
+            n = max((max(e) for e in edges[:p]), default=-1) + 1 + pad
+            snap = finalize_snapshot(csr, p, n)
+            fresh = snapshot_from_edges(edges[:p], n=n)
+            assert snap.n == fresh.n == n
+            assert snap.m == fresh.m == p
+            assert snap.offsets.tolist() == fresh.offsets.tolist()
+            assert snap.neighbors.tolist() == fresh.neighbors.tolist()
+            adjacency = [[] for _ in range(n)]
+            for a, b in edges[:p]:
+                adjacency[a].append(b)
+                adjacency[b].append(a)
+            assert segments(snap) == [sorted(seg) for seg in adjacency]

@@ -1,5 +1,6 @@
 import gzip
 import io
+import os
 
 import numpy as np
 import pytest
@@ -8,6 +9,15 @@ from hypothesis import strategies as st
 
 from netreplay import ingest
 from netreplay.ingest import FormatOptions, RawEvent, StreamFormatError
+
+KEY = (0, 123, 456)  # a cache_key as if from a real input file
+
+
+def to_events(stream):
+    """Render a stream back to raw events that normalize to it: links as
+    first discoveries, loop-only nodes as loops in discovery order."""
+    ru, rv, rt = ingest.rendered_rows(stream)
+    return [RawEvent(int(t), str(int(a)), str(int(b))) for a, b, t in zip(ru, rv, rt)]
 
 
 def parse_lines(text, **opts):
@@ -163,7 +173,7 @@ class TestNormalize:
     def test_roundtrip_through_rendered_events(self, pairs):
         events = [RawEvent(i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
         s = ingest.normalize(events)
-        s2 = ingest.normalize(s.to_events())
+        s2 = ingest.normalize(to_events(s))
         assert s2.final_n == s.final_n and s2.final_m == s.final_m
         assert np.array_equal(s2.u, s.u) and np.array_equal(s2.v, s.v)
         assert np.array_equal(s2.node_count_prefix, s.node_count_prefix)
@@ -253,8 +263,8 @@ class TestSchedule:
 class TestCache:
     def roundtrip(self, stream, tmp_path):
         path = str(tmp_path / "stream.arrivals")
-        ingest.save_cache(stream, path)
-        loaded = ingest.load_cache(path)
+        ingest.save_cache(stream, path, KEY)
+        loaded = ingest.load_cache(path, KEY)
         assert loaded.final_n == stream.final_n
         assert loaded.final_m == stream.final_m
         assert np.array_equal(loaded.u, stream.u)
@@ -296,18 +306,34 @@ class TestCache:
         s = ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2**63 + 5, "b", "c")])
         self.roundtrip(s, tmp_path)
 
+    def test_other_key_rejected(self, tmp_path):
+        s = ingest.normalize([RawEvent(0, "a", "b")])
+        path = str(tmp_path / "keyed.arrivals")
+        ingest.save_cache(s, path, KEY)
+        for other in [(1, 123, 456), (0, 124, 456), (0, 123, 457)]:
+            with pytest.raises(ValueError, match="another input or format"):
+                ingest.load_cache(path, other)
+
+    def test_write_goes_through_a_unique_temporary_file(self, tmp_path):
+        s = ingest.normalize([RawEvent(0, "a", "b")])
+        path = str(tmp_path / "s.arrivals")
+        os.mkdir(path + ".tmp")  # a fixed temporary name would collide with this
+        ingest.save_cache(s, path, KEY)
+        assert ingest.load_cache(path, KEY).final_m == 1
+        assert sorted(os.listdir(tmp_path)) == ["s.arrivals", "s.arrivals.tmp"]
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.arrivals"
         path.write_bytes(b"NOTCACHE" + b"\x00" * 24)
         with pytest.raises(ValueError, match="not a stream cache"):
-            ingest.load_cache(str(path))
+            ingest.load_cache(str(path), KEY)
 
     def test_truncated_payload_rejected(self, tmp_path):
         s = ingest.normalize([RawEvent(0, "a", "b"), RawEvent(1, "b", "c")])
         path = str(tmp_path / "trunc.arrivals")
-        ingest.save_cache(s, path)
+        ingest.save_cache(s, path, KEY)
         data = open(path, "rb").read()
         with open(path, "wb") as f:
             f.write(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
-            ingest.load_cache(path)
+            ingest.load_cache(path, KEY)

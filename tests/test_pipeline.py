@@ -12,6 +12,7 @@ from netreplay.degrees import basic_stats, cumulative, degree_distribution, ks_s
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
 from netreplay.generate import gen_complete, gen_preferential, write_stream
 from netreplay.graph import snapshot_from_edges
+from netreplay.ingest import FormatOptions, StreamFormatError
 from netreplay.pipeline import (
     RunConfig,
     checkpoint_bounds_seed,
@@ -331,11 +332,11 @@ class TestDeterminismAndCache:
         first = run_evolution(cfg)
         sidecar = str(path) + ".arrivals"
         assert os.path.exists(sidecar)
-        # clobber the raw input but leave it older than the sidecar; a
+        # clobber the raw input but keep its size and modification time; a
         # second run must come from the cache and never parse the garbage
-        path.write_text("not a stream at all\n")
-        old = os.path.getmtime(sidecar) - 100
-        os.utime(path, (old, old))
+        st = os.stat(path)
+        path.write_bytes(b"x" * (st.st_size - 1) + b"\n")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
         second = run_evolution(cfg)
         assert second.series["component_count"].values == first.series[
             "component_count"
@@ -354,6 +355,16 @@ class TestDeterminismAndCache:
         os.utime(sidecar, (fresh, fresh))
         result = run_evolution(cfg)
         assert result.final_n == 70
+
+    def test_cache_not_served_under_another_format(self, tmp_path):
+        path = tmp_path / "pairs.txt"
+        write_lines(path, ["a b", "b c", "c a"])
+        two_column = pipeline.load_stream(
+            quick_config(path, use_cache=True, format_options=FormatOptions(no_time=True))
+        )
+        assert (two_column.final_n, two_column.final_m) == (3, 3)
+        with pytest.raises(StreamFormatError, match="line 1"):
+            pipeline.load_stream(quick_config(path, use_cache=True))
 
     def test_cache_and_direct_parse_agree(self, tmp_path):
         path = tmp_path / "s.txt"
