@@ -11,6 +11,10 @@ Because a single link can reveal two nodes at once, a checkpoint may overshoot
 its target by one; the actual count is recorded. ``replay_to`` locates the
 stream position for a target count, and ``checkpoint_sizes`` produces the
 standard schedule of target counts (percent-style steps of the final size).
+
+The binary sidecar of :func:`save_cache` and :func:`load_cache` holds an
+:class:`ArrivalStream`'s own four columns, so a rerun reads the stream back
+without parsing or rebuilding anything.
 """
 
 from __future__ import annotations
@@ -20,17 +24,17 @@ import gzip
 import os
 import struct
 import tempfile
+import zlib
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-CACHE_MAGIC = b"NRSTRM02"
+CACHE_MAGIC = b"NRSTRM03"
 
-# Cached streams store one row per surviving event: links as (u, v, t) with
-# u != v, bare node discoveries as (x, x, t).
-_CACHE_ROW = np.dtype([("u", "<u4"), ("v", "<u4"), ("t", "<u8")])
-_CACHE_HEADER = "<3Q3q"  # rows, final_n, final_m, then the cache_key fields
+_CACHE_HEADER = "<2Q3q"  # final_n, final_m, then the cache_key fields
+# The ArrivalStream columns u, v, time, node_count_prefix, one after another.
+_CACHE_COLUMNS = (np.dtype("<i4"), np.dtype("<i4"), np.dtype("<u8"), np.dtype("<i8"))
 
 _MAX_NODE = 2**31 - 1
 
@@ -98,39 +102,47 @@ def parse_event_stream(
     Blank lines and lines starting with ``#`` are skipped. Malformed lines
     and timestamp regressions raise StreamFormatError with the 1-based line
     number. Timestamps must be integers in [0, 2^64), the range the
-    normalized stream and its cache store.
+    normalized stream and its cache store. Input that cannot be read on
+    (truncated or corrupt gzip, bytes that are not UTF-8) raises
+    StreamFormatError naming the last line read whole.
     """
     last_time = None
     synthetic = 0
-    for lineno, line in enumerate(reader, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        parts = stripped.split()
-        if options.no_time:
-            if len(parts) != 2:
-                raise StreamFormatError(f"malformed line {lineno}: expected '<src> <dst>'")
-            t = synthetic
-            synthetic += 1
-            src, dst = parts
-        else:
-            if len(parts) != 3:
-                raise StreamFormatError(
-                    f"malformed line {lineno}: expected '<time> <src> <dst>'"
-                )
-            try:
-                t = int(parts[0])
-            except ValueError:
-                raise StreamFormatError(
-                    f"malformed line {lineno}: bad timestamp {parts[0]!r}"
-                ) from None
-            if not 0 <= t < 2**64:
-                raise StreamFormatError(f"malformed line {lineno}: timestamp outside [0, 2^64)")
-            src, dst = parts[1], parts[2]
-        if last_time is not None and t < last_time:
-            raise StreamFormatError(f"timestamp decreases at line {lineno}")
-        last_time = t
-        yield RawEvent(t, src, dst)
+    lineno = 0
+    try:
+        for lineno, line in enumerate(reader, start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if options.no_time:
+                if len(parts) != 2:
+                    raise StreamFormatError(f"malformed line {lineno}: expected '<src> <dst>'")
+                t = synthetic
+                synthetic += 1
+                src, dst = parts
+            else:
+                if len(parts) != 3:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: expected '<time> <src> <dst>'"
+                    )
+                try:
+                    t = int(parts[0])
+                except ValueError:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: bad timestamp {parts[0]!r}"
+                    ) from None
+                if not 0 <= t < 2**64:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: timestamp outside [0, 2^64)"
+                    )
+                src, dst = parts[1], parts[2]
+            if last_time is not None and t < last_time:
+                raise StreamFormatError(f"timestamp decreases at line {lineno}")
+            last_time = t
+            yield RawEvent(t, src, dst)
+    except (EOFError, UnicodeDecodeError, zlib.error, gzip.BadGzipFile) as exc:
+        raise StreamFormatError(f"unreadable input after line {lineno}: {exc}") from None
 
 
 def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
@@ -193,61 +205,6 @@ def leading_discoveries(stream: ArrivalStream) -> int:
     v0 = int(stream.v[0])
     hi0 = u0 if u0 > v0 else v0
     return hi0 - 1 if v0 == u0 + 1 else hi0
-
-
-def rendered_rows(stream: ArrivalStream) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Flatten a stream to rows where loop rows (x, x, t) mark node-only
-    discoveries, ordered so discovery order equals index order and a linear
-    replay reproduces the stream exactly."""
-    m = stream.final_m
-    n = stream.final_n
-    if m == 0:
-        idx = np.arange(n, dtype=np.int64)
-        return idx, idx.copy(), np.zeros(n, dtype=np.uint64)
-
-    u = stream.u.astype(np.int64)
-    v = stream.v.astype(np.int64)
-    t = stream.time
-    prefix = stream.node_count_prefix
-    hi = np.maximum(u, v)
-    leading = leading_discoveries(stream)
-    prev = np.concatenate(([leading], prefix[:-1]))
-    count_after_link = np.maximum(prev, hi + 1)
-    posts = prefix - count_after_link  # node-only discoveries after link i
-    if posts.size and int(posts.min()) < 0:
-        raise ValueError("stream is not in first-appearance order")
-
-    tail_total = int(posts.sum())
-    if tail_total:
-        ends = np.cumsum(posts)
-        tail_vals = (
-            np.arange(tail_total, dtype=np.int64)
-            - np.repeat(ends - posts, posts)
-            + np.repeat(count_after_link, posts)
-        )
-    else:
-        tail_vals = np.empty(0, dtype=np.int64)
-    loop_vals = np.concatenate((np.arange(leading, dtype=np.int64), tail_vals))
-
-    total = m + leading + tail_total
-    shift = np.concatenate(([0], np.cumsum(posts[:-1])))
-    link_pos = leading + np.arange(m, dtype=np.int64) + shift
-    ru = np.empty(total, dtype=np.int64)
-    rv = np.empty(total, dtype=np.int64)
-    rt = np.empty(total, dtype=np.uint64)
-    ru[link_pos] = u
-    rv[link_pos] = v
-    rt[link_pos] = t
-    loop_mask = np.ones(total, dtype=bool)
-    loop_mask[link_pos] = False
-    loop_slots = np.nonzero(loop_mask)[0]
-    ru[loop_slots] = loop_vals
-    rv[loop_slots] = loop_vals
-    loop_times = np.concatenate(
-        (np.full(leading, t[0], dtype=np.uint64), np.repeat(t, posts))
-    )
-    rt[loop_slots] = loop_times
-    return ru, rv, rt
 
 
 def checkpoint_node_count(stream: ArrivalStream, position: int, target_n: int) -> int:
@@ -325,24 +282,23 @@ def cache_key(path: str, options: FormatOptions) -> tuple[int, int, int]:
 def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> None:
     """Write the binary sidecar for a normalized stream parsed under ``key``.
 
-    Layout: 8-byte magic, three little-endian u64 counts (rows, final_n,
-    final_m), the three i64 fields of the key, then one 16-byte row per
-    event. Written to a unique temporary file in the same directory and
+    Layout: the 8-byte magic, ``final_n`` and ``final_m`` as little-endian
+    u64, the three i64 fields of the key, then the stream's own columns one
+    after another: ``u`` and ``v`` as i4, ``time`` as u8 and
+    ``node_count_prefix`` as i8, ``final_m`` entries each (24 bytes per
+    link). Written to a unique temporary file in the same directory and
     renamed into place, so concurrent writers never share a partial file.
     """
-    ru, rv, rt = rendered_rows(stream)
-    rows = np.empty(ru.size, dtype=_CACHE_ROW)
-    rows["u"] = ru
-    rows["v"] = rv
-    rows["t"] = rt
+    columns = (stream.u, stream.v, stream.time, stream.node_count_prefix)
     fd, tmp = tempfile.mkstemp(
         prefix=os.path.basename(path) + ".", suffix=".tmp", dir=os.path.dirname(path) or "."
     )
     try:
         with os.fdopen(fd, "wb") as f:
             f.write(CACHE_MAGIC)
-            f.write(struct.pack(_CACHE_HEADER, rows.size, stream.final_n, stream.final_m, *key))
-            f.write(rows.tobytes())
+            f.write(struct.pack(_CACHE_HEADER, stream.final_n, stream.final_m, *key))
+            for column, dtype in zip(columns, _CACHE_COLUMNS):
+                f.write(column.astype(dtype, copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -353,57 +309,38 @@ def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> N
 def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
     """Load a sidecar written by :func:`save_cache` under the same ``key``.
 
-    One linear pass reconstructs the node-count prefix; no deduplication is
-    repeated. Raises ValueError on a key mismatch or any structural one.
+    The columns are returned as read-only views of the file's bytes; nothing
+    is rebuilt. Since they are trusted as stored, the invariants of
+    :class:`ArrivalStream` are checked instead. Raises ValueError on another
+    magic, a key mismatch, a payload of the wrong size or a broken invariant.
     """
     with open(path, "rb") as f:
-        magic = f.read(8)
-        if magic != CACHE_MAGIC:
+        if f.read(len(CACHE_MAGIC)) != CACHE_MAGIC:
             raise ValueError(f"not a stream cache: {path}")
         header = f.read(struct.calcsize(_CACHE_HEADER))
         if len(header) != struct.calcsize(_CACHE_HEADER):
             raise ValueError(f"truncated cache header: {path}")
-        n_rows, final_n, final_m, *written_for = struct.unpack(_CACHE_HEADER, header)
+        final_n, final_m, *written_for = struct.unpack(_CACHE_HEADER, header)
         if tuple(written_for) != tuple(key):
             raise ValueError(f"cache written for another input or format: {path}")
         payload = f.read()
-    if len(payload) != n_rows * _CACHE_ROW.itemsize:
+    if len(payload) != final_m * sum(dtype.itemsize for dtype in _CACHE_COLUMNS):
         raise ValueError(f"truncated cache payload: {path}")
-    rows = np.frombuffer(payload, dtype=_CACHE_ROW)
+    columns = []
+    offset = 0
+    for dtype in _CACHE_COLUMNS:
+        columns.append(np.frombuffer(payload, dtype, final_m, offset))
+        offset += final_m * dtype.itemsize
+    u, v, time, prefix = columns
 
-    if n_rows == 0:
-        if final_n != 0 or final_m != 0:
-            raise ValueError("cache header inconsistent with empty payload")
-        return ArrivalStream(
-            u=np.empty(0, dtype=np.int32),
-            v=np.empty(0, dtype=np.int32),
-            time=np.empty(0, dtype=np.uint64),
-            node_count_prefix=np.empty(0, dtype=np.int64),
-            final_n=0,
-            final_m=0,
-        )
-
-    ru = rows["u"].astype(np.int64)
-    rv = rows["v"].astype(np.int64)
-    rt = rows["t"]
-    if np.any(rt[1:] < rt[:-1]):
-        raise ValueError("cache rows out of time order")
-    count_at_row = np.maximum.accumulate(np.maximum(ru, rv) + 1)
-    if int(count_at_row[-1]) != final_n:
-        raise ValueError("cache node count mismatch")
-    link_rows = np.nonzero(ru != rv)[0]
-    if link_rows.size != final_m:
-        raise ValueError("cache link count mismatch")
-    if link_rows.size:
-        boundary = np.concatenate((link_rows[1:], [len(rows)])) - 1
-        prefix = count_at_row[boundary].astype(np.int64)
-    else:
-        prefix = np.empty(0, dtype=np.int64)
-    return ArrivalStream(
-        u=ru[link_rows].astype(np.int32),
-        v=rv[link_rows].astype(np.int32),
-        time=rt[link_rows].astype(np.uint64),
-        node_count_prefix=prefix,
-        final_n=int(final_n),
-        final_m=int(final_m),
-    )
+    if np.any(time[1:] < time[:-1]):
+        raise ValueError(f"cache times out of order: {path}")
+    if np.any(u == v) or np.any(np.minimum(u, v) < 0):
+        raise ValueError(f"cache link is a loop or has a negative endpoint: {path}")
+    if np.any(prefix[1:] < prefix[:-1]):
+        raise ValueError(f"cache node counts decrease: {path}")
+    if np.any(prefix <= np.maximum(u, v)):
+        raise ValueError(f"cache node count below a link's endpoint: {path}")
+    if final_n > _MAX_NODE or (final_m and prefix[-1] != final_n):
+        raise ValueError(f"cache node count mismatch: {path}")
+    return ArrivalStream(u, v, time, prefix, final_n=final_n, final_m=final_m)

@@ -1,7 +1,9 @@
 """Command-line behavior: flags, outputs, exit codes."""
 
+import gzip
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -191,6 +193,22 @@ class TestAnalyze:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr
         assert "line 2" in proc.stderr
+
+    def test_truncated_gzip_exits_one_without_traceback(self, tmp_path):
+        lines = "".join(f"{i} n{i % 97} n{i * 7 % 101}\n" for i in range(20000)).encode()
+        gz = gzip.compress(lines)
+        bad = tmp_path / "cut.txt.gz"
+        bad.write_bytes(gz[: len(gz) // 2])
+        src = os.path.dirname(os.path.dirname(netreplay.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreplay.cli", "analyze", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert re.search(r"unreadable input after line [1-9]\d*:", proc.stderr)
 
     def test_bad_stats_group_exits_one(self, tmp_path, capsys):
         trace = self.make_stream(tmp_path, capsys)

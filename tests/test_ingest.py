@@ -1,6 +1,8 @@
+import dataclasses
 import gzip
 import io
 import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest
-from netreplay.ingest import FormatOptions, RawEvent, StreamFormatError
+from netreplay.ingest import ArrivalStream, FormatOptions, RawEvent, StreamFormatError
 
 KEY = (0, 123, 456)  # a cache_key as if from a real input file
 
@@ -16,8 +18,43 @@ KEY = (0, 123, 456)  # a cache_key as if from a real input file
 def to_events(stream):
     """Render a stream back to raw events that normalize to it: links as
     first discoveries, loop-only nodes as loops in discovery order."""
-    ru, rv, rt = ingest.rendered_rows(stream)
-    return [RawEvent(int(t), str(int(a)), str(int(b))) for a, b, t in zip(ru, rv, rt)]
+    u, v, time, prefix = (
+        a.tolist() for a in (stream.u, stream.v, stream.time, stream.node_count_prefix)
+    )
+    if not u:
+        return [RawEvent(0, str(x), str(x)) for x in range(stream.final_n)]
+    seen = ingest.leading_discoveries(stream)
+    events = [RawEvent(time[0], str(x), str(x)) for x in range(seen)]
+    for a, b, t, count in zip(u, v, time, prefix):
+        events.append(RawEvent(t, str(a), str(b)))
+        seen = max(seen, a + 1, b + 1)
+        events += [RawEvent(t, str(x), str(x)) for x in range(seen, count)]
+        seen = max(seen, count)
+    return events
+
+
+def assert_same_stream(got, want):
+    """Field-by-field equality of two streams, array dtypes included."""
+    for f in dataclasses.fields(ArrivalStream):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            assert a.dtype == b.dtype, f.name
+            assert np.array_equal(a, b), f.name
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
+def numbered_trace(lines=20000):
+    return "".join(f"{i} n{i % 97} n{i * 7 % 101}\n" for i in range(lines)).encode()
+
+
+def read_until_error(reader):
+    """Events parsed before an unreadable stretch, and the error's message."""
+    events = []
+    with pytest.raises(StreamFormatError, match="unreadable input after line") as info:
+        for ev in ingest.parse_event_stream(reader):
+            events.append(ev)
+    return events, str(info.value)
 
 
 def parse_lines(text, **opts):
@@ -75,6 +112,32 @@ class TestParse:
         with ingest.open_event_file(str(path)) as f:
             events = list(ingest.parse_event_stream(f))
         assert len(events) == 2 and events[1].dst == "c"
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            pytest.param(lambda gz: gz[: len(gz) // 2], id="truncated"),
+            pytest.param(lambda gz: gz[:3] + b"\xff" + gz[4:], id="bad-header-flags"),
+            pytest.param(lambda gz: gz[:-5] + bytes([gz[-5] ^ 0xFF]) + gz[-4:], id="bad-crc"),
+        ],
+    )
+    def test_unreadable_gzip_names_last_whole_line(self, tmp_path, corrupt):
+        path = tmp_path / "trace.txt.gz"
+        path.write_bytes(corrupt(gzip.compress(numbered_trace())))
+        with ingest.open_event_file(str(path)) as f:
+            events, message = read_until_error(f)
+        assert f"after line {len(events)}:" in message
+        assert [e.time for e in events] == list(range(len(events)))
+
+    def test_non_utf8_byte_names_last_whole_line(self, tmp_path):
+        good = numbered_trace()
+        cut = good.index(b"\n", len(good) // 2) + 1  # start of a line past the middle
+        path = tmp_path / "trace.txt"
+        path.write_bytes(good[:cut] + b"\xff" + good[cut:])
+        with ingest.open_event_file(str(path)) as f:
+            events, message = read_until_error(f)
+        assert f"after line {len(events)}:" in message
+        assert len(events) <= good[:cut].count(b"\n") and "utf-8" in message
 
 
 class TestNormalize:
@@ -336,4 +399,132 @@ class TestCache:
         with open(path, "wb") as f:
             f.write(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
+            ingest.load_cache(path, KEY)
+
+
+# Times that exercise equal stamps and the int64/uint64 boundary.
+EVENT_TIMES = st.one_of(
+    st.integers(0, 3), st.integers(2**63 - 2, 2**63 + 2), st.just(2**64 - 1)
+)
+
+# Links (0,1), (1,3), (3,0) with loop-only node x = 2 between the first two:
+# u = [0, 1, 3], v = [1, 3, 0], time = [1, 3, 5], node_count_prefix = [3, 4, 4].
+SMALL = [
+    RawEvent(1, "a", "b"), RawEvent(2, "x", "x"), RawEvent(3, "b", "c"), RawEvent(5, "c", "a")
+]
+HEADER_BYTES = 8 + 5 * 8  # magic, final_n, final_m, the three key fields
+
+
+def edited_sidecar(tmp_path, stream, field, index, value):
+    """Save ``stream``, overwrite entry ``index`` of one stored field
+    (``final_n`` or a column) with ``value``, and return the sidecar's path."""
+    path = str(tmp_path / "edited.arrivals")
+    ingest.save_cache(stream, path, KEY)
+    data = bytearray(open(path, "rb").read())
+    m = stream.final_m
+    views = {"final_n": np.frombuffer(data, "<u8", 1, 8)}
+    offset = HEADER_BYTES
+    for name, dtype in [("u", "<i4"), ("v", "<i4"), ("time", "<u8"), ("prefix", "<i8")]:
+        views[name] = np.frombuffer(data, dtype, m, offset)
+        offset += m * np.dtype(dtype).itemsize
+    views[field][index] = value
+    with open(path, "wb") as f:
+        f.write(data)
+    return path
+
+
+class TestCacheFormat:
+    def test_on_disk_layout_is_pinned(self, tmp_path):
+        # A change to these bytes is a format change: bump CACHE_MAGIC with it.
+        path = str(tmp_path / "small.arrivals")
+        ingest.save_cache(ingest.normalize(SMALL), path, KEY)
+        expected = bytes.fromhex(
+            "4e525354524d3033"  # magic "NRSTRM03"
+            "0400000000000000"  # final_n = 4
+            "0300000000000000"  # final_m = 3
+            "0000000000000000"  # key: no_time = 0
+            "7b00000000000000"  # key: input size = 123
+            "c801000000000000"  # key: mtime_ns = 456
+            "00000000" "01000000" "03000000"  # u, i4
+            "01000000" "03000000" "00000000"  # v, i4
+            "0100000000000000" "0300000000000000" "0500000000000000"  # time, u8
+            "0300000000000000" "0400000000000000" "0400000000000000"  # node_count_prefix, i8
+        )
+        assert open(path, "rb").read() == expected
+
+    @given(
+        st.lists(
+            st.tuples(EVENT_TIMES, st.integers(0, 9), st.integers(0, 9)), max_size=60
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_file_roundtrip_equals_normalize(self, draws):
+        times = sorted(t for t, _, _ in draws)
+        events = [RawEvent(t, str(a), str(b)) for t, (_, a, b) in zip(times, draws)]
+        stream = ingest.normalize(events)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "s.arrivals")
+            ingest.save_cache(stream, path, KEY)
+            assert_same_stream(ingest.load_cache(path, KEY), stream)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=30),
+        st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_corrupted_byte_is_rejected_or_still_consistent(self, pairs, data):
+        stream = ingest.normalize(
+            [RawEvent(i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
+        )
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "s.arrivals")
+            ingest.save_cache(stream, path, KEY)
+            raw = bytearray(open(path, "rb").read())
+            at = data.draw(st.integers(0, len(raw) - 1))
+            raw[at] ^= data.draw(st.integers(1, 255))
+            with open(path, "wb") as f:
+                f.write(raw)
+            try:
+                s = ingest.load_cache(path, KEY)
+            except ValueError:
+                return
+        # accepted bytes must still form a replayable stream
+        assert np.all(s.time[1:] >= s.time[:-1])
+        assert np.all(s.u != s.v) and np.all(np.minimum(s.u, s.v) >= 0)
+        assert np.all(np.diff(s.node_count_prefix) >= 0)
+        assert np.all(s.node_count_prefix > np.maximum(s.u, s.v))
+        assert s.final_m == 0 or s.node_count_prefix[-1] == s.final_n
+
+    def test_every_truncation_rejected(self, tmp_path):
+        path = str(tmp_path / "small.arrivals")
+        ingest.save_cache(ingest.normalize(SMALL), path, KEY)
+        data = open(path, "rb").read()
+        for cut in range(len(data)):
+            with open(path, "wb") as f:
+                f.write(data[:cut])
+            with pytest.raises(ValueError):
+                ingest.load_cache(path, KEY)
+
+    @pytest.mark.parametrize(
+        "field, index, value, message",
+        [
+            ("time", 1, 0, "out of order"),
+            ("v", 1, 1, "loop"),
+            ("u", 0, -1, "negative"),
+            # [5, 4, 4] still covers every endpoint and ends at final_n
+            ("prefix", 0, 5, "decrease"),
+            # [1, 4, 4] is non-decreasing, but link (0, 1) needs two nodes
+            ("prefix", 0, 1, "below"),
+            ("final_n", 0, 5, "node count mismatch"),
+        ],
+    )
+    def test_broken_invariant_rejected(self, tmp_path, field, index, value, message):
+        path = edited_sidecar(tmp_path, ingest.normalize(SMALL), field, index, value)
+        with pytest.raises(ValueError, match=message):
+            ingest.load_cache(path, KEY)
+
+    def test_node_count_beyond_int32_rejected_without_links(self, tmp_path):
+        stream = ingest.normalize([RawEvent(0, "a", "a")])
+        path = edited_sidecar(tmp_path, stream, "final_n", 0, 2**31)
+        with pytest.raises(ValueError, match="node count mismatch"):
             ingest.load_cache(path, KEY)

@@ -2,11 +2,12 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from netreplay import pipeline
+from netreplay import ingest, pipeline
 from netreplay.connectivity import components
 from netreplay.degrees import basic_stats, cumulative, degree_distribution, ks_statistic
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
@@ -373,6 +374,49 @@ class TestDeterminismAndCache:
         without = run_evolution(quick_config(path, nominal_checkpoints=6, use_cache=False))
         for name in with_cache.series:
             assert with_cache.series[name].values == without.series[name].values
+
+    def test_cache_served_run_matches_uncached(self, tmp_path, monkeypatch):
+        # loops, duplicates, equal times and times past 2^63 in one trace
+        rng = np.random.default_rng(17)
+        pairs = rng.integers(0, 60, size=(400, 2))
+        path = tmp_path / "s.txt"
+        write_lines(path, [f"{2**63 - 50 + i // 3} n{a} n{b}" for i, (a, b) in enumerate(pairs)])
+        cfg = quick_config(path, nominal_checkpoints=6, use_cache=True)
+        run_evolution(cfg)  # writes the sidecar
+        without = run_evolution(quick_config(path, nominal_checkpoints=6, use_cache=False))
+
+        def no_parse(events):
+            raise AssertionError("the second cached run parsed the input")
+
+        monkeypatch.setattr(pipeline, "normalize", no_parse)
+        served = run_evolution(cfg)
+        assert served.checkpoints == without.checkpoints
+        for name in without.series:
+            assert served.series[name].values == without.series[name].values
+
+    def test_previous_format_sidecar_parsed_again_and_replaced(self, tmp_path, monkeypatch):
+        path = tmp_path / "s.txt"
+        write_lines(path, ["0 a b", "1 b c"])
+        cfg = quick_config(path, use_cache=True)
+        sidecar = str(path) + ".arrivals"
+        # the previous layout: a row count in the header, then 16-byte (u, v, t) rows
+        key = ingest.cache_key(str(path), FormatOptions())
+        rows = struct.pack("<2IQ", 0, 1, 0) + struct.pack("<2IQ", 1, 2, 1)
+        with open(sidecar, "wb") as f:
+            f.write(b"NRSTRM02" + struct.pack("<3Q3q", 2, 3, 2, *key) + rows)
+        parses = []
+
+        def counted_normalize(events):
+            parses.append(1)
+            return ingest.normalize(events)
+
+        monkeypatch.setattr(pipeline, "normalize", counted_normalize)
+        stream = pipeline.load_stream(cfg)
+        assert (stream.final_n, stream.final_m, len(parses)) == (3, 2, 1)
+        with open(sidecar, "rb") as f:
+            assert f.read(8) == ingest.CACHE_MAGIC == b"NRSTRM03"
+        pipeline.load_stream(cfg)
+        assert len(parses) == 1  # the rewritten sidecar serves the next load
 
 
 class TestErrors:
