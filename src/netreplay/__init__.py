@@ -16,12 +16,12 @@ from netreplay.ingest import (
     FormatOptions,
     RawEvent,
     StreamFormatError,
+    checkpoint_plan,
     checkpoint_sizes,
     load_cache,
     normalize,
     open_event_file,
     parse_event_stream,
-    replay_to,
     save_cache,
 )
 from netreplay.graph import Snapshot, has_link, snapshot_from_edges
@@ -39,7 +39,6 @@ from netreplay.degrees import (
 from netreplay.distances import (
     BoundConfig,
     BoundsOutcome,
-    DistanceReport,
     EstimatorConfig,
     average_distance_exact,
     bfs,

@@ -4,7 +4,7 @@ Two routes to the same answer. ``components`` labels a finished snapshot by
 breadth-first search, the reference method. ``IncrementalComponents`` is a
 union-find fed link by link during replay; since links are only ever added,
 merges are the only structural change and every checkpoint gets its component
-count in effectively constant time instead of a fresh traversal. The giant
+count and giant size in constant time instead of a fresh traversal. The giant
 component is the largest one; ties go to the component containing the
 smallest node index.
 """
@@ -75,17 +75,19 @@ def components(snapshot: Snapshot) -> ComponentSummary:
 class IncrementalComponents:
     """Union-find over a growing node range, merged as links arrive.
 
-    Tracks, per root: component size and smallest member index. A running
-    best (size, then smallest index) makes giant lookups O(1). Nodes join as
-    singletons via ``ensure``; ``add_link`` extends the range as needed.
+    Tracks the size of each root's component and, in ``giant_size``, the
+    largest of them: a merge can only grow the giant, so one compare per
+    merge keeps it current and the giant fraction costs nothing. Which
+    component is the giant is settled only when asked, by
+    :meth:`giant_mask`. Nodes join as singletons via ``ensure``;
+    ``add_link`` extends the range as needed.
     """
 
     def __init__(self):
         self._parent: list[int] = []
         self._size: list[int] = []
-        self._min_idx: list[int] = []
         self._count = 0
-        self._best_root = -1  # giant candidate, kept current across merges
+        self.giant_size = 0
 
     @property
     def n(self) -> int:
@@ -96,16 +98,17 @@ class IncrementalComponents:
         return self._count
 
     def ensure(self, n: int) -> None:
-        """Grow the node range to n, adding singleton components."""
+        """Grow the node range to n, adding singleton components. Appends in
+        a loop: ``add_link`` grows the range one node at a time, where
+        extending by a range costs more."""
         i = len(self._parent)
         while i < n:
             self._parent.append(i)
             self._size.append(1)
-            self._min_idx.append(i)
             self._count += 1
-            if self._best_root < 0:
-                self._best_root = i
             i += 1
+        if n > 0 and not self.giant_size:
+            self.giant_size = 1
 
     def find(self, x: int) -> int:
         parent = self._parent
@@ -126,16 +129,11 @@ class IncrementalComponents:
         if self._size[ru] < self._size[rv]:
             ru, rv = rv, ru
         self._parent[rv] = ru
-        self._size[ru] += self._size[rv]
-        if self._min_idx[rv] < self._min_idx[ru]:
-            self._min_idx[ru] = self._min_idx[rv]
+        size = self._size[ru] + self._size[rv]
+        self._size[ru] = size
         self._count -= 1
-        best = self._best_root
-        if ru != best:
-            merged = (-self._size[ru], self._min_idx[ru])
-            if best < 0 or merged < (-self._size[best], self._min_idx[best]):
-                self._best_root = ru
-        # if ru is already best it only grew
+        if size > self.giant_size:
+            self.giant_size = size
 
     def roots(self) -> np.ndarray:
         """Resolved root per node, vectorized by repeated pointer jumping."""
@@ -146,33 +144,12 @@ class IncrementalComponents:
                 return arr
             arr = nxt
 
-    def summary(self) -> ComponentSummary:
-        n = len(self._parent)
-        if n == 0:
+    def giant_mask(self) -> np.ndarray:
+        """Members of the giant component. Of several of the largest size,
+        the one holding the smallest node index wins, as in
+        :func:`components`."""
+        if not self._parent:
             raise ValueError("no nodes added")
         roots = self.roots()
-        giant_root = self._best_root
-        # renumber roots to labels ordered by smallest member = first occurrence
-        _, first_pos, labels = np.unique(roots, return_index=True, return_inverse=True)
-        order = np.argsort(first_pos, kind="stable")
-        relabel = np.empty(order.size, dtype=np.int32)
-        relabel[order] = np.arange(order.size, dtype=np.int32)
-        component_id = relabel[labels]
-        giant_id = int(component_id[self._min_idx[giant_root]])
-        giant_size = self._size[giant_root]
-        return ComponentSummary(
-            component_count=self._count,
-            giant_size=giant_size,
-            giant_fraction=giant_size / n,
-            component_id=component_id,
-            giant_id=giant_id,
-        )
-
-    def giant(self) -> tuple[int, int, float]:
-        """(size, root, fraction) of the current giant component."""
-        n = len(self._parent)
-        if n == 0:
-            raise ValueError("no nodes added")
-        root = self._best_root
-        size = self._size[root]
-        return size, root, size / n
+        first = int(np.argmax(np.asarray(self._size)[roots] == self.giant_size))
+        return roots == roots[first]

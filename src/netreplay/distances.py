@@ -81,18 +81,6 @@ class BoundsOutcome(NamedTuple):
     upper_history: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class DistanceReport:
-    """Distance group of one checkpoint's statistics."""
-
-    average_distance: float
-    samples_used: int
-    diameter_lower: int
-    diameter_upper: int
-    bound_iterations: int
-    converged: bool
-
-
 class BatchResult(NamedTuple):
     """Per-source results of one :func:`bfs_batch` call, in source order."""
 

@@ -8,9 +8,10 @@ integer indices in order of first appearance. The result is an
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
-its target by one; the actual count is recorded. ``replay_to`` locates the
-stream position for a target count, and ``checkpoint_sizes`` produces the
-standard schedule of target counts (percent-style steps of the final size).
+its target by one; the actual count is recorded. ``checkpoint_sizes``
+produces the standard schedule of target counts (percent-style steps of the
+final size), and ``checkpoint_plan`` places every target of a schedule in the
+stream at once: the link position and node count of each checkpoint kept.
 
 The binary sidecar of :func:`save_cache` and :func:`load_cache` holds an
 :class:`ArrivalStream`'s own four columns, so a rerun reads the stream back
@@ -26,7 +27,7 @@ import struct
 import tempfile
 import zlib
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,10 +89,14 @@ class ArrivalStream:
 
 
 def open_event_file(path: str):
-    """Open a trace for reading, transparently decompressing ``.gz``."""
+    """Open a trace for reading, transparently decompressing ``.gz``.
+
+    Bytes that are not UTF-8 decode to lone surrogates instead of failing
+    mid-chunk, so that :func:`parse_event_stream` can name their line.
+    """
     if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, "r", encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
 def parse_event_stream(
@@ -102,8 +107,10 @@ def parse_event_stream(
     Blank lines and lines starting with ``#`` are skipped. Malformed lines
     and timestamp regressions raise StreamFormatError with the 1-based line
     number. Timestamps must be integers in [0, 2^64), the range the
-    normalized stream and its cache store. Input that cannot be read on
-    (truncated or corrupt gzip, bytes that are not UTF-8) raises
+    normalized stream and its cache store. A line holding bytes that are
+    not UTF-8 (read by :func:`open_event_file` as lone surrogates) raises
+    StreamFormatError naming that line. Input that cannot be read on
+    (truncated or corrupt gzip, or a strict decoder's failure) raises
     StreamFormatError naming the last line read whole.
     """
     last_time = None
@@ -111,6 +118,11 @@ def parse_event_stream(
     lineno = 0
     try:
         for lineno, line in enumerate(reader, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise StreamFormatError(f"line {lineno} is not valid utf-8") from None
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
@@ -207,39 +219,38 @@ def leading_discoveries(stream: ArrivalStream) -> int:
     return hi0 - 1 if v0 == u0 + 1 else hi0
 
 
-def checkpoint_node_count(stream: ArrivalStream, position: int, target_n: int) -> int:
-    """Distinct nodes actually present at a checkpoint boundary.
+def checkpoint_plan(
+    stream: ArrivalStream, sizes: Sequence[int]
+) -> list[tuple[int, int, int, int]]:
+    """Where each target node count of a schedule lands in the stream.
 
-    ``position`` is the replay position returned by :func:`replay_to` for
-    ``target_n``. If the boundary link revealed two nodes at once the count
-    overshoots the target by one; if the target was reached by a node-only
-    discovery between links it is met exactly.
+    Returns ``(schedule index, target, position, n)`` per kept checkpoint:
+    ``position`` link events consumed, ``n`` nodes present. A target lands
+    just after the node that reaches it is discovered. If that node came
+    with a link, the link is consumed and ``n`` may overshoot the target by
+    one, when the link revealed two nodes at once; if it came from a loop,
+    ``n`` meets the target exactly. Targets reached before the first link
+    land at position 0. The last target takes the whole stream with
+    ``final_n``. A target landing where the previous one did (its node was
+    revealed by the previous target's overshoot) is dropped. Raises
+    ValueError if a target exceeds ``final_n``.
     """
-    if position == 0:
-        return target_n
-    prefix = stream.node_count_prefix
-    before = int(prefix[position - 2]) if position >= 2 else 0
-    at_link = max(before, int(stream.u[position - 1]) + 1, int(stream.v[position - 1]) + 1)
-    return max(at_link, target_n)
-
-
-def replay_to(stream: ArrivalStream, cursor: int, target_n: int) -> int:
-    """Smallest position whose consumed prefix has at least ``target_n`` nodes.
-
-    Positions count link events; ``cursor`` is the already-consumed position
-    and the result never moves backwards. Raises ValueError if the stream
-    never reaches ``target_n`` nodes.
-    """
-    if target_n > stream.final_n:
-        raise ValueError(f"stream has {stream.final_n} nodes, cannot reach {target_n}")
-    if target_n <= 0:
-        return cursor
-    if stream.final_m == 0:
-        return cursor
-    if target_n <= leading_discoveries(stream):
-        return cursor  # reached by node-only discoveries before any link
-    pos = int(np.searchsorted(stream.node_count_prefix, target_n, side="left")) + 1
-    return max(pos, cursor)
+    if max(sizes) > stream.final_n:
+        raise ValueError(f"stream has {stream.final_n} nodes, cannot reach {max(sizes)}")
+    lead = leading_discoveries(stream) if stream.final_m else stream.final_n
+    positions = np.searchsorted(stream.node_count_prefix, sizes, side="left") + 1
+    plan: list[tuple[int, int, int, int]] = []
+    for index, (target, position) in enumerate(zip(sizes, positions.tolist())):
+        if index == len(sizes) - 1:
+            position, n = stream.n_events, stream.final_n
+        elif target <= lead:
+            position, n = 0, target
+        else:
+            # Nodes before the boundary link number fewer than the target.
+            n = max(target, int(stream.u[position - 1]) + 1, int(stream.v[position - 1]) + 1)
+        if not plan or plan[-1][2:] != (position, n):
+            plan.append((index, target, position, n))
+    return plan
 
 
 @dataclass(frozen=True)

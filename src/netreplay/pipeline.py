@@ -1,14 +1,15 @@
 """Replay orchestration: one pass over the stream, statistics per checkpoint.
 
 ``run_evolution`` builds the final graph of a normalized stream once, with
-each adjacency entry tagged by its link's arrival. At each scheduled
-node-count checkpoint it takes the snapshot of the links seen so far as a
-prefix mask of that graph and computes the enabled statistic groups.
-Connectivity is maintained incrementally (links only ever merge components);
-everything else runs on the snapshot. Results come back as one
-EvolutionSeries per statistic and, when an output directory is configured,
-land on disk as CSV files plus a manifest, a gnuplot script, and a separate
-timing file.
+each adjacency entry tagged by its link's arrival. ``checkpoint_plan`` places
+every scheduled node-count checkpoint in the stream up front; at each one the
+loop takes the snapshot of the links seen so far as a prefix mask of that
+graph and computes the enabled statistic groups. Connectivity is maintained
+incrementally (links only ever merge components); everything else runs on
+the snapshot. ``SERIES`` names the series of each group, in the order
+``_measure`` returns their values. Results come back as one EvolutionSeries
+per statistic and, when an output directory is configured, land on disk as
+CSV files plus a manifest, a gnuplot script, and a separate timing file.
 
 Determinism: all sampling derives from the global seed and the checkpoint
 index, never from global state, so a rerun with the same input and
@@ -37,7 +38,6 @@ from netreplay.degrees import (
 )
 from netreplay.distances import (
     BoundConfig,
-    DistanceReport,
     EstimatorConfig,
     diameter_bounds,
     estimate_average_distance,
@@ -47,18 +47,37 @@ from netreplay.ingest import (
     ArrivalStream,
     FormatOptions,
     cache_key,
-    checkpoint_node_count,
+    checkpoint_plan,
     checkpoint_sizes,
     load_cache,
     normalize,
     open_event_file,
     parse_event_stream,
-    replay_to,
     save_cache,
 )
 from netreplay.triangles import analyze_triangles
 
-STAT_GROUPS = ("conn", "deg", "dist", "tri")
+# The one place each series is named: per statistic group, in output order.
+SERIES = {
+    "conn": ("component_count", "giant_fraction"),
+    "deg": ("average_degree", "density", "max_degree", "ks_vs_final"),
+    "dist": (
+        "average_distance",
+        "average_distance_samples",
+        "diameter_lower",
+        "diameter_upper",
+        "diameter_iterations",
+        "diameter_converged",
+    ),
+    "tri": (
+        "triangles",
+        "clustering",
+        "transitivity",
+        "triangles_over_max_degree_sq",
+        "clustering_over_density",
+    ),
+}
+STAT_GROUPS = tuple(SERIES)
 _TIMING_PARTS = ("dist_estimator", "dist_bounds")  # timed inside "dist"
 
 
@@ -177,32 +196,6 @@ def load_stream(config: RunConfig) -> ArrivalStream:
     return stream
 
 
-def _series_names(groups: frozenset) -> list[str]:
-    names = []
-    if "conn" in groups:
-        names += ["component_count", "giant_fraction"]
-    if "deg" in groups:
-        names += ["average_degree", "density", "max_degree", "ks_vs_final"]
-    if "dist" in groups:
-        names += [
-            "average_distance",
-            "average_distance_samples",
-            "diameter_lower",
-            "diameter_upper",
-            "diameter_iterations",
-            "diameter_converged",
-        ]
-    if "tri" in groups:
-        names += [
-            "triangles",
-            "clustering",
-            "transitivity",
-            "triangles_over_max_degree_sq",
-            "clustering_over_density",
-        ]
-    return names
-
-
 def checkpoint_estimator_seed(global_seed: int, checkpoint_index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence([global_seed, checkpoint_index, 0])
 
@@ -217,7 +210,7 @@ def run_evolution(config: RunConfig) -> RunResult:
     if stream.final_n < 1:
         raise ValueError(f"input {config.input_path!r} contains no nodes")
     schedule = checkpoint_sizes(stream.final_n, config.nominal_checkpoints)
-    groups = config.stats
+    groups = [group for group in STAT_GROUPS if group in config.stats]
 
     # A checkpoint's replay time runs from the end of the previous one, so
     # the first includes building the final CSR.
@@ -225,123 +218,62 @@ def run_evolution(config: RunConfig) -> RunResult:
     csr = arrival_csr(stream.u, stream.v, stream.final_n)
     inc = IncrementalComponents()
     records: list[CheckpointRecord] = []
-    values: dict[str, list] = {name: [] for name in _series_names(groups)}
-    retained_dists = []  # degree distributions, for dumps and ks_vs_final
+    values: dict[str, list] = {name: [] for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
+    # The latest triangle report stays referenced until the next checkpoint
+    # replaces it. Freed at once, its arrays leave the top of the heap free,
+    # malloc hands that back to the system, and the next checkpoint faults it
+    # in again: about 6x the page faults and 5 % more run time on perfbench's
+    # pa-dist.
+    held: dict = {}
     pos = 0
-    last_index = len(schedule.sizes) - 1
 
-    for ci, target in enumerate(schedule.sizes):
-        if ci == last_index:
-            new_pos = stream.n_events
-            n_act = stream.final_n
-        else:
-            new_pos = replay_to(stream, pos, target)
-            n_act = checkpoint_node_count(stream, new_pos, target)
-        if records and new_pos == records[-1].position and n_act == records[-1].n:
-            continue  # the sample did not change; overshoot swallowed this target
-        for a, b in zip(stream.u[pos:new_pos].tolist(), stream.v[pos:new_pos].tolist()):
+    for ci, target, position, n in checkpoint_plan(stream, schedule.sizes):
+        for a, b in zip(stream.u[pos:position].tolist(), stream.v[pos:position].tolist()):
             inc.add_link(a, b)
-        pos = new_pos
-        inc.ensure(n_act)
-        boundary_time = int(stream.time[new_pos - 1]) if new_pos else 0
-        snapshot = finalize_snapshot(csr, new_pos, n_act)
+        pos = position
+        inc.ensure(n)
+        snapshot = finalize_snapshot(csr, position, n)
         record = CheckpointRecord(
             index=ci,
             target_n=target,
-            position=new_pos,
-            n=n_act,
+            position=position,
+            n=n,
             m=snapshot.m,
-            time=boundary_time,
+            time=int(stream.time[position - 1]) if position else 0,
         )
         timing = {"checkpoint": ci, "replay": _time.perf_counter() - t_replay}
-
         try:
-            basic: Optional[BasicStats] = None
-            if n_act >= 2:
-                basic = stats_from_counts(
-                    n_act, snapshot.m, int(snapshot.degrees.max()) if n_act else 0
-                )
-
-            if "conn" in groups:
+            basic = None
+            if n >= 2:
+                basic = stats_from_counts(n, snapshot.m, int(snapshot.degrees.max()))
+            for group in groups:
                 t0 = _time.perf_counter()
-                giant_size, _, giant_fraction = inc.giant()
-                values["component_count"].append(inc.component_count)
-                values["giant_fraction"].append(giant_fraction)
-                timing["conn"] = _time.perf_counter() - t0
-
-            if "deg" in groups:
-                t0 = _time.perf_counter()
-                dist = degree_distribution(snapshot)
-                retained_dists.append(dist)
-                if basic is None:
-                    values["average_degree"].append(None)
-                    values["density"].append(None)
-                    values["max_degree"].append(None)
-                else:
-                    values["average_degree"].append(basic.average_degree)
-                    values["density"].append(basic.density)
-                    values["max_degree"].append(basic.max_degree)
-                timing["deg"] = _time.perf_counter() - t0
-
-            if "dist" in groups:
-                t0 = _time.perf_counter()
-                report = _distance_group(config, inc, snapshot, ci, timing)
-                if report is None:
-                    for name in (
-                        "average_distance",
-                        "average_distance_samples",
-                        "diameter_lower",
-                        "diameter_upper",
-                        "diameter_iterations",
-                        "diameter_converged",
-                    ):
-                        values[name].append(None)
-                else:
-                    values["average_distance"].append(report.average_distance)
-                    values["average_distance_samples"].append(report.samples_used)
-                    values["diameter_lower"].append(report.diameter_lower)
-                    values["diameter_upper"].append(report.diameter_upper)
-                    values["diameter_iterations"].append(report.bound_iterations)
-                    values["diameter_converged"].append(report.converged)
-                timing["dist"] = _time.perf_counter() - t0
-
-            if "tri" in groups:
-                t0 = _time.perf_counter()
-                if basic is None:
-                    stand_in = BasicStats(
-                        n=n_act, m=snapshot.m, average_degree=0.0, density=0.0, max_degree=0
-                    )
-                    tri = analyze_triangles(snapshot, stand_in)
-                else:
-                    tri = analyze_triangles(snapshot, basic)
-                values["triangles"].append(tri.triangles)
-                values["clustering"].append(tri.clustering)
-                values["transitivity"].append(tri.transitivity)
-                values["triangles_over_max_degree_sq"].append(
-                    tri.triangles_over_max_degree_sq
-                )
-                values["clustering_over_density"].append(tri.clustering_over_density)
-                timing["tri"] = _time.perf_counter() - t0
+                names = SERIES[group]
+                row = _measure(group, config, ci, snapshot, basic, inc, timing, held)
+                for name, value in zip(names, row or (None,) * len(names), strict=True):
+                    values[name].append(value)
+                timing[group] = _time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(
-                f"checkpoint {ci} (target n={target}, actual n={n_act}, m={snapshot.m}): "
-                f"{exc}"
+                f"checkpoint {ci} (target n={target}, actual n={n}, m={snapshot.m}): {exc}"
             ) from exc
-
         records.append(record)
         checkpoint_timings.append(timing)
         t_replay = _time.perf_counter()
 
-    if "deg" in groups:
-        final_cumulative = cumulative(retained_dists[-1])
-        for d in retained_dists:
-            values["ks_vs_final"].append(ks_statistic(cumulative(d), final_cumulative))
+    # Until the final distribution is known, the degree group's last series
+    # holds each checkpoint's distribution in place of its K-S distance.
+    ks_name = SERIES["deg"][-1]
+    dists = values.get(ks_name, [])
+    if dists:
+        final_cumulative = cumulative(dists[-1])
+        values[ks_name] = [ks_statistic(cumulative(d), final_cumulative) for d in dists]
 
     series = {}
-    for name in _series_names(groups):
+    for name, column in values.items():
         s = EvolutionSeries(name=name)
-        for record, value in zip(records, values[name]):
+        for record, value in zip(records, column):
             s.append(record, value)
         series[name] = s
 
@@ -356,44 +288,52 @@ def run_evolution(config: RunConfig) -> RunResult:
         out_dir=config.out_dir,
     )
     if config.out_dir is not None:
-        _write_outputs(result, retained_dists if config.dump_distributions else None,
-                       checkpoint_timings)
+        _write_outputs(result, dists if config.dump_distributions else None, checkpoint_timings)
     return result
 
 
-def _distance_group(
-    config: RunConfig, inc: IncrementalComponents, snapshot, checkpoint_index: int,
-    timing: dict,
-) -> Optional[DistanceReport]:
-    """Distance statistics for one checkpoint; None while the giant component
-    is too small to have distances. Records the estimator's and the bounds'
-    wall time in ``timing``."""
+def _measure(
+    group: str, config: RunConfig, checkpoint_index: int, snapshot,
+    basic: Optional[BasicStats], inc: IncrementalComponents, timing: dict, held: dict,
+) -> Optional[tuple]:
+    """One checkpoint's values for ``group``, in ``SERIES`` order; None where
+    the whole group is undefined, as distances are while the giant component
+    has fewer than two nodes. ``basic`` is None below two nodes. The degree
+    group's last value is the degree distribution itself; ``run_evolution``
+    turns it into the K-S distance to the final one. The distance group
+    records its estimator's and bounds' wall time in ``timing``, and the
+    triangle group leaves its full report in ``held``."""
+    if group == "conn":
+        return inc.component_count, inc.giant_size / snapshot.n
+    if group == "deg":
+        head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
+        return (*head, degree_distribution(snapshot))
+    if group == "tri":
+        tri = held[group] = analyze_triangles(snapshot, basic)
+        return (
+            tri.triangles,
+            tri.clustering,
+            tri.transitivity,
+            tri.triangles_over_max_degree_sq,
+            tri.clustering_over_density,
+        )
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
-    giant_size, giant_root, _ = inc.giant()
-    if giant_size < 2:
+    if inc.giant_size < 2:
         return None
-    roots = inc.roots()
-    giant_mask = roots == roots[giant_root]
+    giant = inc.giant_mask()
     est_cfg = dataclasses.replace(
         config.estimator, rng_seed=checkpoint_estimator_seed(config.seed, checkpoint_index)
     )
     t0 = _time.perf_counter()
-    estimate, samples = estimate_average_distance(snapshot, giant_mask, est_cfg)
+    estimate, samples = estimate_average_distance(snapshot, giant, est_cfg)
     t1 = _time.perf_counter()
     bnd_cfg = dataclasses.replace(
         config.bounds, rng_seed=checkpoint_bounds_seed(config.seed, checkpoint_index)
     )
-    outcome = diameter_bounds(snapshot, giant_mask, bnd_cfg)
+    bounds = diameter_bounds(snapshot, giant, bnd_cfg)
     timing["dist_estimator"] = t1 - t0
     timing["dist_bounds"] = _time.perf_counter() - t1
-    return DistanceReport(
-        average_distance=estimate,
-        samples_used=samples,
-        diameter_lower=outcome.lower,
-        diameter_upper=outcome.upper,
-        bound_iterations=outcome.iterations,
-        converged=outcome.converged,
-    )
+    return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
 
 def _build_manifest(config, stream, schedule, records, series) -> dict:

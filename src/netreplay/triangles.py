@@ -152,11 +152,13 @@ def derived_ratios(
     return over_dmax, over_density
 
 
-def analyze_triangles(snapshot: Snapshot, stats: BasicStats) -> TriangleReport:
-    """Bundle every triangle statistic for one snapshot."""
+def analyze_triangles(snapshot: Snapshot, stats: Optional[BasicStats]) -> TriangleReport:
+    """Bundle every triangle statistic for one snapshot. ``stats`` is None
+    when the snapshot is too small for degree statistics (n < 2), and the
+    ratios to them are undefined then."""
     total, per_node = count_triangles(snapshot)
     cc = clustering_coefficient(snapshot, per_node)
-    ratio_dmax, ratio_density = derived_ratios(total, cc, stats)
+    ratio_dmax, ratio_density = derived_ratios(total, cc, stats) if stats else (None, None)
     return TriangleReport(
         triangles=total,
         per_node=per_node,

@@ -210,6 +210,22 @@ class TestAnalyze:
         assert "Traceback" not in proc.stderr
         assert re.search(r"unreadable input after line [1-9]\d*:", proc.stderr)
 
+    def test_non_utf8_byte_exits_one_naming_its_line(self, tmp_path):
+        lines = [f"{i} n{i % 97} n{i * 7 % 101}\n".encode() for i in range(20000)]
+        lines[7895] = b"7895 n\xff n1\n"
+        bad = tmp_path / "latin.txt.gz"
+        bad.write_bytes(gzip.compress(b"".join(lines)))
+        src = os.path.dirname(os.path.dirname(netreplay.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreplay.cli", "analyze", str(bad),
+             "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "line 7896 is not valid utf-8" in proc.stderr
+
     def test_bad_stats_group_exits_one(self, tmp_path, capsys):
         trace = self.make_stream(tmp_path, capsys)
         code, _, stderr = run_cli(

@@ -63,6 +63,14 @@ class TestComponentsBfs:
             summ.component_id[0] = 9
 
 
+def assert_same_components(inc, ref):
+    """The union-find agrees with a BFS labeling: count, partition, giant."""
+    assert inc.component_count == ref.component_count
+    assert groups_from_labels(inc.roots()) == groups_from_labels(ref.component_id)
+    assert inc.giant_size == ref.giant_size
+    assert inc.giant_mask().tolist() == ref.giant_mask().tolist()
+
+
 class TestIncremental:
     def test_matches_bfs_on_growing_stream(self):
         rng = np.random.default_rng(11)
@@ -79,12 +87,7 @@ class TestIncremental:
             seen.add(key)
             edges.append(key)
             inc.add_link(u, v)
-            ref = components(snapshot_from_edges(edges, n=n))
-            got = inc.summary()
-            assert got.component_count == ref.component_count
-            assert got.giant_size == ref.giant_size
-            assert got.giant_id == ref.giant_id
-            assert got.component_id.tolist() == ref.component_id.tolist()
+            assert_same_components(inc, components(snapshot_from_edges(edges, n=n)))
 
     def test_matches_textbook_union_find_partitions(self):
         rng = np.random.default_rng(5)
@@ -98,21 +101,25 @@ class TestIncremental:
                 continue
             inc.add_link(u, v)
             oracle.union(u, v)
-        assert groups_from_labels(inc.summary().component_id) == oracle.groups()
+        assert groups_from_labels(inc.roots()) == oracle.groups()
+        assert inc.giant_size == max(len(group) for group in oracle.groups())
 
     def test_ensure_adds_singletons(self):
         inc = IncrementalComponents()
         inc.ensure(3)
         assert inc.n == 3
         assert inc.component_count == 3
-        size, root, frac = inc.giant()
-        assert size == 1 and frac == pytest.approx(1 / 3)
+        assert inc.giant_size == 1
+        assert inc.giant_mask().tolist() == [True, False, False]
+        inc.ensure(2)  # never shrinks
+        assert inc.n == 3 and inc.component_count == 3
 
     def test_add_link_extends_range(self):
         inc = IncrementalComponents()
         inc.add_link(0, 4)
         assert inc.n == 5
         assert inc.component_count == 4
+        assert inc.giant_size == 2
 
     def test_duplicate_link_is_noop(self):
         inc = IncrementalComponents()
@@ -120,39 +127,38 @@ class TestIncremental:
         count = inc.component_count
         inc.add_link(1, 0)
         assert inc.component_count == count
+        assert inc.giant_size == 2
 
     def test_giant_updates_across_merges(self):
         inc = IncrementalComponents()
         inc.ensure(7)
         inc.add_link(0, 1)
-        assert inc.giant()[0] == 2
+        assert inc.giant_size == 2
         inc.add_link(2, 3)
         inc.add_link(3, 4)
-        size, root, frac = inc.giant()
-        assert size == 3
-        assert inc.find(root) == inc.find(2)
+        assert inc.giant_size == 3
+        assert inc.giant_mask().tolist() == [False, False, True, True, True, False, False]
         inc.add_link(0, 5)
         inc.add_link(5, 6)
-        # tie at size 3 and 4... 0-1-5-6 has four members now
-        assert inc.giant()[0] == 4
-        assert inc.find(inc.giant()[1]) == inc.find(0)
+        # 0-1-5-6 has four members now
+        assert inc.giant_size == 4
+        assert inc.giant_mask().tolist() == [True, True, False, False, False, True, True]
 
     def test_giant_tie_prefers_smaller_min_index(self):
         inc = IncrementalComponents()
         inc.ensure(4)
         inc.add_link(2, 3)
-        assert inc.giant()[0] == 2
+        assert inc.giant_size == 2
+        assert inc.giant_mask().tolist() == [False, False, True, True]
         inc.add_link(0, 1)  # same size, contains node 0
-        size, root, _ = inc.giant()
-        assert size == 2
-        assert inc.find(root) == inc.find(0)
+        assert inc.giant_size == 2
+        assert inc.giant_mask().tolist() == [True, True, False, False]
 
-    def test_empty_summary_rejected(self):
+    def test_empty_giant_mask_rejected(self):
         inc = IncrementalComponents()
+        assert inc.giant_size == 0
         with pytest.raises(ValueError):
-            inc.summary()
-        with pytest.raises(ValueError):
-            inc.giant()
+            inc.giant_mask()
 
 
 @st.composite
@@ -185,9 +191,4 @@ class TestAgreementProperty:
             if key not in kept:
                 kept.add(key)
                 edges.append(key)
-        ref = components(snapshot_from_edges(edges, n=n))
-        got = inc.summary()
-        assert got.component_count == ref.component_count
-        assert got.giant_size == ref.giant_size
-        assert got.component_id.tolist() == ref.component_id.tolist()
-        assert got.giant_id == ref.giant_id
+        assert_same_components(inc, components(snapshot_from_edges(edges, n=n)))

@@ -6,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest
@@ -130,14 +130,31 @@ class TestParse:
         assert [e.time for e in events] == list(range(len(events)))
 
     def test_non_utf8_byte_names_last_whole_line(self, tmp_path):
+        # The error names the line holding the byte, and every line before
+        # it was read whole, however the decoder chunks the file.
         good = numbered_trace()
         cut = good.index(b"\n", len(good) // 2) + 1  # start of a line past the middle
+        bad_line = good[:cut].count(b"\n") + 1
+        bad = good[:cut] + b"\xff" + good[cut:]
+        for name, payload in (("trace.txt", bad), ("trace.txt.gz", gzip.compress(bad))):
+            path = tmp_path / name
+            path.write_bytes(payload)
+            events = []
+            with ingest.open_event_file(str(path)) as f:
+                with pytest.raises(StreamFormatError) as info:
+                    for ev in ingest.parse_event_stream(f):
+                        events.append(ev)
+            assert str(info.value) == f"line {bad_line} is not valid utf-8"
+            assert [e.time for e in events] == list(range(bad_line - 1))
+
+    def test_valid_non_ascii_tokens_accepted(self, tmp_path):
         path = tmp_path / "trace.txt"
-        path.write_bytes(good[:cut] + b"\xff" + good[cut:])
+        path.write_text("0 caf\u00e9 na\u00efve\n1 na\u00efve \u00fcber\n", encoding="utf-8")
         with ingest.open_event_file(str(path)) as f:
-            events, message = read_until_error(f)
-        assert f"after line {len(events)}:" in message
-        assert len(events) <= good[:cut].count(b"\n") and "utf-8" in message
+            events = list(ingest.parse_event_stream(f))
+        assert [(e.src, e.dst) for e in events] == [
+            ("caf\u00e9", "na\u00efve"), ("na\u00efve", "\u00fcber")
+        ]
 
 
 class TestNormalize:
@@ -243,56 +260,106 @@ class TestNormalize:
         assert np.array_equal(s2.time, s.time)
 
 
+def reference_plan(events, sizes):
+    """checkpoint_plan by walking events one at a time: a target
+    lands after the event that discovers its node, the last target after
+    the last event, and a target landing where the previous one did is
+    dropped."""
+    plan = []
+    for index, target in enumerate(sizes):
+        last = index == len(sizes) - 1
+        nodes, links = set(), set()
+        for ev in events:
+            if len(nodes) >= target and not last:
+                break
+            nodes.update((ev.src, ev.dst))
+            if ev.src != ev.dst:
+                links.add(frozenset((ev.src, ev.dst)))
+        landing = (len(links), len(nodes))
+        if not plan or plan[-1][2:] != landing:
+            plan.append((index, target, *landing))
+    return plan
+
+
 class TestReplay:
     def stream(self):
         return ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
 
     def test_exact_target(self):
-        s = self.stream()
-        pos = ingest.replay_to(s, 0, 2)
-        assert pos == 1
-        assert ingest.checkpoint_node_count(s, pos, 2) == 2
+        assert ingest.checkpoint_plan(self.stream(), (2, 4)) == [(0, 2, 1, 2), (1, 4, 2, 4)]
 
     def test_overshoot_recorded(self):
-        s = self.stream()
-        pos = ingest.replay_to(s, 0, 3)
-        assert pos == 2
-        assert ingest.checkpoint_node_count(s, pos, 3) == 4
+        s = ingest.normalize(
+            [RawEvent(1, "a", "b"), RawEvent(2, "c", "d"), RawEvent(3, "d", "a")]
+        )
+        # c-d reveals the third and fourth node at once; the last target takes the
+        # whole stream though it adds no node
+        assert ingest.checkpoint_plan(s, (3, 4)) == [(0, 3, 2, 4), (1, 4, 3, 4)]
+
+    def test_swallowed_target_dropped(self):
+        s = ingest.normalize(
+            [RawEvent(1, "a", "b"), RawEvent(2, "c", "d"), RawEvent(3, "e", "f")]
+        )
+        # target 4 was met by target 3's overshoot: same position, same n
+        assert ingest.checkpoint_plan(s, (3, 4, 6)) == [(0, 3, 2, 4), (2, 6, 3, 6)]
+        # a last target that lands on the previous checkpoint is dropped too
+        assert ingest.checkpoint_plan(self.stream(), (3, 4)) == [(0, 3, 2, 4)]
 
     def test_target_beyond_stream_rejected(self):
         with pytest.raises(ValueError):
-            ingest.replay_to(self.stream(), 0, 5)
+            ingest.checkpoint_plan(self.stream(), (2, 5))
 
-    def test_cursor_never_retreats(self):
-        s = self.stream()
-        assert ingest.replay_to(s, 2, 2) == 2
+    def test_positions_never_retreat(self):
+        s = ingest.normalize(
+            [RawEvent(t, a, b) for t, (a, b) in enumerate(
+                ["xx", "ab", "ba", "cc", "ac", "de", "db", "ff", "fa"]
+            )]
+        )
+        plan = ingest.checkpoint_plan(s, range(1, s.final_n + 1))
+        positions = [p for _, _, p, _ in plan]
+        ns = [n for _, _, _, n in plan]
+        assert positions == sorted(positions) and positions[-1] == s.final_m
+        assert ns == sorted(set(ns)) and ns[-1] == s.final_n
 
     def test_loop_only_target(self):
         s = ingest.normalize(
             [RawEvent(0, "a", "b"), RawEvent(1, "x", "x"), RawEvent(2, "c", "a")]
         )
-        pos = ingest.replay_to(s, 0, 3)  # reached by the loop discovery
-        assert pos == 1
-        assert ingest.checkpoint_node_count(s, pos, 3) == 3
+        # target 3 is reached by the loop discovery, before c-a
+        assert ingest.checkpoint_plan(s, (3, 4)) == [(0, 3, 1, 3), (1, 4, 2, 4)]
 
     def test_targets_before_first_link(self):
         s = ingest.normalize(
             [RawEvent(0, "x", "x"), RawEvent(1, "y", "y"), RawEvent(2, "a", "y")]
         )
         # two nodes exist before any link arrives
-        for target in (1, 2):
-            pos = ingest.replay_to(s, 0, target)
-            assert pos == 0
-            assert ingest.checkpoint_node_count(s, pos, target) == target
-        pos = ingest.replay_to(s, 0, 3)
-        assert pos == 1
-        assert ingest.checkpoint_node_count(s, pos, 3) == 3
+        assert ingest.checkpoint_plan(s, (1, 2, 3)) == [
+            (0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 1, 3)
+        ]
 
     def test_all_loop_stream(self):
         s = ingest.normalize([RawEvent(0, "x", "x"), RawEvent(1, "y", "y")])
         assert s.final_m == 0
-        assert ingest.replay_to(s, 0, 2) == 0
-        assert ingest.checkpoint_node_count(s, 0, 2) == 2
+        assert ingest.checkpoint_plan(s, (1, 2)) == [(0, 1, 0, 1), (1, 2, 0, 2)]
+
+    @given(
+        st.integers(min_value=0, max_value=3),
+        st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)), max_size=30),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_event_by_event_reference(self, leading, pairs, data):
+        # leading loop-only nodes, then links with loops and duplicates in
+        # either direction among few nodes
+        events = [RawEvent(0, f"lead{j}", f"lead{j}") for j in range(leading)]
+        events += [RawEvent(1 + i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
+        s = ingest.normalize(events)
+        assume(s.final_n >= 1)
+        sizes = sorted(data.draw(st.sets(st.integers(1, s.final_n), min_size=1)))
+        # A stream does not record whether the first link's lower endpoint
+        # was discovered by an earlier loop ("x x" then "x y" normalizes like
+        # "x y" alone), so the reference walks the stream's own rendering.
+        assert ingest.checkpoint_plan(s, sizes) == reference_plan(to_events(s), sizes)
 
 
 class TestSchedule:

@@ -154,6 +154,25 @@ class TestSeriesValues:
         result = run_evolution(quick_config(path, nominal_checkpoints=9))
         assert result.series["giant_fraction"].values[-1] == 1.0
 
+    @pytest.mark.parametrize(
+        "lines, diameter",
+        [
+            (["0 a b", "1 b c", "2 c d", "3 e f", "4 e g", "5 e h"], 3),
+            (["0 e f", "1 e g", "2 e h", "3 a b", "4 b c", "5 c d"], 2),
+        ],
+        ids=["path-first", "star-first"],
+    )
+    def test_giant_tie_goes_to_component_of_first_node(self, tmp_path, lines, diameter):
+        # a 4-node path (diameter 3) and a 4-node star (diameter 2) tie for
+        # the giant; distances are measured on the one holding node 0
+        path = tmp_path / "tie.txt"
+        write_lines(path, lines)
+        result = run_evolution(quick_config(path, nominal_checkpoints=4))
+        assert result.checkpoints[-1].n == 8
+        assert result.series["giant_fraction"].values[-1] == 0.5
+        assert result.series["diameter_lower"].values[-1] == diameter
+        assert result.series["diameter_upper"].values[-1] == diameter
+
     def test_stat_subset_only_emits_requested(self, tmp_path):
         path = tmp_path / "s.txt"
         write_stream(str(path), gen_preferential(60, 2, seed=6))

@@ -159,6 +159,12 @@ class TestDerivedRatios:
         assert over_dmax is None
         assert over_density is None
 
+    def test_single_node_without_degree_stats_has_no_ratios(self):
+        r = analyze_triangles(snapshot_from_edges([], n=1), None)
+        assert (r.triangles, r.clustering, r.transitivity) == (0, None, None)
+        assert r.triangles_over_max_degree_sq is None
+        assert r.clustering_over_density is None
+
     def test_clustered_fixture_beats_density_by_an_order(self):
         # ring of 30 small cliques: clustering stays put as density shrinks
         edges = []
