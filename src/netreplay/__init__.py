@@ -52,9 +52,9 @@ from netreplay.triangles import (
     TriangleReport,
     analyze_triangles,
     clustering_coefficient,
-    count_triangles,
     derived_ratios,
     transitivity,
+    triangle_counts,
 )
 from netreplay.pipeline import EvolutionSeries, RunConfig, RunResult, run_evolution
 

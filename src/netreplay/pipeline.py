@@ -5,11 +5,12 @@ each adjacency entry tagged by its link's arrival. ``checkpoint_plan`` places
 every scheduled node-count checkpoint in the stream up front; at each one the
 loop takes the snapshot of the links seen so far as a prefix mask of that
 graph and computes the enabled statistic groups. Connectivity is maintained
-incrementally (links only ever merge components); everything else runs on
-the snapshot. ``SERIES`` names the series of each group, in the order
-``_measure`` returns their values. Results come back as one EvolutionSeries
-per statistic and, when an output directory is configured, land on disk as
-CSV files plus a manifest, a gnuplot script, and a separate timing file.
+incrementally (links only ever merge components), triangles come from one
+listing of the final graph, and the rest runs on the snapshot. ``SERIES``
+names the series of each group, in the order ``_measure`` returns their
+values. Results come back as one EvolutionSeries per statistic and, when an
+output directory is configured, land on disk as CSV files plus a manifest, a
+gnuplot script, and a separate timing file.
 
 Determinism: all sampling derives from the global seed and the checkpoint
 index, never from global state, so a rerun with the same input and
@@ -20,6 +21,7 @@ legitimately nondeterministic product, are quarantined in timings.json.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import os
 import time as _time
@@ -55,7 +57,7 @@ from netreplay.ingest import (
     parse_event_stream,
     save_cache,
 )
-from netreplay.triangles import analyze_triangles
+from netreplay.triangles import analyze_triangles, triangle_counts
 
 # The one place each series is named: per statistic group, in output order.
 SERIES = {
@@ -220,15 +222,12 @@ def run_evolution(config: RunConfig) -> RunResult:
     records: list[CheckpointRecord] = []
     values: dict[str, list] = {name: [] for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
-    # The latest triangle report stays referenced until the next checkpoint
-    # replaces it. Freed at once, its arrays leave the top of the heap free,
-    # malloc hands that back to the system, and the next checkpoint faults it
-    # in again: about 6x the page faults and 5 % more run time on perfbench's
-    # pa-dist.
-    held: dict = {}
+    plan = checkpoint_plan(stream, schedule.sizes)
+    positions = np.array([position for _, _, position, _ in plan], dtype=np.int64)
+    tri_counts = functools.cache(functools.partial(triangle_counts, csr, positions))
     pos = 0
 
-    for ci, target, position, n in checkpoint_plan(stream, schedule.sizes):
+    for k, (ci, target, position, n) in enumerate(plan):
         for a, b in zip(stream.u[pos:position].tolist(), stream.v[pos:position].tolist()):
             inc.add_link(a, b)
         pos = position
@@ -250,7 +249,7 @@ def run_evolution(config: RunConfig) -> RunResult:
             for group in groups:
                 t0 = _time.perf_counter()
                 names = SERIES[group]
-                row = _measure(group, config, ci, snapshot, basic, inc, timing, held)
+                row = _measure(group, config, ci, k, snapshot, basic, inc, timing, tri_counts)
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
                     values[name].append(value)
                 timing[group] = _time.perf_counter() - t0
@@ -293,23 +292,24 @@ def run_evolution(config: RunConfig) -> RunResult:
 
 
 def _measure(
-    group: str, config: RunConfig, checkpoint_index: int, snapshot,
-    basic: Optional[BasicStats], inc: IncrementalComponents, timing: dict, held: dict,
+    group: str, config: RunConfig, checkpoint_index: int, k: int, snapshot,
+    basic: Optional[BasicStats], inc: IncrementalComponents, timing: dict, tri_counts,
 ) -> Optional[tuple]:
     """One checkpoint's values for ``group``, in ``SERIES`` order; None where
     the whole group is undefined, as distances are while the giant component
     has fewer than two nodes. ``basic`` is None below two nodes. The degree
     group's last value is the degree distribution itself; ``run_evolution``
     turns it into the K-S distance to the final one. The distance group
-    records its estimator's and bounds' wall time in ``timing``, and the
-    triangle group leaves its full report in ``held``."""
+    records its estimator's and bounds' wall time in ``timing``; the triangle
+    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``."""
     if group == "conn":
         return inc.component_count, inc.giant_size / snapshot.n
     if group == "deg":
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
         return (*head, degree_distribution(snapshot))
     if group == "tri":
-        tri = held[group] = analyze_triangles(snapshot, basic)
+        totals, per_node = tri_counts()
+        tri = analyze_triangles(snapshot, basic, int(totals[k]), per_node[k, : snapshot.n])
         return (
             tri.triangles,
             tri.clustering,

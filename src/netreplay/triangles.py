@@ -4,10 +4,14 @@ Naive triangle listing touches every path of length two, which explodes on
 skewed degree sequences. Instead, nodes are ranked by decreasing degree and
 each link is examined once, from its higher-ranked endpoint: intersecting the
 two endpoints' lists of lower-ranked neighbors finds each triangle exactly
-once, at its highest-ranked corner. Total work is O(m^(3/2)) with only
-Theta(n) extra space beyond the adjacency itself, which is what makes the
-per-checkpoint cost tolerable. The implementation batches the intersections
-into vectorized key lookups.
+once, at its highest-ranked corner (compact-forward; Latapy, TCS 2008).
+Total work is O(m^(3/2)). The intersections run as vectorized key lookups
+in bounded batches; beyond the adjacency, those and a per-checkpoint table
+of per-node counts are all the memory used.
+
+A replay sample, a prefix of the stream, holds a triangle exactly when it
+holds its closing link, the latest of the three. So one listing of the final
+graph serves every checkpoint, tagging each triangle with that link.
 
 Clustering (the mean over nodes of how many of a node's neighbor pairs are
 linked) ignores nodes of degree below 2, for which the notion is undefined;
@@ -23,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from netreplay.degrees import BasicStats
-from netreplay.graph import Snapshot
+from netreplay.graph import ArrivalCSR, Snapshot
 
 _PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
 
@@ -44,30 +48,24 @@ class TriangleReport:
         self.per_node.setflags(write=False)
 
 
-def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
-    """Total triangles and per-node membership counts.
-
-    Every triangle contributes 1 to the total and 1 to each of its three
-    corners, so per_node sums to three times the total.
-    """
-    n, m = snapshot.n, snapshot.m
-    per_node = np.zeros(n, dtype=np.int64)
-    if n == 0 or m == 0:
-        return 0, per_node
-    deg = snapshot.degrees
+def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i of ``(totals, per_node)`` counts the triangles of the first
+    ``positions[i]`` links (ascending), in all and per final-graph node."""
+    n = csr.offsets.size - 1
+    k = len(positions)
+    # Row i gets the corners first present at positions[i]; row k, the rest.
+    table = np.zeros((k + 1, n), dtype=np.int64)
+    deg = np.diff(csr.offsets)
     order = np.lexsort((np.arange(n), -deg))  # rank by degree desc, index asc
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
     entry_src = np.repeat(np.arange(n, dtype=np.int64), deg)
     r_src = rank[entry_src]
-    r_dst = rank[snapshot.neighbors]
-    forward = r_dst < r_src  # keep each link once, seen from its higher rank
-    f_src = r_src[forward]
-    f_dst = r_dst[forward]
-    by_edge = np.lexsort((f_dst, f_src))
-    f_src = f_src[by_edge]
-    f_dst = f_dst[by_edge]
+    r_dst = rank[csr.neighbors]
+    forward = np.flatnonzero(r_dst < r_src)  # each link once, from its higher rank
+    forward = forward[np.lexsort((r_dst[forward], r_src[forward]))]
+    f_src, f_dst, f_arrival = r_src[forward], r_dst[forward], csr.arrival[forward]
     keys = f_src * n + f_dst  # sorted ascending by construction
 
     f_len = np.bincount(f_src, minlength=n)
@@ -75,40 +73,37 @@ def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
     probes_per_edge = f_len[f_dst]
     cum_probes = np.cumsum(probes_per_edge)
 
-    tri_by_rank = np.zeros(n, dtype=np.float64)
-    total = 0
     n_edges = f_src.size
     e0 = 0
     while e0 < n_edges:
         consumed = int(cum_probes[e0 - 1]) if e0 else 0
         e1 = int(np.searchsorted(cum_probes, consumed + _PROBE_BUDGET, side="left")) + 1
         e1 = min(max(e1, e0 + 1), n_edges)
-        xs = f_src[e0:e1]
-        ys = f_dst[e0:e1]
         cnt = probes_per_edge[e0:e1]
-        batch = int(cnt.sum())
-        if batch:
-            ends = np.cumsum(cnt)
-            flat = (
-                np.arange(batch, dtype=np.int64)
-                - np.repeat(ends - cnt, cnt)
-                + np.repeat(f_off[ys], cnt)
-            )
-            w = f_dst[flat]  # lower-ranked neighbors of each edge's lower end
-            probe_keys = np.repeat(xs, cnt) * n + w
-            pos = np.searchsorted(keys, probe_keys)
-            pos[pos == keys.size] = 0
-            hit = keys[pos] == probe_keys
-            edge_ids = np.repeat(np.arange(e1 - e0, dtype=np.int64), cnt)
-            matches = np.bincount(edge_ids[hit], minlength=e1 - e0)
-            total += int(matches.sum())
-            tri_by_rank += np.bincount(xs, weights=matches, minlength=n)
-            tri_by_rank += np.bincount(ys, weights=matches, minlength=n)
-            tri_by_rank += np.bincount(w[hit], minlength=n)
+        ends = np.cumsum(cnt)
+        flat = (
+            np.arange(ends[-1], dtype=np.int64)
+            - np.repeat(ends - cnt, cnt)
+            + np.repeat(f_off[f_dst[e0:e1]], cnt)
+        )
+        w = f_dst[flat]  # lower-ranked neighbors of each edge's lower end
+        probe_keys = np.repeat(f_src[e0:e1], cnt) * n + w
+        pos = np.searchsorted(keys, probe_keys)
+        pos[pos == keys.size] = 0
+        hits = np.flatnonzero(keys[pos] == probe_keys)
+        edge = e0 + np.searchsorted(ends, hits, side="right")
+        # Present from the first position past its closing link's arrival.
+        closing = np.maximum(
+            f_arrival[edge], np.maximum(f_arrival[pos[hits]], f_arrival[flat[hits]])
+        )
+        row = np.searchsorted(positions, closing, side="right")
+        for corner in (f_src[edge], f_dst[edge], w[hits]):
+            np.add.at(table, (row, order[corner]), 1)
         e0 = e1
 
-    per_node = tri_by_rank[rank].astype(np.int64)
-    return total, per_node
+    np.cumsum(table, axis=0, out=table)
+    per_node = table[:k]
+    return per_node.sum(axis=1) // 3, per_node
 
 
 def clustering_coefficient(snapshot: Snapshot, per_node: np.ndarray) -> Optional[float]:
@@ -152,11 +147,13 @@ def derived_ratios(
     return over_dmax, over_density
 
 
-def analyze_triangles(snapshot: Snapshot, stats: Optional[BasicStats]) -> TriangleReport:
-    """Bundle every triangle statistic for one snapshot. ``stats`` is None
-    when the snapshot is too small for degree statistics (n < 2), and the
-    ratios to them are undefined then."""
-    total, per_node = count_triangles(snapshot)
+def analyze_triangles(
+    snapshot: Snapshot, stats: Optional[BasicStats], total: int, per_node: np.ndarray
+) -> TriangleReport:
+    """Bundle every triangle statistic for one snapshot from its triangle
+    ``total`` and ``per_node`` counts. ``stats`` is None when the snapshot is
+    too small for degree statistics (n < 2), and the ratios to them are
+    undefined then."""
     cc = clustering_coefficient(snapshot, per_node)
     ratio_dmax, ratio_density = derived_ratios(total, cc, stats) if stats else (None, None)
     return TriangleReport(

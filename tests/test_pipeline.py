@@ -21,6 +21,7 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
+from oracles import count_triangles
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
 FAST_BND = BoundConfig(min_iterations=2, gap_target=2, iteration_cap=6)
@@ -199,7 +200,7 @@ class TestPrefixConsistency:
             assert result.series["average_degree"].values[idx] == stats.average_degree
             assert result.series["density"].values[idx] == stats.density
             assert result.series["max_degree"].values[idx] == stats.max_degree
-            tri = analyze_triangles(snap, stats)
+            tri = analyze_triangles(snap, stats, *count_triangles(snap))
             assert result.series["triangles"].values[idx] == tri.triangles
             assert result.series["clustering"].values[idx] == tri.clustering
             assert result.series["transitivity"].values[idx] == tri.transitivity
@@ -452,11 +453,15 @@ class TestErrors:
         def boom(*args, **kwargs):
             raise ValueError("synthetic failure")
 
-        monkeypatch.setattr(pipeline, "analyze_triangles", boom)
-        with pytest.raises(RuntimeError, match=r"checkpoint \d+.*synthetic failure"):
-            run_evolution(
-                quick_config(path, nominal_checkpoints=1, stats=frozenset({"tri"}))
-            )
+        # The listing behind every checkpoint's counts runs inside the first
+        # checkpoint's measurement, and so must its failures.
+        for name in ("analyze_triangles", "triangle_counts"):
+            with monkeypatch.context() as patch:
+                patch.setattr(pipeline, name, boom)
+                with pytest.raises(RuntimeError, match=r"checkpoint \d+.*synthetic failure"):
+                    run_evolution(
+                        quick_config(path, nominal_checkpoints=1, stats=frozenset({"tri"}))
+                    )
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError, match="at least one"):

@@ -1,22 +1,25 @@
-"""Triangle counts against brute force, plus clustering and transitivity."""
+"""Triangle counts against brute force and the per-snapshot oracle, plus
+clustering and transitivity."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netreplay import triangles
 from netreplay.degrees import basic_stats
-from netreplay.graph import snapshot_from_edges
+from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 from netreplay.triangles import (
     analyze_triangles,
     clustering_coefficient,
     connected_triples,
-    count_triangles,
     derived_ratios,
     transitivity,
+    triangle_counts,
 )
 
 from conftest import brute_triangles, random_edges
+from oracles import count_triangles
 
 
 def complete_edges(n):
@@ -25,7 +28,7 @@ def complete_edges(n):
 
 def report(edges, n=None):
     snap = snapshot_from_edges(edges, n=n)
-    return analyze_triangles(snap, basic_stats(snap))
+    return analyze_triangles(snap, basic_stats(snap), *count_triangles(snap))
 
 
 class TestCounting:
@@ -160,7 +163,8 @@ class TestDerivedRatios:
         assert over_density is None
 
     def test_single_node_without_degree_stats_has_no_ratios(self):
-        r = analyze_triangles(snapshot_from_edges([], n=1), None)
+        snap = snapshot_from_edges([], n=1)
+        r = analyze_triangles(snap, None, *count_triangles(snap))
         assert (r.triangles, r.clustering, r.transitivity) == (0, None, None)
         assert r.triangles_over_max_degree_sq is None
         assert r.clustering_over_density is None
@@ -231,3 +235,65 @@ class TestProperties:
         want_total, want_per = brute_triangles(n, edges)
         assert total == want_total
         assert per.tolist() == want_per
+
+
+def assert_counts_match_oracle(pairs, n, positions):
+    """triangle_counts at every position equals a fresh count of that prefix."""
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    csr = arrival_csr(u, v, n)
+    totals, per_node = triangle_counts(csr, np.asarray(positions, dtype=np.int64))
+    assert per_node.shape == (len(positions), n)
+    for i, p in enumerate(positions):
+        want_total, want_per = count_triangles(finalize_snapshot(csr, p, n))
+        assert int(totals[i]) == want_total
+        assert per_node[i].tolist() == want_per.tolist()
+
+
+@st.composite
+def link_orders(draw):
+    """Distinct links in random arrival order and direction, plus ascending
+    positions that may repeat and may be 0."""
+    n, edges = draw(edge_lists())
+    order = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(order), max_size=len(order)))
+    pairs = [(b, a) if flip else (a, b) for (a, b), flip in zip(order, flips)]
+    positions = sorted(
+        draw(st.lists(st.integers(0, len(pairs)), min_size=1, max_size=8))
+    )
+    return n, pairs, positions
+
+
+class TestArrivalListing:
+    @given(link_orders())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_fresh_count_of_every_prefix(self, case):
+        n, pairs, positions = case
+        assert_counts_match_oracle(pairs, n, positions)
+
+    def test_linkless_graph(self):
+        assert_counts_match_oracle([], 5, [0, 0])
+
+    def test_triangle_present_from_position_after_closing_link(self):
+        # Closing arrival 2 for (0, 1, 2), 4 for (1, 2, 3).
+        pairs = [(0, 1), (1, 2), (2, 0), (3, 1), (2, 3)]
+        totals, per_node = triangle_counts(
+            arrival_csr(*np.array(pairs).T, 4), np.array([2, 3, 4, 5])
+        )
+        assert totals.tolist() == [0, 1, 1, 2]
+        assert per_node.tolist() == [
+            [0, 0, 0, 0], [1, 1, 1, 0], [1, 1, 1, 0], [1, 2, 2, 1]
+        ]
+
+    def test_probe_batches_split(self, monkeypatch):
+        # Complete graphs give edges with up to 5 probes, more than a batch
+        # holds; a random graph spreads triangles over many batches.
+        monkeypatch.setattr(triangles, "_PROBE_BUDGET", 3)
+        edges = complete_edges(7)
+        order = np.random.default_rng(5).permutation(len(edges))
+        assert_counts_match_oracle([edges[i] for i in order], 7, [0, 6, 10, 10, 21])
+        rng = np.random.default_rng(8)
+        edges = random_edges(rng, 30, 0.3)
+        order = rng.permutation(len(edges))
+        positions = sorted(rng.integers(0, len(edges) + 1, size=6).tolist())
+        assert_counts_match_oracle([edges[i] for i in order], 30, positions + [len(edges)])
