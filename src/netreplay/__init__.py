@@ -24,13 +24,12 @@ from netreplay.ingest import (
     parse_event_stream,
     save_cache,
 )
-from netreplay.graph import Snapshot, has_link, snapshot_from_edges
-from netreplay.connectivity import ComponentSummary, IncrementalComponents, components
+from netreplay.graph import Snapshot, snapshot_from_edges
+from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import (
     BasicStats,
     CumulativeDistribution,
     DegreeDistribution,
-    basic_stats,
     cumulative,
     degree_distribution,
     ks_statistic,
@@ -40,13 +39,9 @@ from netreplay.distances import (
     BoundConfig,
     BoundsOutcome,
     EstimatorConfig,
-    average_distance_exact,
-    bfs,
     diameter_bounds,
-    diameter_lower_bound,
     diameter_upper_bound,
     estimate_average_distance,
-    mean_distance_from,
 )
 from netreplay.triangles import (
     TriangleReport,

@@ -48,10 +48,6 @@ class DegreeDistribution:
     def proportions(self) -> np.ndarray:
         return self.counts / self.n
 
-    def as_dict(self) -> dict[int, int]:
-        return {int(k): int(c) for k, c in zip(self.degrees, self.counts)}
-
-
 @dataclass(frozen=True)
 class CumulativeDistribution:
     """Step view: ``q[i]`` is the proportion of nodes with degree >= degrees[i]."""
@@ -77,20 +73,13 @@ class PowerLawFit(NamedTuple):
     r_squared: float
 
 
-def basic_stats(snapshot: Snapshot) -> BasicStats:
-    """Average degree 2m/n, density 2m/(n(n-1)), and max degree.
+def stats_from_counts(n: int, m: int, max_degree: int) -> BasicStats:
+    """Average degree 2m/n, density 2m/(n(n-1)), and the given max degree.
 
     Requires n >= 2; density is meaningless on smaller graphs. The identity
     average_degree == density * (n - 1) holds to the last floating-point bit
     or one ulp.
     """
-    deg = snapshot.degrees
-    d_max = int(deg.max()) if deg.size else 0
-    return stats_from_counts(snapshot.n, snapshot.m, d_max)
-
-
-def stats_from_counts(n: int, m: int, max_degree: int) -> BasicStats:
-    """Same arithmetic as :func:`basic_stats` from bare counts."""
     if n < 2:
         raise ValueError(f"degree statistics need at least 2 nodes, got {n}")
     return BasicStats(

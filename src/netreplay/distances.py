@@ -66,12 +66,6 @@ class BoundConfig:
             raise ValueError("iteration_cap must be at least min_iterations")
 
 
-class BfsResult(NamedTuple):
-    dist: np.ndarray  # int32 hops from source, -1 where unreached
-    farthest: int  # smallest-index node at maximum distance
-    farthest_dist: int
-
-
 class BoundsOutcome(NamedTuple):
     lower: int
     upper: int
@@ -128,24 +122,14 @@ def _bfs_levels(
     return dist, parent, levels
 
 
-def bfs(snapshot: Snapshot, source: int) -> BfsResult:
-    """Hop distances from ``source``; unreached nodes get -1."""
-    if not 0 <= source < snapshot.n:
-        raise IndexError(f"source {source} out of range [0, {snapshot.n})")
-    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
-    far = int(np.argmax(dist))
-    return BfsResult(dist=dist, farthest=far, farthest_dist=int(dist[far]))
-
-
 def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
     """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
 
     Each level costs one gather of the frontier words over the adjacency
     array and one ``bitwise_or.reduceat`` over the nodes' segments, however
     many sources share the call. Sources may repeat. Per source it returns
-    what :func:`bfs` would give summed or reduced: the total of the reached
-    nodes' distances, their number, the eccentricity, and the farthest node
-    with the same smallest-index tie rule.
+    the total of the reached nodes' distances, their number, the
+    eccentricity, and the farthest node at that distance of smallest index.
     """
     sources = np.asarray(sources, dtype=np.int64)
     k = sources.size
@@ -191,18 +175,6 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
     return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
 
 
-def mean_distance_from(snapshot: Snapshot, giant_mask: np.ndarray, source: int) -> float:
-    """Mean distance from ``source`` to every giant-component node,
-    the source's own zero included."""
-    if not giant_mask[source]:
-        raise ValueError(f"source {source} is outside the giant component")
-    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
-    inside = dist[giant_mask]
-    if np.any(inside < 0):
-        raise ValueError("giant mask contains nodes unreachable from source")
-    return int(inside.sum(dtype=np.int64)) / int(inside.size)
-
-
 def estimate_average_distance(
     snapshot: Snapshot, giant_mask: np.ndarray, config: EstimatorConfig = EstimatorConfig()
 ) -> tuple[float, int]:
@@ -242,28 +214,6 @@ def estimate_average_distance(
                     for j in range(len(window) - 1)
                 ):
                     return means[-1], i
-
-
-def average_distance_exact(snapshot: Snapshot, giant_mask: np.ndarray) -> float:
-    """All-sources average distance over the giant component; the saturated
-    version of the estimator (every node sampled exactly once)."""
-    nodes = np.nonzero(giant_mask)[0]
-    if nodes.size < 2:
-        raise ValueError("giant component must have at least 2 nodes")
-    samples = [mean_distance_from(snapshot, giant_mask, int(v)) for v in nodes]
-    return math.fsum(samples) / len(samples)
-
-
-def diameter_lower_bound(
-    snapshot: Snapshot, giant_mask: np.ndarray, start: int
-) -> tuple[int, int]:
-    """Double sweep: BFS from ``start``, then the eccentricity of the node
-    found farthest. Returns (bound, that node). Never exceeds the diameter."""
-    if not giant_mask[start]:
-        raise ValueError(f"start {start} is outside the giant component")
-    first = bfs(snapshot, start)
-    second = bfs(snapshot, first.farthest)
-    return second.farthest_dist, first.farthest
 
 
 def _tree_diameter(parent: np.ndarray, levels: list[np.ndarray]) -> int:

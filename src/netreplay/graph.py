@@ -1,8 +1,8 @@
 """Immutable sorted-adjacency snapshots of a replayed link stream.
 
 A :class:`Snapshot` is a compact CSR layout (offsets plus one concatenated
-neighbor array) whose per-node segments are sorted, so membership tests are
-binary searches and traversals are cheap vectorized gathers.
+neighbor array) whose per-node segments are sorted, so traversals are cheap
+vectorized gathers that visit neighbors in ascending order.
 
 Every replay sample is a prefix of one stream known in full before replay
 starts. So ``arrival_csr`` builds the final graph's CSR once, tagging each
@@ -37,25 +37,6 @@ class Snapshot:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
-
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} out of range [0, {self.n})")
-        return int(self.offsets[v + 1] - self.offsets[v])
-
-    def neighbors_of(self, v: int) -> np.ndarray:
-        if not 0 <= v < self.n:
-            raise IndexError(f"node {v} out of range [0, {self.n})")
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
-
-def has_link(snapshot: Snapshot, u: int, v: int) -> bool:
-    """Binary-search membership test on the sorted neighbor segment."""
-    seg = snapshot.neighbors_of(u)
-    if not 0 <= v < snapshot.n:
-        raise IndexError(f"node {v} out of range [0, {snapshot.n})")
-    i = int(np.searchsorted(seg, v))
-    return i < seg.size and int(seg[i]) == v
 
 
 class ArrivalCSR(NamedTuple):

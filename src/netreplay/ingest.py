@@ -31,7 +31,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-CACHE_MAGIC = b"NRSTRM03"
+CACHE_MAGIC = b"NRSTRM04"
 
 _CACHE_HEADER = "<2Q3q"  # final_n, final_m, then the cache_key fields
 # The ArrivalStream columns u, v, time, node_count_prefix, one after another.
@@ -65,11 +65,12 @@ class ArrivalStream:
     """Normalized link arrivals plus enough bookkeeping to replay them.
 
     ``u``, ``v``, ``time`` are parallel arrays, one entry per surviving link
-    event. ``node_count_prefix[i]`` is the number of distinct nodes discovered
-    once event i and any node-only discoveries that precede event i+1 (or the
-    end of the trace) are consumed; it is non-decreasing and ends at
-    ``final_n``. Nodes discovered only by loops never appear as endpoints but
-    are counted.
+    event. ``node_count_prefix`` has one entry more: entry 0 is the number of
+    distinct nodes discovered before the first link event, and entry i+1 the
+    number discovered once event i and any node-only discoveries that
+    precede event i+1 (or the end of the trace) are consumed. It is
+    non-decreasing and ends at ``final_n``. Nodes discovered only by loops
+    never appear as endpoints but are counted.
     """
 
     u: np.ndarray
@@ -185,8 +186,7 @@ def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
         if key in seen:
             continue
         seen.add(key)
-        if us:
-            prefix.append(count_before)
+        prefix.append(count_before)
         us.append(iu)
         vs.append(iv)
         ts.append(ev.time)
@@ -194,8 +194,7 @@ def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
     final_n = len(index)
     if final_n > _MAX_NODE:
         raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
-    if us:
-        prefix.append(final_n)
+    prefix.append(final_n)
     return ArrivalStream(
         u=np.asarray(us, dtype=np.int32),
         v=np.asarray(vs, dtype=np.int32),
@@ -204,19 +203,6 @@ def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
         final_n=final_n,
         final_m=len(us),
     )
-
-
-def leading_discoveries(stream: ArrivalStream) -> int:
-    """Nodes discovered before the first link.
-
-    The first link can introduce at most its own endpoints, and only as
-    consecutive indices with the source lower; every other index below its
-    top endpoint must have been discovered beforehand. Requires final_m >= 1.
-    """
-    u0 = int(stream.u[0])
-    v0 = int(stream.v[0])
-    hi0 = u0 if u0 > v0 else v0
-    return hi0 - 1 if v0 == u0 + 1 else hi0
 
 
 def checkpoint_plan(
@@ -230,21 +216,20 @@ def checkpoint_plan(
     with a link, the link is consumed and ``n`` may overshoot the target by
     one, when the link revealed two nodes at once; if it came from a loop,
     ``n`` meets the target exactly. Targets reached before the first link
-    land at position 0. The last target takes the whole stream with
-    ``final_n``. A target landing where the previous one did (its node was
-    revealed by the previous target's overshoot) is dropped. Raises
-    ValueError if a target exceeds ``final_n``.
+    land at position 0 with ``n`` equal to the target. The last target takes
+    the whole stream with ``final_n``. A target landing where the previous
+    one did (its node was revealed by the previous target's overshoot) is
+    dropped. Raises ValueError if a target exceeds ``final_n``.
     """
     if max(sizes) > stream.final_n:
         raise ValueError(f"stream has {stream.final_n} nodes, cannot reach {max(sizes)}")
-    lead = leading_discoveries(stream) if stream.final_m else stream.final_n
-    positions = np.searchsorted(stream.node_count_prefix, sizes, side="left") + 1
+    positions = np.searchsorted(stream.node_count_prefix, sizes, side="left")
     plan: list[tuple[int, int, int, int]] = []
     for index, (target, position) in enumerate(zip(sizes, positions.tolist())):
         if index == len(sizes) - 1:
             position, n = stream.n_events, stream.final_n
-        elif target <= lead:
-            position, n = 0, target
+        elif position == 0:
+            n = target
         else:
             # Nodes before the boundary link number fewer than the target.
             n = max(target, int(stream.u[position - 1]) + 1, int(stream.v[position - 1]) + 1)
@@ -296,9 +281,10 @@ def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> N
     Layout: the 8-byte magic, ``final_n`` and ``final_m`` as little-endian
     u64, the three i64 fields of the key, then the stream's own columns one
     after another: ``u`` and ``v`` as i4, ``time`` as u8 and
-    ``node_count_prefix`` as i8, ``final_m`` entries each (24 bytes per
-    link). Written to a unique temporary file in the same directory and
-    renamed into place, so concurrent writers never share a partial file.
+    ``node_count_prefix`` as i8, ``final_m`` entries each and one more for
+    ``node_count_prefix`` (24 bytes per link plus 8). Written to a unique
+    temporary file in the same directory and renamed into place, so
+    concurrent writers never share a partial file.
     """
     columns = (stream.u, stream.v, stream.time, stream.node_count_prefix)
     fd, tmp = tempfile.mkstemp(
@@ -335,23 +321,24 @@ def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
         if tuple(written_for) != tuple(key):
             raise ValueError(f"cache written for another input or format: {path}")
         payload = f.read()
-    if len(payload) != final_m * sum(dtype.itemsize for dtype in _CACHE_COLUMNS):
+    lengths = (final_m, final_m, final_m, final_m + 1)
+    if len(payload) != sum(k * dtype.itemsize for k, dtype in zip(lengths, _CACHE_COLUMNS)):
         raise ValueError(f"truncated cache payload: {path}")
     columns = []
     offset = 0
-    for dtype in _CACHE_COLUMNS:
-        columns.append(np.frombuffer(payload, dtype, final_m, offset))
-        offset += final_m * dtype.itemsize
+    for k, dtype in zip(lengths, _CACHE_COLUMNS):
+        columns.append(np.frombuffer(payload, dtype, k, offset))
+        offset += k * dtype.itemsize
     u, v, time, prefix = columns
 
     if np.any(time[1:] < time[:-1]):
         raise ValueError(f"cache times out of order: {path}")
     if np.any(u == v) or np.any(np.minimum(u, v) < 0):
         raise ValueError(f"cache link is a loop or has a negative endpoint: {path}")
-    if np.any(prefix[1:] < prefix[:-1]):
+    if prefix[0] < 0 or np.any(prefix[1:] < prefix[:-1]):
         raise ValueError(f"cache node counts decrease: {path}")
-    if np.any(prefix <= np.maximum(u, v)):
+    if np.any(prefix[1:] <= np.maximum(u, v)):
         raise ValueError(f"cache node count below a link's endpoint: {path}")
-    if final_n > _MAX_NODE or (final_m and prefix[-1] != final_n):
+    if final_n > _MAX_NODE or prefix[-1] != final_n:
         raise ValueError(f"cache node count mismatch: {path}")
     return ArrivalStream(u, v, time, prefix, final_n=final_n, final_m=final_m)

@@ -4,13 +4,14 @@
 each adjacency entry tagged by its link's arrival. ``checkpoint_plan`` places
 every scheduled node-count checkpoint in the stream up front; at each one the
 loop takes the snapshot of the links seen so far as a prefix mask of that
-graph and computes the enabled statistic groups. Connectivity is maintained
-incrementally (links only ever merge components), triangles come from one
-listing of the final graph, and the rest runs on the snapshot. ``SERIES``
-names the series of each group, in the order ``_measure`` returns their
-values. Results come back as one EvolutionSeries per statistic and, when an
-output directory is configured, land on disk as CSV files plus a manifest, a
-gnuplot script, and a separate timing file.
+graph and computes the enabled statistic groups. Connectivity comes from one
+label array that merges each checkpoint's new links as a batch (links only
+ever merge components), triangles come from one listing of the final graph,
+and the rest runs on the snapshot. ``SERIES`` names the series of each
+group, in the order ``_measure`` returns their values. Results come back as
+one EvolutionSeries per statistic and, when an output directory is
+configured, land on disk as CSV files plus a manifest, a gnuplot script, and
+a separate timing file.
 
 Determinism: all sampling derives from the global seed and the checkpoint
 index, never from global state, so a rerun with the same input and
@@ -30,7 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from netreplay.connectivity import IncrementalComponents
+from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import (
     BasicStats,
     cumulative,
@@ -218,7 +219,7 @@ def run_evolution(config: RunConfig) -> RunResult:
     # the first includes building the final CSR.
     t_replay = _time.perf_counter()
     csr = arrival_csr(stream.u, stream.v, stream.final_n)
-    inc = IncrementalComponents()
+    label = np.arange(stream.final_n)
     records: list[CheckpointRecord] = []
     values: dict[str, list] = {name: [] for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
@@ -228,10 +229,9 @@ def run_evolution(config: RunConfig) -> RunResult:
     pos = 0
 
     for k, (ci, target, position, n) in enumerate(plan):
-        for a, b in zip(stream.u[pos:position].tolist(), stream.v[pos:position].tolist()):
-            inc.add_link(a, b)
+        merge_links(label, stream.u[pos:position], stream.v[pos:position])
         pos = position
-        inc.ensure(n)
+        components = components_of(label, n)
         snapshot = finalize_snapshot(csr, position, n)
         record = CheckpointRecord(
             index=ci,
@@ -249,7 +249,9 @@ def run_evolution(config: RunConfig) -> RunResult:
             for group in groups:
                 t0 = _time.perf_counter()
                 names = SERIES[group]
-                row = _measure(group, config, ci, k, snapshot, basic, inc, timing, tri_counts)
+                row = _measure(
+                    group, config, ci, k, snapshot, basic, components, timing, tri_counts
+                )
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
                     values[name].append(value)
                 timing[group] = _time.perf_counter() - t0
@@ -293,7 +295,7 @@ def run_evolution(config: RunConfig) -> RunResult:
 
 def _measure(
     group: str, config: RunConfig, checkpoint_index: int, k: int, snapshot,
-    basic: Optional[BasicStats], inc: IncrementalComponents, timing: dict, tri_counts,
+    basic: Optional[BasicStats], components: Components, timing: dict, tri_counts,
 ) -> Optional[tuple]:
     """One checkpoint's values for ``group``, in ``SERIES`` order; None where
     the whole group is undefined, as distances are while the giant component
@@ -303,7 +305,7 @@ def _measure(
     records its estimator's and bounds' wall time in ``timing``; the triangle
     group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``."""
     if group == "conn":
-        return inc.component_count, inc.giant_size / snapshot.n
+        return components.count, components.giant_size / snapshot.n
     if group == "deg":
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
         return (*head, degree_distribution(snapshot))
@@ -318,9 +320,9 @@ def _measure(
             tri.clustering_over_density,
         )
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
-    if inc.giant_size < 2:
+    if components.giant_size < 2:
         return None
-    giant = inc.giant_mask()
+    giant = components.giant_mask()
     est_cfg = dataclasses.replace(
         config.estimator, rng_seed=checkpoint_estimator_seed(config.seed, checkpoint_index)
     )

@@ -4,9 +4,15 @@ Each keeps the exact semantics it had in the library, so a test comparing a
 library path against it compares against the code the path replaced.
 """
 
+import math
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
-from netreplay.graph import Snapshot
+from netreplay.degrees import BasicStats, DegreeDistribution, stats_from_counts
+from netreplay.distances import _bfs_levels
+from netreplay.graph import Snapshot, frontier_neighbors
 
 _PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
 
@@ -76,3 +82,141 @@ def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
 
     per_node = tri_by_rank[rank].astype(np.int64)
     return total, per_node
+
+
+def degree(snapshot: Snapshot, v: int) -> int:
+    if not 0 <= v < snapshot.n:
+        raise IndexError(f"node {v} out of range [0, {snapshot.n})")
+    return int(snapshot.offsets[v + 1] - snapshot.offsets[v])
+
+
+def neighbors_of(snapshot: Snapshot, v: int) -> np.ndarray:
+    if not 0 <= v < snapshot.n:
+        raise IndexError(f"node {v} out of range [0, {snapshot.n})")
+    return snapshot.neighbors[snapshot.offsets[v] : snapshot.offsets[v + 1]]
+
+
+def has_link(snapshot: Snapshot, u: int, v: int) -> bool:
+    """Binary-search membership test on the sorted neighbor segment."""
+    seg = neighbors_of(snapshot, u)
+    if not 0 <= v < snapshot.n:
+        raise IndexError(f"node {v} out of range [0, {snapshot.n})")
+    i = int(np.searchsorted(seg, v))
+    return i < seg.size and int(seg[i]) == v
+
+
+def basic_stats(snapshot: Snapshot) -> BasicStats:
+    """Average degree 2m/n, density 2m/(n(n-1)), and max degree, read off
+    the snapshot. Requires n >= 2."""
+    deg = snapshot.degrees
+    d_max = int(deg.max()) if deg.size else 0
+    return stats_from_counts(snapshot.n, snapshot.m, d_max)
+
+
+def as_dict(dist: DegreeDistribution) -> dict[int, int]:
+    return {int(k): int(c) for k, c in zip(dist.degrees, dist.counts)}
+
+
+@dataclass(frozen=True)
+class ComponentSummary:
+    """Per-snapshot component structure."""
+
+    component_count: int
+    giant_size: int
+    giant_fraction: float
+    component_id: np.ndarray  # int32 label per node, in order of first node index
+    giant_id: int
+
+    def __post_init__(self):
+        self.component_id.setflags(write=False)
+
+    def giant_mask(self) -> np.ndarray:
+        return self.component_id == self.giant_id
+
+
+def components(snapshot: Snapshot) -> ComponentSummary:
+    """Label components by BFS from each unvisited node in index order.
+    The giant is the largest component; ties go to the one containing the
+    smallest node index."""
+    n = snapshot.n
+    if n == 0:
+        raise ValueError("empty snapshot has no components")
+    labels = np.full(n, -1, dtype=np.int32)
+    next_label = 0
+    scan = 0
+    while scan < n:
+        if labels[scan] >= 0:
+            scan += 1
+            continue
+        labels[scan] = next_label
+        frontier = np.array([scan], dtype=np.int64)
+        while frontier.size:
+            nbrs, _ = frontier_neighbors(snapshot.offsets, snapshot.neighbors, frontier)
+            if nbrs.size == 0:
+                break
+            fresh = nbrs[labels[nbrs] < 0]
+            if fresh.size == 0:
+                break
+            frontier = np.unique(fresh).astype(np.int64)
+            labels[frontier] = next_label
+        next_label += 1
+        scan += 1
+    sizes = np.bincount(labels, minlength=next_label)
+    giant_id = int(np.argmax(sizes))  # first max = smallest min-index component
+    giant_size = int(sizes[giant_id])
+    return ComponentSummary(
+        component_count=next_label,
+        giant_size=giant_size,
+        giant_fraction=giant_size / n,
+        component_id=labels,
+        giant_id=giant_id,
+    )
+
+
+class BfsResult(NamedTuple):
+    dist: np.ndarray  # int32 hops from source, -1 where unreached
+    farthest: int  # smallest-index node at maximum distance
+    farthest_dist: int
+
+
+def bfs(snapshot: Snapshot, source: int) -> BfsResult:
+    """Hop distances from ``source``; unreached nodes get -1."""
+    if not 0 <= source < snapshot.n:
+        raise IndexError(f"source {source} out of range [0, {snapshot.n})")
+    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    far = int(np.argmax(dist))
+    return BfsResult(dist=dist, farthest=far, farthest_dist=int(dist[far]))
+
+
+def mean_distance_from(snapshot: Snapshot, giant_mask: np.ndarray, source: int) -> float:
+    """Mean distance from ``source`` to every giant-component node,
+    the source's own zero included."""
+    if not giant_mask[source]:
+        raise ValueError(f"source {source} is outside the giant component")
+    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    inside = dist[giant_mask]
+    if np.any(inside < 0):
+        raise ValueError("giant mask contains nodes unreachable from source")
+    return int(inside.sum(dtype=np.int64)) / int(inside.size)
+
+
+def average_distance_exact(snapshot: Snapshot, giant_mask: np.ndarray) -> float:
+    """All-sources average distance over the giant component; the saturated
+    version of the estimator (every node sampled exactly once)."""
+    nodes = np.nonzero(giant_mask)[0]
+    if nodes.size < 2:
+        raise ValueError("giant component must have at least 2 nodes")
+    samples = [mean_distance_from(snapshot, giant_mask, int(v)) for v in nodes]
+    return math.fsum(samples) / len(samples)
+
+
+def diameter_lower_bound(
+    snapshot: Snapshot, giant_mask: np.ndarray, start: int
+) -> tuple[int, int]:
+    """Double sweep: BFS from ``start``, then the eccentricity of the node
+    found farthest. Returns (bound, that node). Never exceeds the diameter."""
+    if not giant_mask[start]:
+        raise ValueError(f"start {start} is outside the giant component")
+    first = bfs(snapshot, start)
+    second = bfs(snapshot, first.farthest)
+    return second.farthest_dist, first.farthest

@@ -25,7 +25,6 @@ from conftest import (
     random_edges,
     true_diameter,
 )
-from netreplay.connectivity import components
 from netreplay.degrees import (
     DegreeDistribution,
     cumulative,
@@ -37,8 +36,6 @@ from netreplay.degrees import (
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
-    average_distance_exact,
-    bfs,
     diameter_bounds,
     estimate_average_distance,
 )
@@ -59,7 +56,7 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import count_triangles
+from oracles import average_distance_exact, bfs, components, count_triangles
 
 
 def _report(num, desc, ok, detail=""):

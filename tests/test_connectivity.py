@@ -1,14 +1,15 @@
-"""Component labeling: BFS reference vs incremental union-find."""
+"""Component labeling: the BFS reference vs labels merged a batch at a time."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netreplay.connectivity import IncrementalComponents, components
+from netreplay.connectivity import components_of, merge_links
 from netreplay.graph import snapshot_from_edges
 
 from conftest import UnionFindOracle
+from oracles import components
 
 
 def groups_from_labels(labels):
@@ -63,22 +64,35 @@ class TestComponentsBfs:
             summ.component_id[0] = 9
 
 
-def assert_same_components(inc, ref):
-    """The union-find agrees with a BFS labeling: count, partition, giant."""
-    assert inc.component_count == ref.component_count
-    assert groups_from_labels(inc.roots()) == groups_from_labels(ref.component_id)
-    assert inc.giant_size == ref.giant_size
-    assert inc.giant_mask().tolist() == ref.giant_mask().tolist()
+def merged(n, links):
+    """Labels of n nodes after merging ``links`` as one batch."""
+    label = np.arange(n)
+    pairs = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+    merge_links(label, pairs[:, 0], pairs[:, 1])
+    return label
+
+
+def counts(label, n):
+    """(component count, giant size, giant label) over nodes [0, n)."""
+    return components_of(label, n)[:3]
+
+
+def assert_same_components(label, n, ref):
+    """Labels over [0, n) agree with a BFS labeling: count, partition, giant."""
+    got = components_of(label, n)
+    assert got.count == ref.component_count
+    assert groups_from_labels(got.label) == groups_from_labels(ref.component_id)
+    assert got.giant_size == ref.giant_size
+    assert got.giant_mask().tolist() == ref.giant_mask().tolist()
 
 
 class TestIncremental:
     def test_matches_bfs_on_growing_stream(self):
         rng = np.random.default_rng(11)
-        inc = IncrementalComponents()
+        n = 60
+        label = np.arange(n)
         edges = []
         seen = set()
-        n = 60
-        inc.ensure(n)
         for _ in range(150):
             u, v = map(int, rng.integers(0, n, size=2))
             key = (min(u, v), max(u, v))
@@ -86,84 +100,85 @@ class TestIncremental:
                 continue
             seen.add(key)
             edges.append(key)
-            inc.add_link(u, v)
-            assert_same_components(inc, components(snapshot_from_edges(edges, n=n)))
+            merge_links(label, np.array([u]), np.array([v]))
+            assert_same_components(label, n, components(snapshot_from_edges(edges, n=n)))
 
     def test_matches_textbook_union_find_partitions(self):
         rng = np.random.default_rng(5)
         n = 80
-        inc = IncrementalComponents()
-        inc.ensure(n)
         oracle = UnionFindOracle(n)
+        links = []
         for _ in range(120):
             u, v = map(int, rng.integers(0, n, size=2))
             if u == v:
                 continue
-            inc.add_link(u, v)
+            links.append((u, v))
             oracle.union(u, v)
-        assert groups_from_labels(inc.roots()) == oracle.groups()
-        assert inc.giant_size == max(len(group) for group in oracle.groups())
+        label = merged(n, links)
+        assert groups_from_labels(label) == oracle.groups()
+        # the oracle also roots each group at its smallest node
+        assert label.tolist() == [oracle.find(x) for x in range(n)]
+        assert components_of(label, n).giant_size == max(map(len, oracle.groups()))
 
-    def test_ensure_adds_singletons(self):
-        inc = IncrementalComponents()
-        inc.ensure(3)
-        assert inc.n == 3
-        assert inc.component_count == 3
-        assert inc.giant_size == 1
-        assert inc.giant_mask().tolist() == [True, False, False]
-        inc.ensure(2)  # never shrinks
-        assert inc.n == 3 and inc.component_count == 3
+    def test_fresh_labels_are_singletons(self):
+        label = np.arange(3)
+        assert counts(label, 3) == (3, 1, 0)
+        assert components_of(label, 3).giant_mask().tolist() == [True, False, False]
 
-    def test_add_link_extends_range(self):
-        inc = IncrementalComponents()
-        inc.add_link(0, 4)
-        assert inc.n == 5
-        assert inc.component_count == 4
-        assert inc.giant_size == 2
+    def test_nodes_beyond_every_endpoint_stay_singletons(self):
+        label = merged(7, [(0, 4)])
+        assert label.tolist() == [0, 1, 2, 3, 0, 5, 6]
+        assert counts(label, 5) == (4, 2, 0)
+        assert counts(label, 7) == (6, 2, 0)
 
     def test_duplicate_link_is_noop(self):
-        inc = IncrementalComponents()
-        inc.add_link(0, 1)
-        count = inc.component_count
-        inc.add_link(1, 0)
-        assert inc.component_count == count
-        assert inc.giant_size == 2
+        label = merged(3, [(0, 1)])
+        before = label.copy()
+        merge_links(label, np.array([1, 0]), np.array([0, 1]))
+        assert label.tolist() == before.tolist()
+        assert counts(label, 3) == (2, 2, 0)
 
     def test_giant_updates_across_merges(self):
-        inc = IncrementalComponents()
-        inc.ensure(7)
-        inc.add_link(0, 1)
-        assert inc.giant_size == 2
-        inc.add_link(2, 3)
-        inc.add_link(3, 4)
-        assert inc.giant_size == 3
-        assert inc.giant_mask().tolist() == [False, False, True, True, True, False, False]
-        inc.add_link(0, 5)
-        inc.add_link(5, 6)
+        n = 7
+        label = merged(n, [(0, 1)])
+        assert components_of(label, n).giant_size == 2
+        merge_links(label, np.array([2, 3]), np.array([3, 4]))
+        got = components_of(label, n)
+        assert got.giant_size == 3
+        assert got.giant_mask().tolist() == [False, False, True, True, True, False, False]
+        merge_links(label, np.array([0, 5]), np.array([5, 6]))
         # 0-1-5-6 has four members now
-        assert inc.giant_size == 4
-        assert inc.giant_mask().tolist() == [True, True, False, False, False, True, True]
+        got = components_of(label, n)
+        assert got.giant_size == 4
+        assert got.giant_mask().tolist() == [True, True, False, False, False, True, True]
 
     def test_giant_tie_prefers_smaller_min_index(self):
-        inc = IncrementalComponents()
-        inc.ensure(4)
-        inc.add_link(2, 3)
-        assert inc.giant_size == 2
-        assert inc.giant_mask().tolist() == [False, False, True, True]
-        inc.add_link(0, 1)  # same size, contains node 0
-        assert inc.giant_size == 2
-        assert inc.giant_mask().tolist() == [True, True, False, False]
+        label = merged(4, [(3, 2)])
+        assert counts(label, 4) == (3, 2, 2)
+        assert components_of(label, 4).giant_mask().tolist() == [False, False, True, True]
+        merge_links(label, np.array([1]), np.array([0]))  # same size, contains node 0
+        assert counts(label, 4) == (2, 2, 0)
+        assert components_of(label, 4).giant_mask().tolist() == [True, True, False, False]
 
     def test_empty_giant_mask_rejected(self):
-        inc = IncrementalComponents()
-        assert inc.giant_size == 0
         with pytest.raises(ValueError):
-            inc.giant_mask()
+            components_of(np.arange(0), 0)
+
+    def test_randomly_numbered_path_in_one_batch(self):
+        # a randomly numbered path takes several hook rounds in one batch
+        n = 10_000
+        order = np.random.default_rng(3).permutation(n)
+        label = np.arange(n)
+        merge_links(label, order[:-1], order[1:])
+        assert label.tolist() == [0] * n
+        assert counts(label, n) == (1, n, 0)
 
 
 @st.composite
-def link_sequences(draw):
-    n = draw(st.integers(min_value=1, max_value=25))
+def batched_links(draw):
+    """n nodes, random links in either direction (repeats and loops
+    dropped), and cut points splitting them into batches, some empty."""
+    n = draw(st.integers(min_value=1, max_value=40))
     pairs = draw(
         st.lists(
             st.tuples(
@@ -173,22 +188,24 @@ def link_sequences(draw):
             max_size=80,
         )
     )
-    return n, [(u, v) for u, v in pairs if u != v]
+    links, seen = [], set()
+    for u, v in pairs:
+        key = (min(u, v), max(u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            links.append((u, v))
+    cuts = sorted(draw(st.lists(st.integers(0, len(links)), max_size=6)))
+    return n, links, [0, *cuts, len(links)]
 
 
 class TestAgreementProperty:
-    @given(link_sequences())
-    @settings(max_examples=80, deadline=None)
+    @given(batched_links())
+    @settings(max_examples=150, deadline=None)
     def test_both_routes_agree_at_every_step(self, case):
-        n, links = case
-        inc = IncrementalComponents()
-        inc.ensure(n)
-        kept = set()
-        edges = []
-        for u, v in links:
-            inc.add_link(u, v)
-            key = (min(u, v), max(u, v))
-            if key not in kept:
-                kept.add(key)
-                edges.append(key)
-        assert_same_components(inc, components(snapshot_from_edges(edges, n=n)))
+        n, links, cuts = case
+        label = np.arange(n)
+        pairs = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+        for lo, hi in zip(cuts, cuts[1:]):
+            merge_links(label, pairs[lo:hi, 0], pairs[lo:hi, 1])
+            ref = components(snapshot_from_edges(links[:hi], n=n))
+            assert_same_components(label, n, ref)

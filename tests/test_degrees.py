@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from netreplay.degrees import (
     CumulativeDistribution,
     DegreeDistribution,
-    basic_stats,
     cumulative,
     degree_distribution,
     ks_statistic,
@@ -18,6 +17,8 @@ from netreplay.degrees import (
     stats_from_counts,
 )
 from netreplay.graph import snapshot_from_edges
+
+from oracles import as_dict, basic_stats
 
 
 def dist_from_counts(mapping):
@@ -73,13 +74,13 @@ class TestBasicStats:
 class TestDistribution:
     def test_path_of_three(self):
         d = degree_distribution(snapshot_from_edges([(0, 1), (1, 2)]))
-        assert d.as_dict() == {1: 2, 2: 1}
+        assert as_dict(d) == {1: 2, 2: 1}
         assert d.max_degree == 2
         assert d.proportions().tolist() == [2 / 3, 1 / 3]
 
     def test_isolated_nodes_counted_at_zero(self):
         d = degree_distribution(snapshot_from_edges([(0, 1)], n=4))
-        assert d.as_dict() == {0: 2, 1: 2}
+        assert as_dict(d) == {0: 2, 1: 2}
 
     def test_counts_sum_to_n(self):
         snap = snapshot_from_edges([(0, 1), (1, 2), (3, 4)], n=7)

@@ -9,19 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netreplay.connectivity import components
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
     _bfs_levels,
-    average_distance_exact,
-    bfs,
     bfs_batch,
     diameter_bounds,
-    diameter_lower_bound,
     diameter_upper_bound,
     estimate_average_distance,
-    mean_distance_from,
 )
 from netreplay.graph import snapshot_from_edges
 from netreplay.pipeline import checkpoint_bounds_seed, checkpoint_estimator_seed
@@ -33,6 +28,13 @@ from conftest import (
     exact_mean_distance,
     random_edges,
     true_diameter,
+)
+from oracles import (
+    average_distance_exact,
+    bfs,
+    components,
+    diameter_lower_bound,
+    mean_distance_from,
 )
 
 

@@ -9,13 +9,14 @@ from netreplay.graph import (
     arrival_csr,
     finalize_snapshot,
     frontier_neighbors,
-    has_link,
     snapshot_from_edges,
 )
 
+from oracles import degree, has_link, neighbors_of
+
 
 def segments(snap):
-    return [snap.neighbors_of(v).tolist() for v in range(snap.n)]
+    return [neighbors_of(snap, v).tolist() for v in range(snap.n)]
 
 
 class TestSnapshotLayout:
@@ -28,18 +29,18 @@ class TestSnapshotLayout:
 
     def test_segments_sorted_even_when_inserted_backwards(self):
         s = snapshot_from_edges([(0, 4), (0, 3), (0, 2), (0, 1)])
-        assert s.neighbors_of(0).tolist() == [1, 2, 3, 4]
+        assert neighbors_of(s, 0).tolist() == [1, 2, 3, 4]
 
     def test_degrees_match_offsets(self):
         s = snapshot_from_edges([(0, 1), (1, 2), (2, 3), (1, 3)])
         assert s.degrees.tolist() == [1, 3, 2, 2]
-        assert s.degree(1) == 3
+        assert degree(s, 1) == 3
 
     def test_padding_for_unlinked_nodes(self):
         s = snapshot_from_edges([(0, 1)], n=5)
         assert s.n == 5
         assert s.degrees.tolist() == [1, 1, 0, 0, 0]
-        assert s.neighbors_of(4).size == 0
+        assert neighbors_of(s, 4).size == 0
 
     def test_empty_graph(self):
         s = snapshot_from_edges([], n=3)
@@ -63,9 +64,9 @@ class TestSnapshotLayout:
     def test_out_of_range_queries(self):
         s = snapshot_from_edges([(0, 1)])
         with pytest.raises(IndexError):
-            s.degree(2)
+            degree(s, 2)
         with pytest.raises(IndexError):
-            s.neighbors_of(-1)
+            neighbors_of(s, -1)
         with pytest.raises(IndexError):
             has_link(s, 0, 2)
 
@@ -90,7 +91,7 @@ class TestPrefixSnapshots:
         s = snapshot_from_edges([(0, 7)])
         assert s.n == 8
         assert s.m == 1
-        assert s.degree(3) == 0
+        assert degree(s, 3) == 0
 
     def test_earlier_snapshot_unchanged_by_later_ones(self):
         csr = csr_of([(0, 2), (0, 1), (1, 2), (3, 0)], 4)
@@ -119,7 +120,7 @@ class TestPrefixSnapshots:
 
     def test_large_segment_keeps_all_neighbors(self):
         s = snapshot_from_edges([(0, v) for v in range(39, 0, -1)])
-        assert s.neighbors_of(0).tolist() == list(range(1, 40))
+        assert neighbors_of(s, 0).tolist() == list(range(1, 40))
 
 
 class TestHasLink:
@@ -192,7 +193,7 @@ class TestProperties:
         n, edges = case
         s = snapshot_from_edges(edges, n=n)
         for v in range(n):
-            seg = s.neighbors_of(v)
+            seg = neighbors_of(s, v)
             assert np.all(seg[:-1] < seg[1:])
             for w in seg.tolist():
                 assert has_link(s, w, v)

@@ -21,11 +21,9 @@ def to_events(stream):
     u, v, time, prefix = (
         a.tolist() for a in (stream.u, stream.v, stream.time, stream.node_count_prefix)
     )
-    if not u:
-        return [RawEvent(0, str(x), str(x)) for x in range(stream.final_n)]
-    seen = ingest.leading_discoveries(stream)
-    events = [RawEvent(time[0], str(x), str(x)) for x in range(seen)]
-    for a, b, t, count in zip(u, v, time, prefix):
+    seen = prefix[0]
+    events = [RawEvent(time[0] if time else 0, str(x), str(x)) for x in range(seen)]
+    for a, b, t, count in zip(u, v, time, prefix[1:]):
         events.append(RawEvent(t, str(a), str(b)))
         seen = max(seen, a + 1, b + 1)
         events += [RawEvent(t, str(x), str(x)) for x in range(seen, count)]
@@ -161,7 +159,7 @@ class TestNormalize:
     def test_two_links_four_nodes(self):
         s = ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
         assert s.final_n == 4 and s.final_m == 2
-        assert s.node_count_prefix.tolist() == [2, 4]
+        assert s.node_count_prefix.tolist() == [0, 2, 4]
         assert s.u.tolist() == [0, 2] and s.v.tolist() == [1, 3]
 
     def test_duplicate_and_loop_dropped(self):
@@ -169,7 +167,7 @@ class TestNormalize:
             [RawEvent(1, "a", "b"), RawEvent(2, "b", "a"), RawEvent(3, "a", "a")]
         )
         assert s.final_n == 2 and s.final_m == 1
-        assert s.node_count_prefix.tolist() == [2]
+        assert s.node_count_prefix.tolist() == [0, 2]
 
     def test_loop_discovers_node(self):
         s = ingest.normalize(
@@ -177,7 +175,7 @@ class TestNormalize:
         )
         assert s.final_n == 4 and s.final_m == 2
         # node e is counted before the second surviving link
-        assert s.node_count_prefix.tolist() == [3, 4]
+        assert s.node_count_prefix.tolist() == [0, 3, 4]
 
     def test_first_appearance_indexing(self):
         s = ingest.normalize([RawEvent(0, "z", "q"), RawEvent(1, "q", "a")])
@@ -242,7 +240,7 @@ class TestNormalize:
         assert np.all(np.diff(prefix) >= 0)
         assert prefix[-1] == s.final_n
         # every event's endpoints are discovered by its own prefix entry
-        assert np.all(prefix >= np.maximum(s.u, s.v) + 1)
+        assert np.all(prefix[1:] >= np.maximum(s.u, s.v) + 1)
 
     @given(
         st.lists(
@@ -337,6 +335,16 @@ class TestReplay:
             (0, 1, 0, 1), (1, 2, 0, 2), (2, 3, 1, 3)
         ]
 
+    def test_loop_discovers_first_link_endpoint(self):
+        # pairs=[(1, 1), (1, 0)] as the reference test below builds them:
+        # node "1" exists before the first link, unlike in "1 0" alone
+        events = [RawEvent(1, "1", "1"), RawEvent(2, "1", "0")]
+        s = ingest.normalize(events)
+        assert s.node_count_prefix.tolist() == [1, 2]
+        assert ingest.checkpoint_plan(s, (1, 2)) == [(0, 1, 0, 1), (1, 2, 1, 2)]
+        for sizes in [(1,), (2,), (1, 2)]:
+            assert ingest.checkpoint_plan(s, sizes) == reference_plan(events, sizes)
+
     def test_all_loop_stream(self):
         s = ingest.normalize([RawEvent(0, "x", "x"), RawEvent(1, "y", "y")])
         assert s.final_m == 0
@@ -356,10 +364,7 @@ class TestReplay:
         s = ingest.normalize(events)
         assume(s.final_n >= 1)
         sizes = sorted(data.draw(st.sets(st.integers(1, s.final_n), min_size=1)))
-        # A stream does not record whether the first link's lower endpoint
-        # was discovered by an earlier loop ("x x" then "x y" normalizes like
-        # "x y" alone), so the reference walks the stream's own rendering.
-        assert ingest.checkpoint_plan(s, sizes) == reference_plan(to_events(s), sizes)
+        assert ingest.checkpoint_plan(s, sizes) == reference_plan(events, sizes)
 
 
 class TestSchedule:
@@ -475,7 +480,7 @@ EVENT_TIMES = st.one_of(
 )
 
 # Links (0,1), (1,3), (3,0) with loop-only node x = 2 between the first two:
-# u = [0, 1, 3], v = [1, 3, 0], time = [1, 3, 5], node_count_prefix = [3, 4, 4].
+# u = [0, 1, 3], v = [1, 3, 0], time = [1, 3, 5], node_count_prefix = [0, 3, 4, 4].
 SMALL = [
     RawEvent(1, "a", "b"), RawEvent(2, "x", "x"), RawEvent(3, "b", "c"), RawEvent(5, "c", "a")
 ]
@@ -491,9 +496,11 @@ def edited_sidecar(tmp_path, stream, field, index, value):
     m = stream.final_m
     views = {"final_n": np.frombuffer(data, "<u8", 1, 8)}
     offset = HEADER_BYTES
-    for name, dtype in [("u", "<i4"), ("v", "<i4"), ("time", "<u8"), ("prefix", "<i8")]:
-        views[name] = np.frombuffer(data, dtype, m, offset)
-        offset += m * np.dtype(dtype).itemsize
+    for name, dtype, k in [
+        ("u", "<i4", m), ("v", "<i4", m), ("time", "<u8", m), ("prefix", "<i8", m + 1)
+    ]:
+        views[name] = np.frombuffer(data, dtype, k, offset)
+        offset += k * np.dtype(dtype).itemsize
     views[field][index] = value
     with open(path, "wb") as f:
         f.write(data)
@@ -506,7 +513,7 @@ class TestCacheFormat:
         path = str(tmp_path / "small.arrivals")
         ingest.save_cache(ingest.normalize(SMALL), path, KEY)
         expected = bytes.fromhex(
-            "4e525354524d3033"  # magic "NRSTRM03"
+            "4e525354524d3034"  # magic "NRSTRM04"
             "0400000000000000"  # final_n = 4
             "0300000000000000"  # final_m = 3
             "0000000000000000"  # key: no_time = 0
@@ -515,7 +522,8 @@ class TestCacheFormat:
             "00000000" "01000000" "03000000"  # u, i4
             "01000000" "03000000" "00000000"  # v, i4
             "0100000000000000" "0300000000000000" "0500000000000000"  # time, u8
-            "0300000000000000" "0400000000000000" "0400000000000000"  # node_count_prefix, i8
+            "0000000000000000" "0300000000000000"  # node_count_prefix, i8 ...
+            "0400000000000000" "0400000000000000"  # ... final_m + 1 entries
         )
         assert open(path, "rb").read() == expected
 
@@ -558,9 +566,9 @@ class TestCacheFormat:
         # accepted bytes must still form a replayable stream
         assert np.all(s.time[1:] >= s.time[:-1])
         assert np.all(s.u != s.v) and np.all(np.minimum(s.u, s.v) >= 0)
-        assert np.all(np.diff(s.node_count_prefix) >= 0)
-        assert np.all(s.node_count_prefix > np.maximum(s.u, s.v))
-        assert s.final_m == 0 or s.node_count_prefix[-1] == s.final_n
+        assert np.all(np.diff(s.node_count_prefix, prepend=0) >= 0)
+        assert np.all(s.node_count_prefix[1:] > np.maximum(s.u, s.v))
+        assert s.node_count_prefix[-1] == s.final_n
 
     def test_every_truncation_rejected(self, tmp_path):
         path = str(tmp_path / "small.arrivals")
@@ -578,10 +586,12 @@ class TestCacheFormat:
             ("time", 1, 0, "out of order"),
             ("v", 1, 1, "loop"),
             ("u", 0, -1, "negative"),
-            # [5, 4, 4] still covers every endpoint and ends at final_n
+            # [5, 3, 4, 4] still covers every endpoint and ends at final_n
             ("prefix", 0, 5, "decrease"),
-            # [1, 4, 4] is non-decreasing, but link (0, 1) needs two nodes
-            ("prefix", 0, 1, "below"),
+            # [-1, 3, 4, 4] rises from there, but no count is negative
+            ("prefix", 0, -1, "decrease"),
+            # [0, 1, 4, 4] is non-decreasing, but link (0, 1) needs two nodes
+            ("prefix", 1, 1, "below"),
             ("final_n", 0, 5, "node count mismatch"),
         ],
     )

@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from netreplay import ingest, pipeline
-from netreplay.connectivity import components
-from netreplay.degrees import basic_stats, cumulative, degree_distribution, ks_statistic
+from netreplay.degrees import cumulative, degree_distribution, ks_statistic
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
 from netreplay.generate import gen_complete, gen_preferential, write_stream
 from netreplay.graph import snapshot_from_edges
@@ -21,7 +20,7 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import count_triangles
+from oracles import basic_stats, components, count_triangles
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
 FAST_BND = BoundConfig(min_iterations=2, gap_target=2, iteration_cap=6)
@@ -419,11 +418,11 @@ class TestDeterminismAndCache:
         write_lines(path, ["0 a b", "1 b c"])
         cfg = quick_config(path, use_cache=True)
         sidecar = str(path) + ".arrivals"
-        # the previous layout: a row count in the header, then 16-byte (u, v, t) rows
+        # the previous layout: node_count_prefix without its leading entry
         key = ingest.cache_key(str(path), FormatOptions())
-        rows = struct.pack("<2IQ", 0, 1, 0) + struct.pack("<2IQ", 1, 2, 1)
+        columns = struct.pack("<2i2i2Q2q", 0, 1, 1, 2, 0, 1, 2, 3)
         with open(sidecar, "wb") as f:
-            f.write(b"NRSTRM02" + struct.pack("<3Q3q", 2, 3, 2, *key) + rows)
+            f.write(b"NRSTRM03" + struct.pack("<2Q3q", 3, 2, *key) + columns)
         parses = []
 
         def counted_normalize(events):
@@ -434,7 +433,7 @@ class TestDeterminismAndCache:
         stream = pipeline.load_stream(cfg)
         assert (stream.final_n, stream.final_m, len(parses)) == (3, 2, 1)
         with open(sidecar, "rb") as f:
-            assert f.read(8) == ingest.CACHE_MAGIC == b"NRSTRM03"
+            assert f.read(8) == ingest.CACHE_MAGIC == b"NRSTRM04"
         pipeline.load_stream(cfg)
         assert len(parses) == 1  # the rewritten sidecar serves the next load
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay import triangles
-from netreplay.degrees import basic_stats
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 from netreplay.triangles import (
     analyze_triangles,
@@ -19,7 +18,7 @@ from netreplay.triangles import (
 )
 
 from conftest import brute_triangles, random_edges
-from oracles import count_triangles
+from oracles import basic_stats, count_triangles
 
 
 def complete_edges(n):
