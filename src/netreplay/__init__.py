@@ -12,7 +12,6 @@ judged.
 
 from netreplay.ingest import (
     ArrivalStream,
-    CheckpointSchedule,
     FormatOptions,
     RawEvent,
     StreamFormatError,
@@ -28,10 +27,7 @@ from netreplay.graph import Snapshot, snapshot_from_edges
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import (
     BasicStats,
-    CumulativeDistribution,
-    DegreeDistribution,
     cumulative,
-    degree_distribution,
     ks_statistic,
     powerlaw_fit,
 )
@@ -44,10 +40,8 @@ from netreplay.distances import (
     estimate_average_distance,
 )
 from netreplay.triangles import (
-    TriangleReport,
     analyze_triangles,
     clustering_coefficient,
-    derived_ratios,
     transitivity,
     triangle_counts,
 )

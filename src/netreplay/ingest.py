@@ -238,33 +238,20 @@ def checkpoint_plan(
     return plan
 
 
-@dataclass(frozen=True)
-class CheckpointSchedule:
-    """Target node counts for a replay, deduplicated and ending at final_n."""
+def checkpoint_sizes(final_n: int, nominal_count: int = 100) -> tuple[int, ...]:
+    """Evenly spaced target sizes i*final_n/count, rounded half up, for
+    ``count = min(nominal_count, final_n)``.
 
-    sizes: tuple[int, ...]
-    nominal_count: int
-    final_n: int
-
-
-def checkpoint_sizes(final_n: int, nominal_count: int = 100) -> CheckpointSchedule:
-    """Evenly spaced target sizes i*final_n/nominal_count, rounded half up.
-
-    Duplicates collapse and zero-size targets drop, so tiny streams get fewer
-    checkpoints than nominal. The last target is always final_n.
+    Consecutive targets differ by final_n/count >= 1 before rounding, so
+    they strictly increase; a stream of fewer nodes than nominal gets one
+    target per node. The last target is final_n.
     """
     if final_n < 1:
         raise ValueError("final_n must be at least 1")
     if nominal_count < 1:
         raise ValueError("nominal_count must be at least 1")
-    sizes = []
-    for i in range(1, nominal_count + 1):
-        s = (2 * i * final_n + nominal_count) // (2 * nominal_count)
-        if s > 0 and (not sizes or s != sizes[-1]):
-            sizes.append(s)
-    if sizes[-1] != final_n:  # guard; the i = nominal term lands exactly
-        sizes.append(final_n)
-    return CheckpointSchedule(sizes=tuple(sizes), nominal_count=nominal_count, final_n=final_n)
+    count = min(nominal_count, final_n)
+    return tuple((2 * i * final_n + count) // (2 * count) for i in range(1, count + 1))
 
 
 def cache_key(path: str, options: FormatOptions) -> tuple[int, int, int]:

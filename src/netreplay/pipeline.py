@@ -1,17 +1,18 @@
 """Replay orchestration: one pass over the stream, statistics per checkpoint.
 
 ``run_evolution`` builds the final graph of a normalized stream once, with
-each adjacency entry tagged by its link's arrival. ``checkpoint_plan`` places
-every scheduled node-count checkpoint in the stream up front; at each one the
-loop takes the snapshot of the links seen so far as a prefix mask of that
-graph and computes the enabled statistic groups. Connectivity comes from one
-label array that merges each checkpoint's new links as a batch (links only
-ever merge components), triangles come from one listing of the final graph,
-and the rest runs on the snapshot. ``SERIES`` names the series of each
-group, in the order ``_measure`` returns their values. Results come back as
-one EvolutionSeries per statistic and, when an output directory is
-configured, land on disk as CSV files plus a manifest, a gnuplot script, and
-a separate timing file.
+each adjacency entry tagged by its link's arrival. ``checkpoint_plan``
+places every scheduled node-count checkpoint in the stream up front; at each
+one the loop takes the snapshot of the links seen so far as a prefix mask of
+that graph and computes the enabled statistic groups. Connectivity comes
+from one label array that merges each checkpoint's new links as a batch
+(links only ever merge components), triangles come from one listing of the
+final graph, the degree group measures each snapshot's degree tail against
+the final graph's, and the rest runs on the snapshot. ``SERIES`` names the
+series of each group, in the order ``_measure`` returns their values.
+Results come back as one EvolutionSeries per statistic and, when an output
+directory is configured, land on disk as CSV files plus a manifest, a
+gnuplot script, and a separate timing file.
 
 Determinism: all sampling derives from the global seed and the checkpoint
 index, never from global state, so a rerun with the same input and
@@ -32,13 +33,7 @@ from typing import Optional
 import numpy as np
 
 from netreplay.connectivity import Components, components_of, merge_links
-from netreplay.degrees import (
-    BasicStats,
-    cumulative,
-    degree_distribution,
-    ks_statistic,
-    stats_from_counts,
-)
+from netreplay.degrees import BasicStats, cumulative, ks_statistic, stats_from_counts
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
@@ -212,7 +207,7 @@ def run_evolution(config: RunConfig) -> RunResult:
     stream = load_stream(config)
     if stream.final_n < 1:
         raise ValueError(f"input {config.input_path!r} contains no nodes")
-    schedule = checkpoint_sizes(stream.final_n, config.nominal_checkpoints)
+    sizes = checkpoint_sizes(stream.final_n, config.nominal_checkpoints)
     groups = [group for group in STAT_GROUPS if group in config.stats]
 
     # A checkpoint's replay time runs from the end of the previous one, so
@@ -223,9 +218,11 @@ def run_evolution(config: RunConfig) -> RunResult:
     records: list[CheckpointRecord] = []
     values: dict[str, list] = {name: [] for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
-    plan = checkpoint_plan(stream, schedule.sizes)
+    plan = checkpoint_plan(stream, sizes)
     positions = np.array([position for _, _, position, _ in plan], dtype=np.int64)
     tri_counts = functools.cache(functools.partial(triangle_counts, csr, positions))
+    final_tail = cumulative(np.bincount(np.diff(csr.offsets))) if "deg" in groups else None
+    dists = [] if config.dump_distributions else None
     pos = 0
 
     for k, (ci, target, position, n) in enumerate(plan):
@@ -250,7 +247,8 @@ def run_evolution(config: RunConfig) -> RunResult:
                 t0 = _time.perf_counter()
                 names = SERIES[group]
                 row = _measure(
-                    group, config, ci, k, snapshot, basic, components, timing, tri_counts
+                    group, config, ci, k, snapshot, basic, components, timing, tri_counts,
+                    final_tail, dists,
                 )
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
                     values[name].append(value)
@@ -263,14 +261,6 @@ def run_evolution(config: RunConfig) -> RunResult:
         checkpoint_timings.append(timing)
         t_replay = _time.perf_counter()
 
-    # Until the final distribution is known, the degree group's last series
-    # holds each checkpoint's distribution in place of its K-S distance.
-    ks_name = SERIES["deg"][-1]
-    dists = values.get(ks_name, [])
-    if dists:
-        final_cumulative = cumulative(dists[-1])
-        values[ks_name] = [ks_statistic(cumulative(d), final_cumulative) for d in dists]
-
     series = {}
     for name, column in values.items():
         s = EvolutionSeries(name=name)
@@ -278,7 +268,7 @@ def run_evolution(config: RunConfig) -> RunResult:
             s.append(record, value)
         series[name] = s
 
-    manifest = _build_manifest(config, stream, schedule, records, series)
+    manifest = _build_manifest(config, stream, sizes, records, series)
     result = RunResult(
         config=config,
         final_n=stream.final_n,
@@ -289,36 +279,35 @@ def run_evolution(config: RunConfig) -> RunResult:
         out_dir=config.out_dir,
     )
     if config.out_dir is not None:
-        _write_outputs(result, dists if config.dump_distributions else None, checkpoint_timings)
+        _write_outputs(result, dists, checkpoint_timings)
     return result
 
 
 def _measure(
     group: str, config: RunConfig, checkpoint_index: int, k: int, snapshot,
     basic: Optional[BasicStats], components: Components, timing: dict, tri_counts,
+    final_tail: Optional[np.ndarray], dists: Optional[list],
 ) -> Optional[tuple]:
     """One checkpoint's values for ``group``, in ``SERIES`` order; None where
     the whole group is undefined, as distances are while the giant component
     has fewer than two nodes. ``basic`` is None below two nodes. The degree
-    group's last value is the degree distribution itself; ``run_evolution``
-    turns it into the K-S distance to the final one. The distance group
-    records its estimator's and bounds' wall time in ``timing``; the triangle
-    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``."""
+    group measures the K-S distance of the snapshot's degree tail to
+    ``final_tail``, the final graph's, and appends the snapshot's dense
+    degree histogram to ``dists`` when distributions are dumped. The
+    distance group records its estimator's and bounds' wall time in
+    ``timing``; the triangle group reads row ``k`` (place in the plan) of
+    the lazy ``tri_counts()``."""
     if group == "conn":
         return components.count, components.giant_size / snapshot.n
     if group == "deg":
+        counts = np.bincount(snapshot.degrees)
+        if dists is not None:
+            dists.append(counts)
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
-        return (*head, degree_distribution(snapshot))
+        return (*head, ks_statistic(cumulative(counts), final_tail))
     if group == "tri":
         totals, per_node = tri_counts()
-        tri = analyze_triangles(snapshot, basic, int(totals[k]), per_node[k, : snapshot.n])
-        return (
-            tri.triangles,
-            tri.clustering,
-            tri.transitivity,
-            tri.triangles_over_max_degree_sq,
-            tri.clustering_over_density,
-        )
+        return analyze_triangles(snapshot, basic, int(totals[k]), per_node[k, : snapshot.n])
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
     if components.giant_size < 2:
         return None
@@ -338,7 +327,7 @@ def _measure(
     return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
 
-def _build_manifest(config, stream, schedule, records, series) -> dict:
+def _build_manifest(config, stream, sizes, records, series) -> dict:
     import platform
 
     from netreplay import __version__
@@ -358,7 +347,7 @@ def _build_manifest(config, stream, schedule, records, series) -> dict:
         },
         "final_n": stream.final_n,
         "final_m": stream.final_m,
-        "scheduled_targets": list(schedule.sizes),
+        "scheduled_targets": list(sizes),
         "checkpoints": [
             {
                 "index": r.index,
@@ -413,13 +402,14 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings) -> None:
         ddir = os.path.join(out, "distributions")
         os.makedirs(ddir, exist_ok=True)
         width = len(str(max(r.index for r in result.checkpoints)))
-        for record, dist in zip(result.checkpoints, dists):
+        for record, counts in zip(result.checkpoints, dists):
             name = f"degree_distribution_{record.index:0{width}d}.csv"
-            cum = cumulative(dist)
+            tail = cumulative(counts)
             with open(os.path.join(ddir, name), "w", encoding="utf-8", newline="\n") as f:
                 f.write("degree,count,proportion,cumulative\n")
-                for k, c, p, q in zip(dist.degrees, dist.counts, dist.proportions(), cum.q):
-                    f.write(f"{int(k)},{int(c)},{_format_value(float(p))},{_format_value(float(q))}\n")
+                for k in np.flatnonzero(counts):
+                    c = counts[k]
+                    f.write(f"{k},{c},{_format_value(c / record.n)},{_format_value(tail[k])}\n")
 
 
 def _write_plot_script(result: RunResult, path: str) -> None:

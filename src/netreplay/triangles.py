@@ -21,7 +21,6 @@ missing, never as 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,22 +29,6 @@ from netreplay.degrees import BasicStats
 from netreplay.graph import ArrivalCSR, Snapshot
 
 _PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
-
-
-@dataclass(frozen=True)
-class TriangleReport:
-    """Triangle group of one checkpoint's statistics."""
-
-    triangles: int
-    per_node: np.ndarray  # int64, triangles each node belongs to
-    connected_triples: int
-    clustering: Optional[float]
-    transitivity: Optional[float]
-    triangles_over_max_degree_sq: Optional[float]
-    clustering_over_density: Optional[float]
-
-    def __post_init__(self):
-        self.per_node.setflags(write=False)
 
 
 def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -133,35 +116,19 @@ def transitivity(snapshot: Snapshot, triangles: int) -> Optional[float]:
     return 3 * triangles / triples
 
 
-def derived_ratios(
-    triangles: int, clustering: Optional[float], stats: BasicStats
-) -> tuple[Optional[float], Optional[float]]:
-    """Scale-free companions of the raw counts: triangles relative to the
-    square of the maximum degree, and clustering relative to density."""
-    over_dmax = triangles / stats.max_degree**2 if stats.max_degree >= 1 else None
-    over_density = (
-        clustering / stats.density
-        if clustering is not None and stats.density > 0
-        else None
-    )
-    return over_dmax, over_density
-
-
 def analyze_triangles(
     snapshot: Snapshot, stats: Optional[BasicStats], total: int, per_node: np.ndarray
-) -> TriangleReport:
-    """Bundle every triangle statistic for one snapshot from its triangle
-    ``total`` and ``per_node`` counts. ``stats`` is None when the snapshot is
-    too small for degree statistics (n < 2), and the ratios to them are
-    undefined then."""
+) -> tuple:
+    """The ``SERIES["tri"]`` values of one snapshot, from its triangle
+    ``total`` and ``per_node`` counts: triangles, clustering, transitivity,
+    and the scale-free ratios triangles / max degree^2 and clustering /
+    density. ``stats`` is None when the snapshot is too small for degree
+    statistics (n < 2), and the ratios to them are undefined then."""
     cc = clustering_coefficient(snapshot, per_node)
-    ratio_dmax, ratio_density = derived_ratios(total, cc, stats) if stats else (None, None)
-    return TriangleReport(
-        triangles=total,
-        per_node=per_node,
-        connected_triples=connected_triples(snapshot),
-        clustering=cc,
-        transitivity=transitivity(snapshot, total),
-        triangles_over_max_degree_sq=ratio_dmax,
-        clustering_over_density=ratio_density,
-    )
+    over_dmax = over_density = None
+    if stats is not None:
+        if stats.max_degree >= 1:
+            over_dmax = total / stats.max_degree**2
+        if cc is not None and stats.density > 0:
+            over_density = cc / stats.density
+    return total, cc, transitivity(snapshot, total), over_dmax, over_density

@@ -1,7 +1,10 @@
-"""Reference implementations the library no longer calls, kept as oracles.
+"""Reference implementations the library no longer calls, kept as oracles,
+and brute-force checks written for the tests.
 
-Each keeps the exact semantics it had in the library, so a test comparing a
-library path against it compares against the code the path replaced.
+Each reference keeps the exact semantics it had in the library, so a test
+comparing a library path against it compares against the code the path
+replaced. A brute-force check (``ks_brute``) restates a definition directly,
+sharing no code with the library.
 """
 
 import math
@@ -10,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from netreplay.degrees import BasicStats, DegreeDistribution, stats_from_counts
+from netreplay.degrees import BasicStats, stats_from_counts
 from netreplay.distances import _bfs_levels
 from netreplay.graph import Snapshot, frontier_neighbors
 
@@ -113,8 +116,16 @@ def basic_stats(snapshot: Snapshot) -> BasicStats:
     return stats_from_counts(snapshot.n, snapshot.m, d_max)
 
 
-def as_dict(dist: DegreeDistribution) -> dict[int, int]:
-    return {int(k): int(c) for k, c in zip(dist.degrees, dist.counts)}
+def ks_brute(deg_a: np.ndarray, deg_b: np.ndarray) -> float:
+    """K-S distance between the degree distributions of two raw degree
+    arrays: the largest gap over k >= 1 between the shares of nodes with
+    degree at least k. Both shares are 0 past the largest degree, so k stops
+    at one past it."""
+    top = int(max(deg_a.max(), deg_b.max()))
+    return max(
+        abs(float(np.mean(deg_a >= k)) - float(np.mean(deg_b >= k)))
+        for k in range(1, top + 2)
+    )
 
 
 @dataclass(frozen=True)

@@ -1,30 +1,28 @@
-"""Degree moments, distributions, K-S distance, and the log-log fit."""
+"""Degree moments, the dense degree histogram and its tail, K-S distance,
+and the log-log fit."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netreplay.degrees import (
-    CumulativeDistribution,
-    DegreeDistribution,
-    cumulative,
-    degree_distribution,
-    ks_statistic,
-    powerlaw_fit,
-    stats_from_counts,
-)
+from netreplay.degrees import cumulative, ks_statistic, powerlaw_fit, stats_from_counts
 from netreplay.graph import snapshot_from_edges
 
-from oracles import as_dict, basic_stats
+from oracles import basic_stats, ks_brute
 
 
 def dist_from_counts(mapping):
-    ks = np.array(sorted(mapping), dtype=np.int64)
-    cs = np.array([mapping[k] for k in sorted(mapping)], dtype=np.int64)
-    return DegreeDistribution(degrees=ks, counts=cs, n=int(cs.sum()))
+    """Dense histogram with ``mapping[k]`` nodes of degree k."""
+    counts = np.zeros(max(mapping) + 1, dtype=np.int64)
+    counts[list(mapping)] = list(mapping.values())
+    return counts
+
+
+def histogram(edges, n=None):
+    return np.bincount(snapshot_from_edges(edges, n=n).degrees)
 
 
 class TestBasicStats:
@@ -73,70 +71,55 @@ class TestBasicStats:
 
 class TestDistribution:
     def test_path_of_three(self):
-        d = degree_distribution(snapshot_from_edges([(0, 1), (1, 2)]))
-        assert as_dict(d) == {1: 2, 2: 1}
-        assert d.max_degree == 2
-        assert d.proportions().tolist() == [2 / 3, 1 / 3]
+        counts = histogram([(0, 1), (1, 2)])
+        assert counts.tolist() == [0, 2, 1]
+        assert (counts[1:] / counts.sum()).tolist() == [2 / 3, 1 / 3]
 
     def test_isolated_nodes_counted_at_zero(self):
-        d = degree_distribution(snapshot_from_edges([(0, 1)], n=4))
-        assert as_dict(d) == {0: 2, 1: 2}
+        assert histogram([(0, 1)], n=4).tolist() == [2, 2]
 
     def test_counts_sum_to_n(self):
         snap = snapshot_from_edges([(0, 1), (1, 2), (3, 4)], n=7)
-        d = degree_distribution(snap)
-        assert int(d.counts.sum()) == snap.n
+        assert int(np.bincount(snap.degrees).sum()) == snap.n
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            degree_distribution(snapshot_from_edges([], n=0))
-
-    def test_arrays_frozen(self):
-        d = degree_distribution(snapshot_from_edges([(0, 1)]))
-        with pytest.raises(ValueError):
-            d.counts[0] = 3
+            cumulative(histogram([], n=0))
 
 
 class TestCumulative:
     def test_path_of_three(self):
-        c = cumulative(degree_distribution(snapshot_from_edges([(0, 1), (1, 2)])))
-        assert c.at(1) == 1.0
-        assert c.at(2) == pytest.approx(1 / 3)
-        assert c.at(3) == 0.0
+        c = cumulative(histogram([(0, 1), (1, 2)]))
+        assert c[1] == 1.0
+        assert c[2] == pytest.approx(1 / 3)
+        assert c.size == 3  # past the largest degree the tail is 0
 
     def test_starts_at_exactly_one(self):
         c = cumulative(dist_from_counts({2: 5, 7: 5}))
-        assert c.q[0] == 1.0
+        assert c[0] == c[2] == 1.0
 
     def test_step_constant_between_present_degrees(self):
         c = cumulative(dist_from_counts({1: 6, 4: 2}))
-        assert c.at(2) == c.at(3) == c.at(4) == 0.25
+        assert c[2] == c[3] == c[4] == 0.25
 
     def test_array_evaluation(self):
         c = cumulative(dist_from_counts({1: 3, 2: 1}))
-        got = c.at(np.array([1, 2, 5]))
-        assert got.tolist() == [1.0, 0.25, 0.0]
+        assert c[np.array([1, 2])].tolist() == [1.0, 0.25]
 
     def test_non_increasing(self):
         c = cumulative(dist_from_counts({0: 1, 1: 4, 3: 2, 9: 3}))
-        assert np.all(np.diff(c.q) <= 0)
+        assert np.all(np.diff(c) <= 0)
 
 
 class TestKsStatistic:
     def test_star_versus_path(self):
-        star = cumulative(degree_distribution(
-            snapshot_from_edges([(0, 1), (0, 2), (0, 3)])
-        ))
-        path = cumulative(degree_distribution(
-            snapshot_from_edges([(0, 1), (1, 2), (2, 3)])
-        ))
+        star = cumulative(histogram([(0, 1), (0, 2), (0, 3)]))
+        path = cumulative(histogram([(0, 1), (1, 2), (2, 3)]))
         assert ks_statistic(star, path) == 0.25
 
     def test_path_versus_triangle(self):
-        p3 = cumulative(degree_distribution(snapshot_from_edges([(0, 1), (1, 2)])))
-        k3 = cumulative(degree_distribution(
-            snapshot_from_edges([(0, 1), (1, 2), (0, 2)])
-        ))
+        p3 = cumulative(histogram([(0, 1), (1, 2)]))
+        k3 = cumulative(histogram([(0, 1), (1, 2), (0, 2)]))
         assert ks_statistic(p3, k3) == pytest.approx(2 / 3)
 
     def test_identical_is_exactly_zero(self):
@@ -185,10 +168,23 @@ class TestKsStatistic:
         for _ in range(40):
             ma = {int(k): int(rng.integers(1, 30)) for k in rng.choice(15, size=4, replace=False)}
             mb = {int(k): int(rng.integers(1, 30)) for k in rng.choice(15, size=3, replace=False)}
-            a = cumulative(dist_from_counts(ma))
-            b = cumulative(dist_from_counts(mb))
-            brute = max(abs(a.at(k) - b.at(k)) for k in range(1, 20))
-            assert ks_statistic(a, b) == pytest.approx(brute, abs=0)
+            a, b = dist_from_counts(ma), dist_from_counts(mb)
+            brute = ks_brute(np.repeat(np.arange(a.size), a), np.repeat(np.arange(b.size), b))
+            assert ks_statistic(cumulative(a), cumulative(b)) == brute
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=40),
+        st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=40),
+    )
+    @example([0], [0])  # one node without links on both sides
+    @example([0], [1, 1])  # one node without links against one link
+    @example([1, 1, 2, 2], [5, 6, 6, 7])  # disjoint supports
+    @example([0, 0, 1, 1], [1, 1, 1, 9])  # tails of different lengths
+    @settings(max_examples=300, deadline=None)
+    def test_equals_brute_force_on_raw_degrees(self, deg_a, deg_b):
+        deg_a, deg_b = np.array(deg_a), np.array(deg_b)
+        got = ks_statistic(cumulative(np.bincount(deg_a)), cumulative(np.bincount(deg_b)))
+        assert got == ks_brute(deg_a, deg_b)
 
 
 class TestPowerLawFit:

@@ -369,20 +369,24 @@ class TestReplay:
 
 class TestSchedule:
     def test_even_thousand(self):
-        sched = ingest.checkpoint_sizes(1000, 100)
-        assert sched.sizes[:3] == (10, 20, 30)
-        assert sched.sizes[-1] == 1000
-        assert len(sched.sizes) == 100
+        sizes = ingest.checkpoint_sizes(1000, 100)
+        assert sizes[:3] == (10, 20, 30)
+        assert sizes[-1] == 1000
+        assert len(sizes) == 100
 
     def test_tiny_stream_dedups(self):
-        assert ingest.checkpoint_sizes(3, 100).sizes == (1, 2, 3)
+        assert ingest.checkpoint_sizes(3, 100) == (1, 2, 3)
+
+    def test_huge_nominal_count_gives_every_node(self):
+        # Takes one step per node, not one per nominal checkpoint.
+        assert ingest.checkpoint_sizes(50, 10**12) == tuple(range(1, 51))
 
     def test_round_half_up(self):
-        assert ingest.checkpoint_sizes(7, 2).sizes == (4, 7)
+        assert ingest.checkpoint_sizes(7, 2) == (4, 7)
 
     def test_strictly_increasing_and_capped(self):
         for n in (1, 2, 17, 99, 100, 101, 12345):
-            sizes = ingest.checkpoint_sizes(n, 100).sizes
+            sizes = ingest.checkpoint_sizes(n, 100)
             assert all(b > a for a, b in zip(sizes, sizes[1:]))
             assert sizes[-1] == n
             assert len(sizes) <= 100

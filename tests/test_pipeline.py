@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from netreplay import ingest, pipeline
-from netreplay.degrees import cumulative, degree_distribution, ks_statistic
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
 from netreplay.generate import gen_complete, gen_preferential, write_stream
 from netreplay.graph import snapshot_from_edges
@@ -20,7 +19,7 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import basic_stats, components, count_triangles
+from oracles import basic_stats, components, count_triangles, ks_brute
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
 FAST_BND = BoundConfig(min_iterations=2, gap_target=2, iteration_cap=6)
@@ -200,9 +199,8 @@ class TestPrefixConsistency:
             assert result.series["density"].values[idx] == stats.density
             assert result.series["max_degree"].values[idx] == stats.max_degree
             tri = analyze_triangles(snap, stats, *count_triangles(snap))
-            assert result.series["triangles"].values[idx] == tri.triangles
-            assert result.series["clustering"].values[idx] == tri.clustering
-            assert result.series["transitivity"].values[idx] == tri.transitivity
+            for name, value in zip(pipeline.SERIES["tri"], tri, strict=True):
+                assert result.series[name].values[idx] == value
             mask = summ.giant_mask()
             est_cfg = EstimatorConfig(
                 i_min=FAST_EST.i_min,
@@ -232,11 +230,10 @@ class TestPrefixConsistency:
         final_snap = snapshot_from_edges(
             list(zip(stream.u.tolist(), stream.v.tolist())), n=final.n
         )
-        final_cum = cumulative(degree_distribution(final_snap))
         for idx, r in enumerate(result.checkpoints):
             edges = list(zip(stream.u[: r.position].tolist(), stream.v[: r.position].tolist()))
             snap = snapshot_from_edges(edges, n=r.n)
-            want = ks_statistic(cumulative(degree_distribution(snap)), final_cum)
+            want = ks_brute(snap.degrees, final_snap.degrees)
             assert result.series["ks_vs_final"].values[idx] == want
 
 
@@ -301,6 +298,17 @@ class TestOutputs:
         assert first[0] == "degree,count,proportion,cumulative"
         # one uniform name width so files sort in checkpoint order
         assert len({len(f) for f in files}) == 1
+        # the last dump lists the final graph's present degrees and tail
+        stream = pipeline.load_stream(result.config)
+        links = list(zip(stream.u.tolist(), stream.v.tolist()))
+        final = snapshot_from_edges(links, n=result.final_n)
+        rows = [line.split(",") for line in (ddir / files[-1]).read_text().splitlines()[1:]]
+        present = sorted(set(final.degrees.tolist()))
+        assert [int(row[0]) for row in rows] == present
+        for k, count, proportion, tail in rows:
+            assert int(count) == int(np.sum(final.degrees == int(k)))
+            assert float(proportion) == int(count) / final.n
+            assert float(tail) == float(np.mean(final.degrees >= int(k)))
 
     def test_growth_matches_checkpoints(self, tmp_path):
         result, out = self.run_to_dir(tmp_path, "out")

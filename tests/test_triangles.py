@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from netreplay import triangles
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
+from netreplay.pipeline import SERIES
 from netreplay.triangles import (
     analyze_triangles,
     clustering_coefficient,
     connected_triples,
-    derived_ratios,
     transitivity,
     triangle_counts,
 )
@@ -26,8 +26,10 @@ def complete_edges(n):
 
 
 def report(edges, n=None):
+    """The triangle group's series of one graph, by name."""
     snap = snapshot_from_edges(edges, n=n)
-    return analyze_triangles(snap, basic_stats(snap), *count_triangles(snap))
+    row = analyze_triangles(snap, basic_stats(snap), *count_triangles(snap))
+    return dict(zip(SERIES["tri"], row))
 
 
 class TestCounting:
@@ -151,22 +153,18 @@ class TestTransitivity:
 class TestDerivedRatios:
     def test_two_triangles_sharing_a_node(self):
         r = report([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
-        assert r.triangles_over_max_degree_sq == 2 / 16
-        assert r.clustering_over_density == pytest.approx((13 / 15) / 0.6, rel=1e-12)
+        assert r["triangles_over_max_degree_sq"] == 2 / 16
+        assert r["clustering_over_density"] == pytest.approx((13 / 15) / 0.6, rel=1e-12)
 
     def test_linkless_graph_has_no_ratios(self):
-        snap = snapshot_from_edges([], n=3)
-        stats = basic_stats(snap)
-        over_dmax, over_density = derived_ratios(0, None, stats)
-        assert over_dmax is None
-        assert over_density is None
+        r = report([], n=3)
+        assert r["triangles_over_max_degree_sq"] is None
+        assert r["clustering_over_density"] is None
 
     def test_single_node_without_degree_stats_has_no_ratios(self):
         snap = snapshot_from_edges([], n=1)
-        r = analyze_triangles(snap, None, *count_triangles(snap))
-        assert (r.triangles, r.clustering, r.transitivity) == (0, None, None)
-        assert r.triangles_over_max_degree_sq is None
-        assert r.clustering_over_density is None
+        row = analyze_triangles(snap, None, *count_triangles(snap))
+        assert row == (0, None, None, None, None)
 
     def test_clustered_fixture_beats_density_by_an_order(self):
         # ring of 30 small cliques: clustering stays put as density shrinks
@@ -177,17 +175,18 @@ class TestDerivedRatios:
             edges += [(base + i, base + j) for i in range(k) for j in range(i + 1, k)]
             edges.append((base + k - 1, (base + k) % (30 * k)))
         r = report(edges)
-        assert r.clustering is not None
-        assert r.clustering_over_density > 10
+        assert r["clustering"] is not None
+        assert r["clustering_over_density"] > 10
 
     def test_report_bundles_consistently(self):
+        snap = snapshot_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
+        total, per_node = count_triangles(snap)
         r = report([(0, 1), (1, 2), (0, 2), (2, 3)])
-        assert r.triangles == 1
-        assert r.connected_triples == connected_triples(
-            snapshot_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
-        )
-        assert r.per_node.tolist() == [1, 1, 1, 0]
-        assert r.transitivity == pytest.approx(3 * 1 / 5)
+        assert r["triangles"] == total == 1
+        assert per_node.tolist() == [1, 1, 1, 0]
+        assert connected_triples(snap) == 5
+        assert r["transitivity"] == 3 * total / connected_triples(snap) == pytest.approx(3 / 5)
+        assert r["clustering"] == clustering_coefficient(snap, per_node)
 
 
 @st.composite
