@@ -13,14 +13,11 @@ judged.
 from netreplay.ingest import (
     ArrivalStream,
     FormatOptions,
-    RawEvent,
     StreamFormatError,
     checkpoint_plan,
     checkpoint_sizes,
     load_cache,
     normalize,
-    open_event_file,
-    parse_event_stream,
     save_cache,
 )
 from netreplay.graph import Snapshot, snapshot_from_edges

@@ -1,10 +1,19 @@
 """Measurement-stream ingestion, normalization and checkpoint scheduling.
 
 Raw traces arrive as text lines ``<time> <src> <dst>`` sorted by time.
-Normalization keeps only the first discovery of each undirected link, turns
-loops into bare node discoveries, and maps opaque endpoint tokens to dense
-integer indices in order of first appearance. The result is an
-:class:`ArrivalStream`, the canonical replay input for everything downstream.
+:func:`normalize` validates a trace and normalizes it: it keeps only the
+first discovery of each undirected link, turns loops into bare node
+discoveries, and maps opaque endpoint tokens to dense integer indices in
+order of first appearance. The result is an :class:`ArrivalStream`, the
+canonical replay input for everything downstream.
+
+The trace is read in blocks of whole lines (``_BLOCK_BYTES``, cut after the
+last line end). Each block is decoded once and split once; its lines' field
+counts come from array operations over its code points, its times from one
+``int`` map, its node ids from one token dictionary kept across blocks, and
+its new links from ``np.unique`` on packed pair keys checked against the
+sorted keys kept so far. Beyond the stream's own arrays, working memory is
+the block, the dictionary (one entry per node) and 8 bytes per kept link.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -26,31 +35,30 @@ import os
 import struct
 import tempfile
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from collections import defaultdict
+from dataclasses import dataclass
+from itertools import compress, count
+from typing import Optional, Sequence
 
 import numpy as np
 
 CACHE_MAGIC = b"NRSTRM04"
 
 _CACHE_HEADER = "<2Q3q"  # final_n, final_m, then the cache_key fields
-# The ArrivalStream columns u, v, time, node_count_prefix, one after another.
-_CACHE_COLUMNS = (np.dtype("<i4"), np.dtype("<i4"), np.dtype("<u8"), np.dtype("<i8"))
+# The ArrivalStream columns u, v, time, node_count_prefix, in the cache one
+# after another.
+_COLUMN_DTYPES = (np.dtype("<i4"), np.dtype("<i4"), np.dtype("<u8"), np.dtype("<i8"))
 
 _MAX_NODE = 2**31 - 1
+
+_BLOCK_BYTES = 1 << 18  # read at a time; a block is cut after its last whole line
+# str.isspace of each code point up to U+3000, the last that is whitespace;
+# every later code point reads the final False entry.
+_WHITESPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
 
 
 class StreamFormatError(ValueError):
     """An input line violates the stream format."""
-
-
-@dataclass(frozen=True)
-class RawEvent:
-    """One trace line: a timestamped, possibly redundant link observation."""
-
-    time: int
-    src: str
-    dst: str
 
 
 @dataclass(frozen=True)
@@ -89,120 +97,201 @@ class ArrivalStream:
         return int(self.u.size)
 
 
-def open_event_file(path: str):
-    """Open a trace for reading, transparently decompressing ``.gz``.
+def normalize(path: str, options: FormatOptions = FormatOptions()) -> ArrivalStream:
+    """Read, validate and normalize the trace at ``path`` (gzipped if it
+    ends in ``.gz``), one block of whole lines at a time.
 
-    Bytes that are not UTF-8 decode to lone surrogates instead of failing
-    mid-chunk, so that :func:`parse_event_stream` can name their line.
+    Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Fields are separated by
+    runs of the characters ``str.isspace`` accepts. Blank lines and lines
+    whose first field starts with ``#`` are skipped. Every other line holds
+    ``<time> <src> <dst>`` (``<src> <dst>`` under ``options.no_time``, whose
+    times are then 0, 1, 2, ... over those lines), with ``int(time)`` in
+    [0, 2^64) and never below the previous line's time. The first offending
+    line in file order raises StreamFormatError with its 1-based number,
+    whatever its fault: the wrong number of fields, a bad, out-of-range or
+    decreasing timestamp, or bytes that are not UTF-8. Input that cannot be
+    read on (truncated or corrupt gzip) raises StreamFormatError naming the
+    last line read whole, once the lines before it have been checked. More
+    than 2^31 - 1 nodes raise ValueError.
+
+    A link survives only on its first observation in either direction. A
+    loop (a, a) is dropped as a link but still discovers node a. Every
+    distinct endpoint token becomes the next free index the first time it
+    is seen, a line's source before its destination.
     """
-    if path.endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape")
-    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+    blocks = _BlockNormalizer(options.no_time)
+    opener = gzip.open if path.endswith(".gz") else open
+    with opener(path, "rb") as f:
+        buf = bytearray()  # what was read after the last line end fed
+        while True:
+            data, fault = _read_block(f)
+            if not data and fault is None:
+                break
+            # A line can end only in the new bytes or at a "\r" just before
+            # them, so a line longer than a block is not searched again.
+            start = max(len(buf) - 1, 0)
+            buf += data
+            # Cut after the last "\n", or after a later "\r" that the next
+            # byte shows is not the start of a "\r\n".
+            cut = max(buf.rfind(b"\n", start), buf.rfind(b"\r", start, len(buf) - 1)) + 1
+            blocks.feed(bytes(buf[:cut]))
+            del buf[:cut]
+            if fault is not None:
+                raise StreamFormatError(f"unreadable input after line {blocks.lines}: {fault}")
+    if buf:
+        blocks.feed(bytes(buf) + b"\n")
+    return blocks.stream()
 
 
-def parse_event_stream(
-    reader: Iterable[str], options: FormatOptions = FormatOptions()
-) -> Iterator[RawEvent]:
-    """Parse trace lines into events, validating order as we go.
-
-    Blank lines and lines starting with ``#`` are skipped. Malformed lines
-    and timestamp regressions raise StreamFormatError with the 1-based line
-    number. Timestamps must be integers in [0, 2^64), the range the
-    normalized stream and its cache store. A line holding bytes that are
-    not UTF-8 (read by :func:`open_event_file` as lone surrogates) raises
-    StreamFormatError naming that line. Input that cannot be read on
-    (truncated or corrupt gzip, or a strict decoder's failure) raises
-    StreamFormatError naming the last line read whole.
-    """
-    last_time = None
-    synthetic = 0
-    lineno = 0
+def _read_block(f) -> tuple[bytes, Optional[Exception]]:
+    """The next ``_BLOCK_BYTES`` bytes of ``f`` (fewer at the end), and the
+    error that ended the read early, if any. Reading piece by piece keeps
+    what came before a fault, so its whole lines are still checked."""
+    pieces = []
+    size = 0
     try:
-        for lineno, line in enumerate(reader, start=1):
-            if not line.isascii():
-                try:
-                    line.encode("utf-8")
-                except UnicodeEncodeError:
-                    raise StreamFormatError(f"line {lineno} is not valid utf-8") from None
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            parts = stripped.split()
-            if options.no_time:
-                if len(parts) != 2:
-                    raise StreamFormatError(f"malformed line {lineno}: expected '<src> <dst>'")
-                t = synthetic
-                synthetic += 1
-                src, dst = parts
-            else:
-                if len(parts) != 3:
-                    raise StreamFormatError(
-                        f"malformed line {lineno}: expected '<time> <src> <dst>'"
-                    )
-                try:
-                    t = int(parts[0])
-                except ValueError:
-                    raise StreamFormatError(
-                        f"malformed line {lineno}: bad timestamp {parts[0]!r}"
-                    ) from None
-                if not 0 <= t < 2**64:
-                    raise StreamFormatError(
-                        f"malformed line {lineno}: timestamp outside [0, 2^64)"
-                    )
-                src, dst = parts[1], parts[2]
-            if last_time is not None and t < last_time:
-                raise StreamFormatError(f"timestamp decreases at line {lineno}")
-            last_time = t
-            yield RawEvent(t, src, dst)
-    except (EOFError, UnicodeDecodeError, zlib.error, gzip.BadGzipFile) as exc:
-        raise StreamFormatError(f"unreadable input after line {lineno}: {exc}") from None
+        while size < _BLOCK_BYTES:
+            piece = f.read1(_BLOCK_BYTES - size)
+            if not piece:
+                break
+            pieces.append(piece)
+            size += len(piece)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        return b"".join(pieces), exc
+    return b"".join(pieces), None
 
 
-def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
-    """Deduplicate links, strip loops, and index nodes by first appearance.
+class _BlockNormalizer:
+    """What :func:`normalize` carries from one block to the next."""
 
-    A link (a, b) survives only on its first observation in either direction.
-    A loop (a, a) is dropped as a link but still discovers node a. Every
-    distinct endpoint token becomes the next free index the first time it is
-    seen in any event.
-    """
-    index: dict[str, int] = {}
-    seen: set[int] = set()  # packed unordered pairs of surviving links
-    us: list[int] = []
-    vs: list[int] = []
-    ts: list[int] = []
-    prefix: list[int] = []
+    def __init__(self, no_time: bool):
+        self.no_time = no_time
+        self.lines = 0  # lines consumed whole
+        self.rows = 0  # data lines among them
+        self.last_time = np.zeros(1, np.uint64)
+        self.index: dict[str, int] = defaultdict(count().__next__)  # token -> node id
+        # Packed keys of the links kept so far, sorted; the upper sentinel
+        # keeps every search inside the array.
+        self.kept = np.array([np.iinfo(np.int64).max])
+        self.columns = tuple([np.empty(0, dtype)] for dtype in _COLUMN_DTYPES)
 
-    for ev in events:
-        count_before = len(index)
-        iu = index.setdefault(ev.src, count_before)
-        if ev.src == ev.dst:
-            continue
-        iv = index.setdefault(ev.dst, len(index))
-        if iu <= iv:
-            key = (iu << 31) | iv
+    def feed(self, chunk: bytes) -> None:
+        """Take whole lines: ``chunk`` is empty or ends with a line end."""
+        if not chunk:
+            return
+        if b"\r" in chunk:
+            chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        try:
+            text = chunk.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            self.feed(chunk[: chunk.rfind(b"\n", 0, exc.start) + 1])
+            raise StreamFormatError(f"line {self.lines + 1} is not valid utf-8") from None
+
+        # Count each line's fields from the code points, without splitting
+        # line by line.
+        if text.isascii():
+            code = np.frombuffer(chunk, np.uint8)
         else:
-            key = (iv << 31) | iu
-        if key in seen:
-            continue
-        seen.add(key)
-        prefix.append(count_before)
-        us.append(iu)
-        vs.append(iv)
-        ts.append(ev.time)
+            code = np.frombuffer(text.encode("utf-32-le"), "<u4")
+        space = _whitespace(code)
+        follows_space = np.empty_like(space)
+        follows_space[0] = True
+        follows_space[1:] = space[:-1]
+        starts = np.flatnonzero(follows_space & ~space)  # one per field
+        upto = np.searchsorted(starts, np.flatnonzero(code == ord("\n")))
+        first = np.concatenate(([0], upto[:-1]))  # each line's first field
+        fields = upto - first
+        data = fields > 0
+        if "#" in text:
+            data[data] = code[starts[first[data]]] != ord("#")
 
-    final_n = len(index)
-    if final_n > _MAX_NODE:
-        raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
-    prefix.append(final_n)
-    return ArrivalStream(
-        u=np.asarray(us, dtype=np.int32),
-        v=np.asarray(vs, dtype=np.int32),
-        time=np.asarray(ts, dtype=np.uint64),
-        node_count_prefix=np.asarray(prefix, dtype=np.int64),
-        final_n=final_n,
-        final_m=len(us),
-    )
+        # Only the lines before the first with the wrong field count are
+        # checked further; an error among them comes first in the file.
+        width = 2 if self.no_time else 3
+        wrong = np.flatnonzero(data & (fields != width))
+        stop = int(wrong[0]) if wrong.size else upto.size
+        rows = np.flatnonzero(data[:stop])
+        tokens = text.split()
+        error = None
+        if stop < upto.size:
+            del tokens[first[stop] :]
+            shape = "<src> <dst>" if self.no_time else "<time> <src> <dst>"
+            error = f"malformed line {self.lines + stop + 1}: expected '{shape}'"
+        if len(tokens) != rows.size * width:  # drop the comment lines' fields
+            tokens = list(compress(tokens, np.repeat(data[:stop], fields[:stop]).tolist()))
+        if self.no_time:
+            times = np.arange(self.rows, self.rows + rows.size, dtype=np.uint64)
+        else:
+            stamps = tokens[0::3]
+            del tokens[0::3]
+            times, fault = _parse_times(stamps)
+            if fault is not None:
+                error = f"malformed line {self.lines + rows[times.size] + 1}: {fault}"
+            down = np.flatnonzero(times < np.concatenate((self.last_time, times[:-1])))
+            if down.size:
+                error = f"timestamp decreases at line {self.lines + rows[down[0]] + 1}"
+        if error is not None:
+            raise StreamFormatError(error)
+        self.lines += upto.size
+        self.rows += rows.size
+        if times.size:
+            self.last_time = times[-1:]
+        self._add_events(tokens, times)
+
+    def _add_events(self, tokens: list[str], times: np.ndarray) -> None:
+        """Normalize events given as alternating source and destination
+        tokens, with their times."""
+        # A token missing from the index gets the next id on lookup, so ids
+        # follow first appearance and the nodes seen before an event number
+        # one more than the largest id before it.
+        before = len(self.index)
+        ids = np.fromiter(map(self.index.__getitem__, tokens), np.int64, len(tokens))
+        u, v = ids[0::2], ids[1::2]
+        seen = np.maximum.accumulate(np.concatenate(([before - 1], ids)))[0:-1:2] + 1
+        links = np.flatnonzero(u != v)
+        lo, hi = np.minimum(u[links], v[links]), np.maximum(u[links], v[links])
+        keys, at_first = np.unique(lo << 31 | hi, return_index=True)
+        at = np.searchsorted(self.kept, keys)
+        new = self.kept[at] != keys
+        self.kept = np.insert(self.kept, at[new], keys[new])
+        keep = links[np.sort(at_first[new])]
+        for column, values, dtype in zip(self.columns, (u, v, times, seen), _COLUMN_DTYPES):
+            column.append(values[keep].astype(dtype))
+
+    def stream(self) -> ArrivalStream:
+        final_n = len(self.index)
+        if final_n > _MAX_NODE:
+            raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
+        self.columns[3].append(np.array([final_n], np.int64))
+        u, v, time, prefix = (np.concatenate(column) for column in self.columns)
+        return ArrivalStream(u, v, time, prefix, final_n=final_n, final_m=int(u.size))
+
+
+def _whitespace(code: np.ndarray) -> np.ndarray:
+    """``str.isspace`` of each code point in the unsigned array ``code``."""
+    space = (code - 9 <= 4) | (code - 28 <= 4)  # "\t\n\v\f\r", "\x1c" to " "
+    high = np.flatnonzero(code > 127)
+    space[high] = _WHITESPACE[np.minimum(code[high].astype(np.intp), _WHITESPACE.size - 1)]
+    return space
+
+
+def _parse_times(stamps: list[str]) -> tuple[np.ndarray, Optional[str]]:
+    """``stamps`` as uint64 up to the first that ``int`` rejects or that lies
+    outside [0, 2^64), and that one's fault (None if every stamp is good)."""
+    try:
+        return np.array(list(map(int, stamps)), np.uint64), None
+    except (ValueError, OverflowError):
+        pass
+    for i, stamp in enumerate(stamps):
+        try:
+            value = int(stamp)
+        except ValueError:
+            fault = f"bad timestamp {stamp!r}"
+            break
+        if not 0 <= value < 2**64:
+            fault = "timestamp outside [0, 2^64)"
+            break
+    return np.array(list(map(int, stamps[:i])), np.uint64), fault
 
 
 def checkpoint_plan(
@@ -281,7 +370,7 @@ def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> N
         with os.fdopen(fd, "wb") as f:
             f.write(CACHE_MAGIC)
             f.write(struct.pack(_CACHE_HEADER, stream.final_n, stream.final_m, *key))
-            for column, dtype in zip(columns, _CACHE_COLUMNS):
+            for column, dtype in zip(columns, _COLUMN_DTYPES):
                 f.write(column.astype(dtype, copy=False).tobytes())
         os.replace(tmp, path)
     except BaseException:
@@ -309,11 +398,11 @@ def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
             raise ValueError(f"cache written for another input or format: {path}")
         payload = f.read()
     lengths = (final_m, final_m, final_m, final_m + 1)
-    if len(payload) != sum(k * dtype.itemsize for k, dtype in zip(lengths, _CACHE_COLUMNS)):
+    if len(payload) != sum(k * dtype.itemsize for k, dtype in zip(lengths, _COLUMN_DTYPES)):
         raise ValueError(f"truncated cache payload: {path}")
     columns = []
     offset = 0
-    for k, dtype in zip(lengths, _CACHE_COLUMNS):
+    for k, dtype in zip(lengths, _COLUMN_DTYPES):
         columns.append(np.frombuffer(payload, dtype, k, offset))
         offset += k * dtype.itemsize
     u, v, time, prefix = columns

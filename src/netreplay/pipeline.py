@@ -49,8 +49,6 @@ from netreplay.ingest import (
     checkpoint_sizes,
     load_cache,
     normalize,
-    open_event_file,
-    parse_event_stream,
     save_cache,
 )
 from netreplay.triangles import analyze_triangles, triangle_counts
@@ -104,6 +102,8 @@ class RunConfig:
         object.__setattr__(self, "stats", groups)
         if self.nominal_checkpoints < 1:
             raise ValueError("nominal_checkpoints must be at least 1")
+        if self.dump_distributions and "deg" not in groups:
+            raise ValueError("dump_distributions needs the deg statistic group")
 
 
 @dataclass(frozen=True)
@@ -184,8 +184,7 @@ def load_stream(config: RunConfig) -> ArrivalStream:
                 return load_cache(cache_path, key)
             except (OSError, ValueError):
                 pass
-    with open_event_file(path) as f:
-        stream = normalize(parse_event_stream(f, config.format_options))
+    stream = normalize(path, config.format_options)
     if config.use_cache:
         try:
             save_cache(stream, cache_path, key)
@@ -204,7 +203,9 @@ def checkpoint_bounds_seed(global_seed: int, checkpoint_index: int) -> np.random
 
 def run_evolution(config: RunConfig) -> RunResult:
     """Replay the input and measure every enabled statistic per checkpoint."""
+    t_load = _time.perf_counter()
     stream = load_stream(config)
+    load_s = _time.perf_counter() - t_load
     if stream.final_n < 1:
         raise ValueError(f"input {config.input_path!r} contains no nodes")
     sizes = checkpoint_sizes(stream.final_n, config.nominal_checkpoints)
@@ -279,7 +280,7 @@ def run_evolution(config: RunConfig) -> RunResult:
         out_dir=config.out_dir,
     )
     if config.out_dir is not None:
-        _write_outputs(result, dists, checkpoint_timings)
+        _write_outputs(result, dists, checkpoint_timings, load_s)
     return result
 
 
@@ -365,7 +366,8 @@ def _build_manifest(config, stream, sizes, records, series) -> dict:
     }
 
 
-def _write_outputs(result: RunResult, dists, checkpoint_timings) -> None:
+def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) -> None:
+    t_write = _time.perf_counter()
     out = result.out_dir
     os.makedirs(out, exist_ok=True)
     for name, s in result.series.items():
@@ -381,22 +383,6 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings) -> None:
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8", newline="\n") as f:
         json.dump(result.manifest, f, indent=2, sort_keys=True)
         f.write("\n")
-    # "totals" keeps one key per timed step, so its values sum to the timed
-    # part of the run; parts of a step ("dist" = estimator + bounds) are
-    # totalled apart in "part_totals".
-    totals: dict[str, float] = {}
-    part_totals: dict[str, float] = {}
-    for t in checkpoint_timings:
-        for k, v in t.items():
-            if k != "checkpoint":
-                into = part_totals if k in _TIMING_PARTS else totals
-                into[k] = into.get(k, 0.0) + v
-    with open(os.path.join(out, "timings.json"), "w", encoding="utf-8", newline="\n") as f:
-        json.dump(
-            {"per_checkpoint": checkpoint_timings, "totals": totals, "part_totals": part_totals},
-            f, indent=2, sort_keys=True,
-        )
-        f.write("\n")
     _write_plot_script(result, os.path.join(out, "plots.gp"))
     if dists is not None:
         ddir = os.path.join(out, "distributions")
@@ -410,6 +396,28 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings) -> None:
                 for k in np.flatnonzero(counts):
                     c = counts[k]
                     f.write(f"{k},{c},{_format_value(c / record.n)},{_format_value(tail[k])}\n")
+    # "totals" keeps one key per timed step of the checkpoint loop, so its
+    # values sum to the loop's timed part; parts of a step ("dist" =
+    # estimator + bounds) are totalled apart in "part_totals". "load" (the
+    # stream, parsed or from the cache) and "write" (every output file but
+    # this one) lie outside the loop and stand apart from both.
+    totals: dict[str, float] = {}
+    part_totals: dict[str, float] = {}
+    for t in checkpoint_timings:
+        for k, v in t.items():
+            if k != "checkpoint":
+                into = part_totals if k in _TIMING_PARTS else totals
+                into[k] = into.get(k, 0.0) + v
+    timings = {
+        "load": load_s,
+        "part_totals": part_totals,
+        "per_checkpoint": checkpoint_timings,
+        "totals": totals,
+        "write": _time.perf_counter() - t_write,
+    }
+    with open(os.path.join(out, "timings.json"), "w", encoding="utf-8", newline="\n") as f:
+        json.dump(timings, f, indent=2, sort_keys=True)
+        f.write("\n")
 
 
 def _write_plot_script(result: RunResult, path: str) -> None:

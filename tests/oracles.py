@@ -7,13 +7,16 @@ replaced. A brute-force check (``ks_brute``) restates a definition directly,
 sharing no code with the library.
 """
 
+import gzip
 import math
+import zlib
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from netreplay.degrees import BasicStats, stats_from_counts
+from netreplay.ingest import _MAX_NODE, ArrivalStream, FormatOptions, StreamFormatError
 from netreplay.distances import _bfs_levels
 from netreplay.graph import Snapshot, frontier_neighbors
 
@@ -231,3 +234,129 @@ def diameter_lower_bound(
     first = bfs(snapshot, start)
     second = bfs(snapshot, first.farthest)
     return second.farthest_dist, first.farthest
+
+
+@dataclass(frozen=True)
+class RawEvent:
+    """One trace line: a timestamped, possibly redundant link observation."""
+
+    time: int
+    src: str
+    dst: str
+
+
+
+def open_event_file(path: str):
+    """Open a trace for reading, transparently decompressing ``.gz``.
+
+    Bytes that are not UTF-8 decode to lone surrogates instead of failing
+    mid-chunk, so that :func:`parse_event_stream` can name their line.
+    """
+    if path.endswith(".gz"):
+        return gzip.open(path, "rt", encoding="utf-8", errors="surrogateescape")
+    return open(path, "r", encoding="utf-8", errors="surrogateescape")
+
+
+def parse_event_stream(
+    reader: Iterable[str], options: FormatOptions = FormatOptions()
+) -> Iterator[RawEvent]:
+    """Parse trace lines into events, validating order as we go.
+
+    Blank lines and lines starting with ``#`` are skipped. Malformed lines
+    and timestamp regressions raise StreamFormatError with the 1-based line
+    number. Timestamps must be integers in [0, 2^64), the range the
+    normalized stream and its cache store. A line holding bytes that are
+    not UTF-8 (read by :func:`open_event_file` as lone surrogates) raises
+    StreamFormatError naming that line. Input that cannot be read on
+    (truncated or corrupt gzip, or a strict decoder's failure) raises
+    StreamFormatError naming the last line read whole.
+    """
+    last_time = None
+    synthetic = 0
+    lineno = 0
+    try:
+        for lineno, line in enumerate(reader, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise StreamFormatError(f"line {lineno} is not valid utf-8") from None
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            parts = stripped.split()
+            if options.no_time:
+                if len(parts) != 2:
+                    raise StreamFormatError(f"malformed line {lineno}: expected '<src> <dst>'")
+                t = synthetic
+                synthetic += 1
+                src, dst = parts
+            else:
+                if len(parts) != 3:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: expected '<time> <src> <dst>'"
+                    )
+                try:
+                    t = int(parts[0])
+                except ValueError:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: bad timestamp {parts[0]!r}"
+                    ) from None
+                if not 0 <= t < 2**64:
+                    raise StreamFormatError(
+                        f"malformed line {lineno}: timestamp outside [0, 2^64)"
+                    )
+                src, dst = parts[1], parts[2]
+            if last_time is not None and t < last_time:
+                raise StreamFormatError(f"timestamp decreases at line {lineno}")
+            last_time = t
+            yield RawEvent(t, src, dst)
+    except (EOFError, UnicodeDecodeError, zlib.error, gzip.BadGzipFile) as exc:
+        raise StreamFormatError(f"unreadable input after line {lineno}: {exc}") from None
+
+
+def normalize(events: Iterable[RawEvent]) -> ArrivalStream:
+    """Deduplicate links, strip loops, and index nodes by first appearance.
+
+    A link (a, b) survives only on its first observation in either direction.
+    A loop (a, a) is dropped as a link but still discovers node a. Every
+    distinct endpoint token becomes the next free index the first time it is
+    seen in any event.
+    """
+    index: dict[str, int] = {}
+    seen: set[int] = set()  # packed unordered pairs of surviving links
+    us: list[int] = []
+    vs: list[int] = []
+    ts: list[int] = []
+    prefix: list[int] = []
+
+    for ev in events:
+        count_before = len(index)
+        iu = index.setdefault(ev.src, count_before)
+        if ev.src == ev.dst:
+            continue
+        iv = index.setdefault(ev.dst, len(index))
+        if iu <= iv:
+            key = (iu << 31) | iv
+        else:
+            key = (iv << 31) | iu
+        if key in seen:
+            continue
+        seen.add(key)
+        prefix.append(count_before)
+        us.append(iu)
+        vs.append(iv)
+        ts.append(ev.time)
+
+    final_n = len(index)
+    if final_n > _MAX_NODE:
+        raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
+    prefix.append(final_n)
+    return ArrivalStream(
+        u=np.asarray(us, dtype=np.int32),
+        v=np.asarray(vs, dtype=np.int32),
+        time=np.asarray(ts, dtype=np.uint64),
+        node_count_prefix=np.asarray(prefix, dtype=np.int64),
+        final_n=final_n,
+        final_m=len(us),
+    )

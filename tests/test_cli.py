@@ -163,6 +163,21 @@ class TestAnalyze:
         assert code == 0
         assert (out / "distributions").is_dir()
 
+    def test_dump_distributions_without_deg_exits_one(self, tmp_path):
+        trace = tmp_path / "s.txt"
+        trace.write_text("0 a b\n1 b c\n")
+        src = os.path.dirname(os.path.dirname(netreplay.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreplay.cli", "analyze", str(trace), "--stats", "conn",
+             "--dump-distributions", "--out", str(tmp_path / "o")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "dump_distributions needs the deg statistic group" in proc.stderr
+        assert not (tmp_path / "o").exists()
+
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["analyze", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "o")],

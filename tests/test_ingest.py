@@ -1,8 +1,10 @@
 import dataclasses
 import gzip
-import io
 import os
+import re
 import tempfile
+import zlib
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,9 +12,28 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest
-from netreplay.ingest import ArrivalStream, FormatOptions, RawEvent, StreamFormatError
+from netreplay.ingest import ArrivalStream, FormatOptions, StreamFormatError
+from oracles import RawEvent, normalize, open_event_file, parse_event_stream
 
 KEY = (0, 123, 456)  # a cache_key as if from a real input file
+
+
+def read_bytes(data, name="trace.txt", **opts):
+    """Write ``data`` to a fresh file called ``name`` and read it back."""
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, name)
+        with open(path, "wb") as f:
+            f.write(data)
+        return ingest.normalize(path, FormatOptions(**opts))
+
+
+def read_events(events):
+    """The stream of a trace file holding ``events``, one line each."""
+    return read_bytes("".join(f"{e.time} {e.src} {e.dst}\n" for e in events).encode())
+
+
+def read_lines(text, **opts):
+    return read_bytes(text.encode(), **opts)
 
 
 def to_events(stream):
@@ -46,131 +67,286 @@ def numbered_trace(lines=20000):
     return "".join(f"{i} n{i % 97} n{i * 7 % 101}\n" for i in range(lines)).encode()
 
 
-def read_until_error(reader):
-    """Events parsed before an unreadable stretch, and the error's message."""
-    events = []
-    with pytest.raises(StreamFormatError, match="unreadable input after line") as info:
-        for ev in ingest.parse_event_stream(reader):
-            events.append(ev)
-    return events, str(info.value)
-
-
-def parse_lines(text, **opts):
-    return list(ingest.parse_event_stream(io.StringIO(text), FormatOptions(**opts)))
+def deflate_output(gz):
+    """What the deflate stream inside ``gz`` still yields: no header flag,
+    check value or truncation stops it early."""
+    return zlib.decompressobj(-zlib.MAX_WBITS).decompress(gz[10:])
 
 
 class TestParse:
     def test_basic_lines(self):
-        events = parse_lines("0 a b\n5 b c\n")
-        assert events == [RawEvent(0, "a", "b"), RawEvent(5, "b", "c")]
+        s = read_lines("0 a b\n5 b c\n")
+        assert (s.u.tolist(), s.v.tolist(), s.time.tolist()) == ([0, 1], [1, 2], [0, 5])
 
     def test_blank_and_comment_lines_skipped(self):
-        events = parse_lines("# header\n\n1 x y\n   \n2 y z\n")
-        assert [e.time for e in events] == [1, 2]
+        s = read_lines("# header\n\n1 x y\n   \n2 y z\n")
+        assert s.time.tolist() == [1, 2]
 
     def test_malformed_line_reports_line_number(self):
         with pytest.raises(StreamFormatError, match="line 2"):
-            parse_lines("1 a b\n2 a\n")
+            read_lines("1 a b\n2 a\n")
 
     def test_bad_timestamp_reports_line_number(self):
         with pytest.raises(StreamFormatError, match="line 1"):
-            parse_lines("notatime a b\n")
+            read_lines("notatime a b\n")
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(StreamFormatError, match="line 1"):
-            parse_lines("-3 a b\n")
+            read_lines("-3 a b\n")
 
     def test_timestamp_beyond_u64_rejected(self):
         with pytest.raises(StreamFormatError, match="line 2"):
-            parse_lines("1 a b\n18446744073709551616 b c\n")
+            read_lines("1 a b\n18446744073709551616 b c\n")
 
     def test_largest_u64_timestamp_allowed(self):
-        events = parse_lines("1 a b\n18446744073709551615 b c\n")
-        assert ingest.normalize(events).time.tolist() == [1, 2**64 - 1]
+        s = read_lines("1 a b\n18446744073709551615 b c\n")
+        assert s.time.tolist() == [1, 2**64 - 1]
 
     def test_decreasing_timestamp_reports_line_number(self):
         with pytest.raises(StreamFormatError, match="timestamp decreases at line 2"):
-            parse_lines("5 a b\n4 b c\n")
+            read_lines("5 a b\n4 b c\n")
 
     def test_equal_timestamps_allowed(self):
-        assert len(parse_lines("7 a b\n7 c d\n")) == 2
+        assert read_lines("7 a b\n7 c d\n").final_m == 2
 
     def test_no_time_mode_synthesizes_order(self):
-        events = parse_lines("a b\nb c\n", no_time=True)
-        assert [(e.time, e.src, e.dst) for e in events] == [(0, "a", "b"), (1, "b", "c")]
+        s = read_lines("a b\nb c\n", no_time=True)
+        assert (s.u.tolist(), s.v.tolist(), s.time.tolist()) == ([0, 1], [1, 2], [0, 1])
 
     def test_no_time_mode_rejects_three_fields(self):
         with pytest.raises(StreamFormatError, match="line 1"):
-            parse_lines("1 a b\n", no_time=True)
+            read_lines("1 a b\n", no_time=True)
 
-    def test_gzip_input(self, tmp_path):
-        path = tmp_path / "trace.txt.gz"
-        with gzip.open(path, "wt") as f:
-            f.write("0 a b\n1 b c\n")
-        with ingest.open_event_file(str(path)) as f:
-            events = list(ingest.parse_event_stream(f))
-        assert len(events) == 2 and events[1].dst == "c"
+    def test_gzip_input(self):
+        s = read_bytes(gzip.compress(b"0 a b\n1 b c\n"), name="trace.txt.gz")
+        assert (s.final_n, s.final_m, s.v.tolist()) == (3, 2, [1, 2])
 
     @pytest.mark.parametrize(
-        "corrupt",
+        "corrupt, reads_some",
         [
-            pytest.param(lambda gz: gz[: len(gz) // 2], id="truncated"),
-            pytest.param(lambda gz: gz[:3] + b"\xff" + gz[4:], id="bad-header-flags"),
-            pytest.param(lambda gz: gz[:-5] + bytes([gz[-5] ^ 0xFF]) + gz[-4:], id="bad-crc"),
+            pytest.param(lambda gz: gz[: len(gz) // 2], True, id="truncated"),
+            pytest.param(lambda gz: gz[:3] + b"\xff" + gz[4:], False, id="bad-header-flags"),
+            pytest.param(
+                lambda gz: gz[:-5] + bytes([gz[-5] ^ 0xFF]) + gz[-4:], True, id="bad-crc"
+            ),
         ],
     )
-    def test_unreadable_gzip_names_last_whole_line(self, tmp_path, corrupt):
+    def test_unreadable_gzip_names_last_whole_line(self, tmp_path, corrupt, reads_some):
         path = tmp_path / "trace.txt.gz"
-        path.write_bytes(corrupt(gzip.compress(numbered_trace())))
-        with ingest.open_event_file(str(path)) as f:
-            events, message = read_until_error(f)
-        assert f"after line {len(events)}:" in message
-        assert [e.time for e in events] == list(range(len(events)))
+        good = numbered_trace()
+        gz = corrupt(gzip.compress(good))
+        path.write_bytes(gz)
+        with pytest.raises(StreamFormatError) as info:
+            ingest.normalize(str(path))
+        found = re.fullmatch(r"unreadable input after line (\d+): .+", str(info.value))
+        assert found, str(info.value)
+        # Lines 1..n are whole in what the file still holds.
+        n = int(found[1])
+        assert deflate_output(gz).count(b"\n") >= n
+        assert (n > 0) == reads_some
+        if reads_some:
+            # An earlier malformed line still wins over the read error.
+            lines = good.splitlines(keepends=True)
+            lines[4] = b"4 n4\n"
+            path.write_bytes(corrupt(gzip.compress(b"".join(lines))))
+            with pytest.raises(StreamFormatError, match="^malformed line 5: "):
+                ingest.normalize(str(path))
 
-    def test_non_utf8_byte_names_last_whole_line(self, tmp_path):
-        # The error names the line holding the byte, and every line before
-        # it was read whole, however the decoder chunks the file.
+    def test_non_utf8_byte_names_last_whole_line(self, tmp_path, monkeypatch):
+        # The error names the line holding the byte, wherever the blocks cut
+        # the file, and every line before it is read whole: a malformed line
+        # just before it is reported instead.
         good = numbered_trace()
         cut = good.index(b"\n", len(good) // 2) + 1  # start of a line past the middle
         bad_line = good[:cut].count(b"\n") + 1
         bad = good[:cut] + b"\xff" + good[cut:]
-        for name, payload in (("trace.txt", bad), ("trace.txt.gz", gzip.compress(bad))):
-            path = tmp_path / name
-            path.write_bytes(payload)
-            events = []
-            with ingest.open_event_file(str(path)) as f:
-                with pytest.raises(StreamFormatError) as info:
-                    for ev in ingest.parse_event_stream(f):
-                        events.append(ev)
-            assert str(info.value) == f"line {bad_line} is not valid utf-8"
-            assert [e.time for e in events] == list(range(bad_line - 1))
+        previous = good.rindex(b"\n", 0, cut - 1) + 1
+        worse = good[:previous] + b"x\n\xff" + good[cut:]
+        for block in (ingest._BLOCK_BYTES, 4093):
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+            for payload, message in (
+                (bad, f"line {bad_line} is not valid utf-8"),
+                (worse, f"malformed line {bad_line - 1}: expected '<time> <src> <dst>'"),
+            ):
+                for name, data in (("trace.txt", payload), ("trace.txt.gz", gzip.compress(payload))):
+                    path = tmp_path / name
+                    path.write_bytes(data)
+                    with pytest.raises(StreamFormatError) as info:
+                        ingest.normalize(str(path))
+                    assert str(info.value) == message
 
-    def test_valid_non_ascii_tokens_accepted(self, tmp_path):
-        path = tmp_path / "trace.txt"
-        path.write_text("0 caf\u00e9 na\u00efve\n1 na\u00efve \u00fcber\n", encoding="utf-8")
-        with ingest.open_event_file(str(path)) as f:
-            events = list(ingest.parse_event_stream(f))
-        assert [(e.src, e.dst) for e in events] == [
-            ("caf\u00e9", "na\u00efve"), ("na\u00efve", "\u00fcber")
-        ]
+    def test_valid_non_ascii_tokens_accepted(self):
+        s = read_lines("0 café naïve\n1 naïve über\n")
+        assert (s.final_n, s.u.tolist(), s.v.tolist()) == (3, [0, 1], [1, 2])
+
+
+# Separators, line ends and odd timestamps the reference reader accepts or
+# rejects in its own way.
+SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
+LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+NODES = st.sampled_from(["a", "b", "c", "d", "10.0.0.1", "café", "日本", "#", "0"])
+ODD_STAMPS = st.sampled_from(
+    ["+5", "1_0", "\u0663", "-0", "-3", "x", "1.5", str(2**64 - 1), str(2**64)]
+)
+LINE_KINDS = st.sampled_from(
+    ["link"] * 30 + ["blank", "comment"] * 2 + ["short", "long", "odd-time", "back"]
+)
+
+
+@st.composite
+def traces(draw):
+    """Trace bytes and a no_time flag: mostly good lines, with blank and
+    comment lines, wrong field counts, odd or decreasing timestamps, mixed
+    separators and line ends, and now and then a byte that is not UTF-8."""
+    no_time = draw(st.booleans())
+    time = 0
+    lines = []
+    for kind in draw(st.lists(LINE_KINDS, max_size=30)):
+        if kind == "blank":
+            fields = []
+        elif kind == "comment":
+            fields = ["#" + draw(NODES), *draw(st.lists(NODES, max_size=3))]
+        else:
+            fields = [draw(NODES), draw(NODES)]
+            if not no_time:
+                time += draw(st.integers(0, 2))
+                stamp = {"odd-time": draw(ODD_STAMPS), "back": str(time - 1)}.get(kind, str(time))
+                fields.insert(0, stamp)
+            if kind == "short":
+                fields.pop()
+            elif kind == "long":
+                fields.append(draw(NODES))
+        margin = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(margin + draw(SEPARATORS).join(fields) + margin + draw(LINE_ENDS))
+    data = "".join(lines).encode()
+    if lines and draw(st.booleans()):
+        data = data.rstrip(b"\r\n")
+    if data and draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data, no_time
+
+
+def oracle_read(path, options):
+    with open_event_file(path) as f:
+        return normalize(parse_event_stream(f, options))
+
+
+def outcome(read, path, options):
+    """The stream ``read`` returns for ``path``, or its StreamFormatError's text."""
+    try:
+        return read(path, options)
+    except StreamFormatError as exc:
+        return str(exc)
+
+
+def assert_reads_like_oracle(data, no_time, block=None):
+    """The block reader and the line-by-line reference give the same stream,
+    dtypes included, or the same error message, plain and gzipped, with
+    blocks of ``block`` bytes (the default when None)."""
+    options = FormatOptions(no_time=no_time)
+    with tempfile.TemporaryDirectory() as d, mock.patch.object(
+        ingest, "_BLOCK_BYTES", block or ingest._BLOCK_BYTES
+    ):
+        for name, payload in (("t.txt", data), ("t.txt.gz", gzip.compress(data))):
+            path = os.path.join(d, name)
+            with open(path, "wb") as f:
+                f.write(payload)
+            got = outcome(ingest.normalize, path, options)
+            want = outcome(oracle_read, path, options)
+            if isinstance(want, str) or isinstance(got, str):
+                assert got == want
+            else:
+                assert_same_stream(got, want)
+
+
+# (id, trace bytes, no_time)
+EDGE_TRACES = [
+    ("blank-comment-tabs", b"#\n# h\n\n0 a b\n#x y z\n  \t\n1\ta\t\tc\n# a b c\n\t#1 2 3\n2   c    d  \n", False),
+    ("comment-only-hash", b"#\n0 a #b\n", False),
+    ("crlf", b"0 a b\r\n1 b c\r\n\r\n2 c a\r\n", False),
+    ("lone-cr", b"0 a b\r1 b c\r\r2 c d\r", False),
+    ("mixed-ends", b"0 a b\r\n\r1 b c\n\r\n2 c d\r3 d a", False),
+    ("no-final-newline", b"0 a b\n1 b c", False),
+    ("cr-then-blank-end", b"0 a b\n\r", False),
+    ("ascii-separators", b"0\x1ca\x1db\n1\x1eb\x1fc\n2\x0bc\x0cd\n", False),
+    ("unicode-separators", "0\u0085a\u00a0b\n1\u3000b c\n\u3000\n".encode(), False),
+    ("line-separator-is-no-line-end", "0 a b\u20281 c d\n".encode(), False),
+    ("non-ascii-tokens", "0 café naïve\n1 naïve über\n2 日本 über\n3 über 日本\n".encode(), False),
+    ("nul-in-token", b"0 a\x00 b\n1 b a\x00\n", False),
+    ("plus-time", b"+5 a b\n6 b c\n", False),
+    ("underscore-time", b"1_0 a b\n10 b c\n", False),
+    ("arabic-indic-time", "\u0663 a b\n3 b c\n".encode(), False),
+    ("minus-zero-time", b"-0 a b\n0 b c\n", False),
+    ("negative-time", b"0 a b\n-3 b c\n", False),
+    ("largest-time", b"1 a b\n18446744073709551615 b c\n", False),
+    ("time-2-to-64", b"1 a b\n18446744073709551616 b c\n", False),
+    ("float-time", b"1.5 a b\n", False),
+    ("bom-time", b"\xef\xbb\xbf0 a b\n", False),
+    ("too-few-fields", b"0 a b\n1 a\n", False),
+    ("too-many-fields", b"0 a b\n1 a b c\n", False),
+    ("decreasing", b"5 a b\n4 b c\n", False),
+    ("decrease-before-malformed", b"5 a b\n4 b c\n1 x\n", False),
+    ("malformed-before-bad-time", b"0 a b\nx y\nz c d\n", False),
+    ("bad-time-before-malformed", b"0 a b\nz c d\nx\n", False),
+    ("decrease-before-bad-time", b"3 a b\n2 b c\nz c d\n", False),
+    ("malformed-before-bad-utf8", b"0 a\n1 \xff b\n", False),
+    ("bad-utf8-before-malformed", b"0 a b\n1 \xff b\n1 a\n", False),
+    ("bad-utf8-in-comment", b"0 a b\n# \xff\n", False),
+    ("encoded-surrogate", b"0 a b\n1 b \xed\xa0\x80\n", False),
+    ("cut-multibyte-at-end", b"0 a b\n1 b \xc3", False),
+    ("loops-and-duplicates", b"0 a a\n1 a b\n2 b a\n3 c c\n4 c a\n5 a c\n", False),
+    ("empty", b"", False),
+    ("comments-only", b"# x\n\n", False),
+    ("no-time", b"a b\nb c\n# c\n\nc a\r\nb a\rd d\n", True),
+    ("no-time-three-fields", b"a b\n1 a b\n", True),
+    ("no-time-one-field", b"a b\nc\n", True),
+]
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    @pytest.mark.parametrize(
+        "data, no_time", [pytest.param(d, n, id=i) for i, d, n in EDGE_TRACES]
+    )
+    def test_edge_traces_match_reference(self, data, no_time, block):
+        assert_reads_like_oracle(data, no_time, block)
+
+    @given(traces(), st.sampled_from([None, 1, 2, 7, 64]))
+    @settings(max_examples=300, deadline=None)
+    def test_generated_traces_match_reference(self, trace, block):
+        assert_reads_like_oracle(*trace, block)
+
+    def test_multi_block_trace_matches_reference(self):
+        # Several default blocks, with links repeated across them.
+        rng = np.random.default_rng(5)
+        pairs = rng.integers(0, 3000, size=(60_000, 2))
+        text = "".join(f"{i // 2} n{a} n{b}\n" for i, (a, b) in enumerate(pairs.tolist()))
+        assert len(text) > 2 * ingest._BLOCK_BYTES
+        assert_reads_like_oracle(text.encode(), False)
+
+    def test_whitespace_is_str_isspace(self):
+        code = np.arange(0x110000, dtype=np.uint32)
+        want = np.array([chr(c).isspace() for c in range(0x110000)])
+        assert np.array_equal(ingest._whitespace(code), want)
 
 
 class TestNormalize:
     def test_two_links_four_nodes(self):
-        s = ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
+        s = read_events([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
         assert s.final_n == 4 and s.final_m == 2
         assert s.node_count_prefix.tolist() == [0, 2, 4]
         assert s.u.tolist() == [0, 2] and s.v.tolist() == [1, 3]
 
     def test_duplicate_and_loop_dropped(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(1, "a", "b"), RawEvent(2, "b", "a"), RawEvent(3, "a", "a")]
         )
         assert s.final_n == 2 and s.final_m == 1
         assert s.node_count_prefix.tolist() == [0, 2]
 
     def test_loop_discovers_node(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(1, "a", "b"), RawEvent(2, "e", "e"), RawEvent(3, "a", "d")]
         )
         assert s.final_n == 4 and s.final_m == 2
@@ -178,11 +354,11 @@ class TestNormalize:
         assert s.node_count_prefix.tolist() == [0, 3, 4]
 
     def test_first_appearance_indexing(self):
-        s = ingest.normalize([RawEvent(0, "z", "q"), RawEvent(1, "q", "a")])
+        s = read_events([RawEvent(0, "z", "q"), RawEvent(1, "q", "a")])
         assert s.u.tolist() == [0, 1] and s.v.tolist() == [1, 2]
 
     def test_all_loops_stream(self):
-        s = ingest.normalize([RawEvent(0, "a", "a"), RawEvent(1, "b", "b")])
+        s = read_events([RawEvent(0, "a", "a"), RawEvent(1, "b", "b")])
         assert s.final_n == 2 and s.final_m == 0
         assert s.n_events == 0
 
@@ -207,7 +383,7 @@ class TestNormalize:
                     b = (b + 1) % 400
                 events.append(RawEvent(i, f"n{a}", f"n{b}"))
                 emitted.append((f"n{a}", f"n{b}"))
-        s = ingest.normalize(events)
+        s = read_events(events)
 
         # oracle: plain dict/set scan
         idx = {}
@@ -235,7 +411,7 @@ class TestNormalize:
         for i in range(2000):
             a, b = rng.integers(0, 150, size=2)
             events.append(RawEvent(i, str(a), str(b)))  # loops included
-        s = ingest.normalize(events)
+        s = read_events(events)
         prefix = s.node_count_prefix
         assert np.all(np.diff(prefix) >= 0)
         assert prefix[-1] == s.final_n
@@ -250,8 +426,8 @@ class TestNormalize:
     @settings(max_examples=200, deadline=None)
     def test_roundtrip_through_rendered_events(self, pairs):
         events = [RawEvent(i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
-        s = ingest.normalize(events)
-        s2 = ingest.normalize(to_events(s))
+        s = read_events(events)
+        s2 = read_events(to_events(s))
         assert s2.final_n == s.final_n and s2.final_m == s.final_m
         assert np.array_equal(s2.u, s.u) and np.array_equal(s2.v, s.v)
         assert np.array_equal(s2.node_count_prefix, s.node_count_prefix)
@@ -281,13 +457,13 @@ def reference_plan(events, sizes):
 
 class TestReplay:
     def stream(self):
-        return ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
+        return read_events([RawEvent(1, "a", "b"), RawEvent(2, "c", "d")])
 
     def test_exact_target(self):
         assert ingest.checkpoint_plan(self.stream(), (2, 4)) == [(0, 2, 1, 2), (1, 4, 2, 4)]
 
     def test_overshoot_recorded(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(1, "a", "b"), RawEvent(2, "c", "d"), RawEvent(3, "d", "a")]
         )
         # c-d reveals the third and fourth node at once; the last target takes the
@@ -295,7 +471,7 @@ class TestReplay:
         assert ingest.checkpoint_plan(s, (3, 4)) == [(0, 3, 2, 4), (1, 4, 3, 4)]
 
     def test_swallowed_target_dropped(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(1, "a", "b"), RawEvent(2, "c", "d"), RawEvent(3, "e", "f")]
         )
         # target 4 was met by target 3's overshoot: same position, same n
@@ -308,7 +484,7 @@ class TestReplay:
             ingest.checkpoint_plan(self.stream(), (2, 5))
 
     def test_positions_never_retreat(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(t, a, b) for t, (a, b) in enumerate(
                 ["xx", "ab", "ba", "cc", "ac", "de", "db", "ff", "fa"]
             )]
@@ -320,14 +496,14 @@ class TestReplay:
         assert ns == sorted(set(ns)) and ns[-1] == s.final_n
 
     def test_loop_only_target(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(0, "a", "b"), RawEvent(1, "x", "x"), RawEvent(2, "c", "a")]
         )
         # target 3 is reached by the loop discovery, before c-a
         assert ingest.checkpoint_plan(s, (3, 4)) == [(0, 3, 1, 3), (1, 4, 2, 4)]
 
     def test_targets_before_first_link(self):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(0, "x", "x"), RawEvent(1, "y", "y"), RawEvent(2, "a", "y")]
         )
         # two nodes exist before any link arrives
@@ -339,14 +515,14 @@ class TestReplay:
         # pairs=[(1, 1), (1, 0)] as the reference test below builds them:
         # node "1" exists before the first link, unlike in "1 0" alone
         events = [RawEvent(1, "1", "1"), RawEvent(2, "1", "0")]
-        s = ingest.normalize(events)
+        s = read_events(events)
         assert s.node_count_prefix.tolist() == [1, 2]
         assert ingest.checkpoint_plan(s, (1, 2)) == [(0, 1, 0, 1), (1, 2, 1, 2)]
         for sizes in [(1,), (2,), (1, 2)]:
             assert ingest.checkpoint_plan(s, sizes) == reference_plan(events, sizes)
 
     def test_all_loop_stream(self):
-        s = ingest.normalize([RawEvent(0, "x", "x"), RawEvent(1, "y", "y")])
+        s = read_events([RawEvent(0, "x", "x"), RawEvent(1, "y", "y")])
         assert s.final_m == 0
         assert ingest.checkpoint_plan(s, (1, 2)) == [(0, 1, 0, 1), (1, 2, 0, 2)]
 
@@ -361,7 +537,7 @@ class TestReplay:
         # either direction among few nodes
         events = [RawEvent(0, f"lead{j}", f"lead{j}") for j in range(leading)]
         events += [RawEvent(1 + i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
-        s = ingest.normalize(events)
+        s = read_events(events)
         assume(s.final_n >= 1)
         sizes = sorted(data.draw(st.sets(st.integers(1, s.final_n), min_size=1)))
         assert ingest.checkpoint_plan(s, sizes) == reference_plan(events, sizes)
@@ -412,13 +588,13 @@ class TestCache:
         assert np.array_equal(loaded.node_count_prefix, stream.node_count_prefix)
 
     def test_roundtrip_plain(self, tmp_path):
-        s = ingest.normalize(
+        s = read_events(
             [RawEvent(0, "a", "b"), RawEvent(3, "b", "c"), RawEvent(9, "c", "d")]
         )
         self.roundtrip(s, tmp_path)
 
     def test_roundtrip_with_loop_only_nodes(self, tmp_path):
-        s = ingest.normalize(
+        s = read_events(
             [
                 RawEvent(0, "q", "q"),
                 RawEvent(1, "a", "b"),
@@ -430,7 +606,7 @@ class TestCache:
         self.roundtrip(s, tmp_path)
 
     def test_roundtrip_empty_link_stream(self, tmp_path):
-        s = ingest.normalize([RawEvent(0, "a", "a")])
+        s = read_events([RawEvent(0, "a", "a")])
         self.roundtrip(s, tmp_path)
 
     def test_roundtrip_large_random(self, tmp_path):
@@ -439,14 +615,14 @@ class TestCache:
             RawEvent(i, str(int(a)), str(int(b)))
             for i, (a, b) in enumerate(rng.integers(0, 500, size=(5000, 2)))
         ]
-        self.roundtrip(ingest.normalize(events), tmp_path)
+        self.roundtrip(read_events(events), tmp_path)
 
     def test_roundtrip_times_beyond_int64(self, tmp_path):
-        s = ingest.normalize([RawEvent(1, "a", "b"), RawEvent(2**63 + 5, "b", "c")])
+        s = read_events([RawEvent(1, "a", "b"), RawEvent(2**63 + 5, "b", "c")])
         self.roundtrip(s, tmp_path)
 
     def test_other_key_rejected(self, tmp_path):
-        s = ingest.normalize([RawEvent(0, "a", "b")])
+        s = read_events([RawEvent(0, "a", "b")])
         path = str(tmp_path / "keyed.arrivals")
         ingest.save_cache(s, path, KEY)
         for other in [(1, 123, 456), (0, 124, 456), (0, 123, 457)]:
@@ -454,7 +630,7 @@ class TestCache:
                 ingest.load_cache(path, other)
 
     def test_write_goes_through_a_unique_temporary_file(self, tmp_path):
-        s = ingest.normalize([RawEvent(0, "a", "b")])
+        s = read_events([RawEvent(0, "a", "b")])
         path = str(tmp_path / "s.arrivals")
         os.mkdir(path + ".tmp")  # a fixed temporary name would collide with this
         ingest.save_cache(s, path, KEY)
@@ -468,7 +644,7 @@ class TestCache:
             ingest.load_cache(str(path), KEY)
 
     def test_truncated_payload_rejected(self, tmp_path):
-        s = ingest.normalize([RawEvent(0, "a", "b"), RawEvent(1, "b", "c")])
+        s = read_events([RawEvent(0, "a", "b"), RawEvent(1, "b", "c")])
         path = str(tmp_path / "trunc.arrivals")
         ingest.save_cache(s, path, KEY)
         data = open(path, "rb").read()
@@ -515,7 +691,7 @@ class TestCacheFormat:
     def test_on_disk_layout_is_pinned(self, tmp_path):
         # A change to these bytes is a format change: bump CACHE_MAGIC with it.
         path = str(tmp_path / "small.arrivals")
-        ingest.save_cache(ingest.normalize(SMALL), path, KEY)
+        ingest.save_cache(read_events(SMALL), path, KEY)
         expected = bytes.fromhex(
             "4e525354524d3034"  # magic "NRSTRM04"
             "0400000000000000"  # final_n = 4
@@ -540,7 +716,7 @@ class TestCacheFormat:
     def test_file_roundtrip_equals_normalize(self, draws):
         times = sorted(t for t, _, _ in draws)
         events = [RawEvent(t, str(a), str(b)) for t, (_, a, b) in zip(times, draws)]
-        stream = ingest.normalize(events)
+        stream = read_events(events)
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "s.arrivals")
             ingest.save_cache(stream, path, KEY)
@@ -552,7 +728,7 @@ class TestCacheFormat:
     )
     @settings(max_examples=300, deadline=None)
     def test_corrupted_byte_is_rejected_or_still_consistent(self, pairs, data):
-        stream = ingest.normalize(
+        stream = read_events(
             [RawEvent(i, str(a), str(b)) for i, (a, b) in enumerate(pairs)]
         )
         with tempfile.TemporaryDirectory() as d:
@@ -576,7 +752,7 @@ class TestCacheFormat:
 
     def test_every_truncation_rejected(self, tmp_path):
         path = str(tmp_path / "small.arrivals")
-        ingest.save_cache(ingest.normalize(SMALL), path, KEY)
+        ingest.save_cache(read_events(SMALL), path, KEY)
         data = open(path, "rb").read()
         for cut in range(len(data)):
             with open(path, "wb") as f:
@@ -600,12 +776,12 @@ class TestCacheFormat:
         ],
     )
     def test_broken_invariant_rejected(self, tmp_path, field, index, value, message):
-        path = edited_sidecar(tmp_path, ingest.normalize(SMALL), field, index, value)
+        path = edited_sidecar(tmp_path, read_events(SMALL), field, index, value)
         with pytest.raises(ValueError, match=message):
             ingest.load_cache(path, KEY)
 
     def test_node_count_beyond_int32_rejected_without_links(self, tmp_path):
-        stream = ingest.normalize([RawEvent(0, "a", "a")])
+        stream = read_events([RawEvent(0, "a", "a")])
         path = edited_sidecar(tmp_path, stream, "final_n", 0, 2**31)
         with pytest.raises(ValueError, match="node count mismatch"):
             ingest.load_cache(path, KEY)

@@ -278,6 +278,9 @@ class TestOutputs:
             parts = record["dist_estimator"] + record["dist_bounds"]
             assert 0.0 <= parts <= record["dist"]
         assert sorted(timings["totals"]) == ["conn", "deg", "dist", "replay", "tri"]
+        # Load and write lie outside the checkpoint loop, so outside totals.
+        for key in ("load", "write"):
+            assert isinstance(timings[key], float) and timings[key] >= 0.0
         for key in ("dist_estimator", "dist_bounds"):
             assert timings["part_totals"][key] == pytest.approx(
                 sum(r[key] for r in timings["per_checkpoint"])
@@ -412,7 +415,7 @@ class TestDeterminismAndCache:
         run_evolution(cfg)  # writes the sidecar
         without = run_evolution(quick_config(path, nominal_checkpoints=6, use_cache=False))
 
-        def no_parse(events):
+        def no_parse(path, options):
             raise AssertionError("the second cached run parsed the input")
 
         monkeypatch.setattr(pipeline, "normalize", no_parse)
@@ -433,9 +436,9 @@ class TestDeterminismAndCache:
             f.write(b"NRSTRM03" + struct.pack("<2Q3q", 3, 2, *key) + columns)
         parses = []
 
-        def counted_normalize(events):
+        def counted_normalize(path, options):
             parses.append(1)
-            return ingest.normalize(events)
+            return ingest.normalize(path, options)
 
         monkeypatch.setattr(pipeline, "normalize", counted_normalize)
         stream = pipeline.load_stream(cfg)
@@ -481,3 +484,9 @@ class TestErrors:
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
             run_evolution(quick_config(tmp_path / "absent.txt"))
+
+    def test_distribution_dump_needs_degree_group(self):
+        # Without deg there is nothing to dump; the directory would be empty.
+        with pytest.raises(ValueError, match="dump_distributions needs the deg"):
+            RunConfig(input_path="x", stats=frozenset({"conn", "dist"}), dump_distributions=True)
+        RunConfig(input_path="x", stats=frozenset({"deg"}), dump_distributions=True)
