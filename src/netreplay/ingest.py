@@ -12,8 +12,9 @@ last line end). Each block is decoded once and split once; its lines' field
 counts come from array operations over its code points, its times from one
 ``int`` map, its node ids from one token dictionary kept across blocks, and
 its new links from ``np.unique`` on packed pair keys checked against the
-sorted keys kept so far. Beyond the stream's own arrays, working memory is
-the block, the dictionary (one entry per node) and 8 bytes per kept link.
+sorted keys kept so far. Beyond the stream's own arrays (filled in place in
+buffers that grow by doubling and are cut to size), working memory is the
+block, the dictionary (one entry per node) and 8 bytes per kept link.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -173,7 +174,11 @@ class _BlockNormalizer:
         # Packed keys of the links kept so far, sorted; the upper sentinel
         # keeps every search inside the array.
         self.kept = np.array([np.iinfo(np.int64).max])
-        self.columns = tuple([np.empty(0, dtype)] for dtype in _COLUMN_DTYPES)
+        # The kept events' columns, grown in place by doubling and cut to
+        # size at the end: per-block pieces joined at the end, or copies,
+        # leave freed holes that stay resident in the heap.
+        self.columns = [np.empty(1 << 12, dtype) for dtype in _COLUMN_DTYPES]
+        self.events = 0
 
     def feed(self, chunk: bytes) -> None:
         """Take whole lines: ``chunk`` is empty or ends with a line end."""
@@ -255,16 +260,24 @@ class _BlockNormalizer:
         new = self.kept[at] != keys
         self.kept = np.insert(self.kept, at[new], keys[new])
         keep = links[np.sort(at_first[new])]
-        for column, values, dtype in zip(self.columns, (u, v, times, seen), _COLUMN_DTYPES):
-            column.append(values[keep].astype(dtype))
+        done, self.events = self.events, self.events + keep.size
+        if self.events > self.columns[0].size:
+            size = max(self.events, 2 * self.columns[0].size)
+            for column in self.columns:
+                column.resize(size, refcheck=False)  # no view of a column is ever kept
+        for column, values in zip(self.columns, (u, v, times, seen)):
+            column[done : self.events] = values[keep]
 
     def stream(self) -> ArrivalStream:
         final_n = len(self.index)
         if final_n > _MAX_NODE:
             raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
-        self.columns[3].append(np.array([final_n], np.int64))
-        u, v, time, prefix = (np.concatenate(column) for column in self.columns)
-        return ArrivalStream(u, v, time, prefix, final_n=final_n, final_m=int(u.size))
+        m = self.events
+        for column, size in zip(self.columns, (m, m, m, m + 1)):
+            column.resize(size, refcheck=False)
+        u, v, time, prefix = self.columns
+        prefix[-1] = final_n
+        return ArrivalStream(u, v, time, prefix, final_n=final_n, final_m=m)
 
 
 def _whitespace(code: np.ndarray) -> np.ndarray:
