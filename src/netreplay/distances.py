@@ -13,8 +13,9 @@ Estimator sources and double-sweep starts are drawn 64 at a time and
 traversed together by a bit-parallel BFS (one ``uint64`` word per node, one
 bit per source), following Then et al., "The More the Merrier: Efficient
 Multi-Source Graph Traversal" (VLDB 2014); the stopping rules still consume
-them one by one. The BFS-tree bound runs one FIFO BFS with parents per root
-and takes the tree's exact diameter from subtree heights, level by level.
+them one by one; per level a byte histogram counts each source's new nodes.
+The BFS-tree bound runs one FIFO BFS with parents per root; a node on the
+deepest level ends a longest tree path, measured in one pass down the levels.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,6 +86,8 @@ class BatchResult(NamedTuple):
 
 
 _WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
+_BYTE_BINS = 256 * np.arange(8, dtype=np.uint16)  # one range of 256 bins per byte of a word
+_BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of byte value v
 
 
 def _bfs_levels(
@@ -97,27 +100,27 @@ def _bfs_levels(
     unreached), each reached node's FIFO parent (-1 at the source and where
     unreached), and each level's nodes in discovery order. The gathered
     entries of a level come in (frontier rank, neighbor) order, so a node's
-    first entry is the one a FIFO queue would pop it from; in particular the
-    children of one parent are contiguous within their level.
+    first entry is the one a FIFO queue would pop it from.
     """
     n = offsets.size - 1
     dist = np.full(n, -1, dtype=np.int32)
-    parent = np.full(n, -1, dtype=np.int32)
+    parent = np.full(n, -1, dtype=np.intp)
     first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)  # each node's first entry
     dist[source] = 0
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
     while True:
         nbrs, origin = frontier_neighbors(offsets, neighbors, frontier)
+        nbrs = nbrs.astype(np.intp)  # int32 fancy indices are cast on every use
         pos = np.flatnonzero(dist[nbrs] < 0)
         if pos.size == 0:
             break
         cand = nbrs[pos]
         np.minimum.at(first, cand, pos)
-        keep = pos[first[cand] == pos]
-        frontier = nbrs[keep].astype(np.int64)
+        keep = first[cand] == pos
+        frontier = cand[keep]
         dist[frontier] = len(levels)
-        parent[frontier] = origin[keep]
+        parent[frontier] = origin[pos[keep]]
         levels.append(frontier)
     return dist, parent, levels
 
@@ -138,7 +141,8 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
     n = snapshot.n
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"source out of range [0, {n})")
-    offsets, neighbors = snapshot.offsets, snapshot.neighbors
+    offsets = snapshot.offsets
+    neighbors = snapshot.neighbors.astype(np.intp)  # int32 fancy indices are cast on every use
     linked = np.flatnonzero(np.diff(offsets))
     # reduceat reads an empty segment as its next entry, so only nodes with
     # neighbors get one; their segments tile the adjacency array in order.
@@ -159,19 +163,24 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
         if hit.size == 0:
             break
         level += 1
-        seen = seen | frontier
-        # one row per newly reached node (ascending), one column per source
-        bits = np.unpackbits(
-            frontier[hit].astype("<u8").view(np.uint8).reshape(hit.size, 8),
-            axis=1,
-            bitorder="little",
-        )[:, :k]
-        counts = bits.sum(axis=0, dtype=np.int64)
+        seen |= frontier
+        words = frontier[hit].astype("<u8", copy=False)
+        # bit b of byte j is source 8j + b: histogram each byte position's
+        # values, then read the bits of each value off _BYTE_BITS
+        octets = words.view(np.uint8).reshape(hit.size, 8) + _BYTE_BINS
+        histogram = np.bincount(octets.ravel(), minlength=8 * 256).reshape(8, 256)
+        counts = (histogram @ _BYTE_BITS).ravel()[:k]
         sums += level * counts
         reached += counts
-        got = counts > 0
+        # in ascending node order, a row whose running OR gains a bit holds
+        # that source's smallest-index node at this level
+        grown = np.bitwise_or.accumulate(words)
+        rows = np.flatnonzero(np.diff(grown, prepend=np.uint64(0)))
+        gained = np.diff(grown[rows], prepend=np.uint64(0))  # a superset minus its subset
+        bits = np.unpackbits(gained.view(np.uint8).reshape(rows.size, 8), axis=1, bitorder="little")
+        row, got = np.nonzero(bits)
         ecc[got] = level
-        far[got] = hit[bits.argmax(axis=0)[got]]
+        far[got] = hit[rows[row]]
     return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
 
 
@@ -217,27 +226,25 @@ def estimate_average_distance(
 
 
 def _tree_diameter(parent: np.ndarray, levels: list[np.ndarray]) -> int:
-    """Exact diameter of the tree given by ``parent``, from subtree heights.
+    """Exact diameter of the tree given by ``parent`` and its ``levels``.
 
-    ``levels`` are the tree's levels as :func:`_bfs_levels` returns them, so
-    all children of a node sit in the next level and are contiguous there.
-    Going up from the deepest level, each node's two tallest child subtrees
-    give the longest path that turns at it.
+    A node farthest from any node of a tree ends a longest path, so the
+    first node of the deepest level does. Its tree distance to a node at
+    level l is depth + l - 2b, where b is the level at which that node's
+    root path leaves its own; going down the levels once carries b.
     """
-    height = np.zeros(parent.size, dtype=np.int64)
-    diameter = 0
-    for kids in reversed(levels[1:]):
-        up = height[kids] + 1  # height of each kid's subtree, seen from its parent
-        owner = parent[kids]
-        opens = np.concatenate(([True], owner[1:] != owner[:-1]))  # a new parent's run
-        first = np.flatnonzero(opens)
-        top = np.maximum.reduceat(up, first)
-        is_top = up == top[np.cumsum(opens) - 1]
-        tops = np.add.reduceat(is_top, first)
-        rest = np.maximum.reduceat(np.where(is_top, 0, up), first)
-        second = np.where(tops > 1, top, rest)
-        diameter = max(diameter, int((top + second).max()))
-        height[owner[first]] = top
+    depth = len(levels) - 1
+    branch = np.zeros(parent.size, dtype=np.int64)
+    v = int(levels[-1][0])
+    for level in range(depth, 0, -1):  # the end's root path leaves itself at its own level
+        branch[v] = level
+        v = parent[v]
+    diameter = depth
+    for level in range(1, depth + 1):
+        kids = levels[level]
+        # a node on the end's root path keeps its own level; any other takes its parent's
+        branch[kids] = b = np.maximum(branch[kids], branch[parent[kids]])
+        diameter = max(diameter, depth + level - 2 * int(b.min()))
     return diameter
 
 
@@ -247,7 +254,7 @@ def diameter_upper_bound(snapshot: Snapshot, giant_mask: np.ndarray, root: int) 
     The tree spans the giant component with a subset of its links, so every
     graph distance is at most the tree distance and the tree diameter bounds
     the graph diameter from above. The tree is the FIFO one (see
-    :func:`_bfs_levels`); its diameter comes from subtree heights.
+    :func:`_bfs_levels`); its diameter comes from one root path.
     """
     if not giant_mask[root]:
         raise ValueError(f"root {root} is outside the giant component")
@@ -277,33 +284,25 @@ def diameter_bounds(
     deg = snapshot.degrees
     root_order = nodes[np.lexsort((nodes, -deg[nodes]))]
     rng = np.random.default_rng(config.rng_seed)
-    lower = 0
-    upper: Optional[int] = None
+    lower, upper = 0, math.inf
     lowers: list[int] = []
     uppers: list[int] = []
-    t = 0
-    while True:
-        t += 1
-        if (t - 1) % _WORD == 0:  # double sweeps for this round and the next 63
+    for t in range(config.iteration_cap):
+        if t % _WORD == 0:  # double sweeps for this round and the next 63
             starts = nodes[rng.integers(nodes.size, size=_WORD)]
             ends = bfs_batch(snapshot, starts).farthest
             sweeps = bfs_batch(snapshot, ends).eccentricity
-        candidate = int(sweeps[(t - 1) % _WORD])
-        if candidate > lower:
-            lower = candidate
-        root = int(root_order[(t - 1) % root_order.size])
-        tree_bound = diameter_upper_bound(snapshot, giant_mask, root)
-        upper = tree_bound if upper is None else min(upper, tree_bound)
+        lower = max(lower, int(sweeps[t % _WORD]))
+        root = int(root_order[t % root_order.size])
+        upper = min(upper, diameter_upper_bound(snapshot, giant_mask, root))
         lowers.append(lower)
         uppers.append(upper)
-        if t >= config.iteration_cap:
-            break
-        if t >= config.min_iterations and upper - lower < config.gap_target:
+        if t + 1 >= config.min_iterations and upper - lower < config.gap_target:
             break
     return BoundsOutcome(
         lower=lower,
         upper=upper,
-        iterations=t,
+        iterations=len(uppers),
         converged=upper - lower < config.gap_target,
         lower_history=tuple(lowers),
         upper_history=tuple(uppers),

@@ -35,6 +35,7 @@ import numpy as np
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import BasicStats, cumulative, ks_statistic, stats_from_counts
 from netreplay.distances import (
+    _WORD,
     BoundConfig,
     EstimatorConfig,
     diameter_bounds,
@@ -75,6 +76,7 @@ SERIES = {
 }
 STAT_GROUPS = tuple(SERIES)
 _TIMING_PARTS = ("dist_estimator", "dist_bounds")  # timed inside "dist"
+_WORK_COUNTS = ("dist_batches", "dist_tree_bfs")  # counted, not timed
 
 
 @dataclass(frozen=True)
@@ -295,9 +297,9 @@ def _measure(
     group measures the K-S distance of the snapshot's degree tail to
     ``final_tail``, the final graph's, and appends the snapshot's dense
     degree histogram to ``dists`` when distributions are dumped. The
-    distance group records its estimator's and bounds' wall time in
-    ``timing``; the triangle group reads row ``k`` (place in the plan) of
-    the lazy ``tri_counts()``."""
+    distance group records in ``timing`` its estimator's and bounds' wall
+    time and its work: ``bfs_batch`` calls and tree BFS runs. The triangle
+    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``."""
     if group == "conn":
         return components.count, components.giant_size / snapshot.n
     if group == "deg":
@@ -310,6 +312,7 @@ def _measure(
         totals, per_node = tri_counts()
         return analyze_triangles(snapshot, basic, int(totals[k]), per_node[k, : snapshot.n])
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
+    timing["dist_batches"] = timing["dist_tree_bfs"] = 0
     if components.giant_size < 2:
         return None
     giant = components.giant_mask()
@@ -325,6 +328,9 @@ def _measure(
     bounds = diameter_bounds(snapshot, giant, bnd_cfg)
     timing["dist_estimator"] = t1 - t0
     timing["dist_bounds"] = _time.perf_counter() - t1
+    # 64-source bfs_batch calls: estimator blocks, then two per block of sweeps
+    timing["dist_batches"] = -(-samples // _WORD) + 2 * -(-bounds.iterations // _WORD)
+    timing["dist_tree_bfs"] = bounds.iterations
     return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
 
@@ -398,21 +404,24 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
                     f.write(f"{k},{c},{_format_value(c / record.n)},{_format_value(tail[k])}\n")
     # "totals" keeps one key per timed step of the checkpoint loop, so its
     # values sum to the loop's timed part; parts of a step ("dist" =
-    # estimator + bounds) are totalled apart in "part_totals". "load" (the
-    # stream, parsed or from the cache) and "write" (every output file but
-    # this one) lie outside the loop and stand apart from both.
+    # estimator + bounds) are totalled apart in "part_totals", and work
+    # counts in "work". "load" (the stream, parsed or from the cache) and
+    # "write" (every output file but this one) lie outside the loop and
+    # stand apart from all three.
     totals: dict[str, float] = {}
     part_totals: dict[str, float] = {}
+    work = dict.fromkeys(_WORK_COUNTS, 0)
     for t in checkpoint_timings:
         for k, v in t.items():
             if k != "checkpoint":
-                into = part_totals if k in _TIMING_PARTS else totals
+                into = work if k in _WORK_COUNTS else part_totals if k in _TIMING_PARTS else totals
                 into[k] = into.get(k, 0.0) + v
     timings = {
         "load": load_s,
         "part_totals": part_totals,
         "per_checkpoint": checkpoint_timings,
         "totals": totals,
+        "work": work,
         "write": _time.perf_counter() - t_write,
     }
     with open(os.path.join(out, "timings.json"), "w", encoding="utf-8", newline="\n") as f:

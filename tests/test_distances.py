@@ -35,6 +35,7 @@ from oracles import (
     components,
     diameter_lower_bound,
     mean_distance_from,
+    tree_diameter_brute,
 )
 
 
@@ -136,6 +137,45 @@ class TestBfsBatch:
     def test_full_word_of_sources(self):
         edges = connected_random_graph(8, 70, 0.06)
         self.check_against_oracle(70, edges, list(range(64)))
+
+    @pytest.mark.parametrize("k", [1, 7, 8, 9, 63, 64])
+    def test_batch_sizes_around_byte_boundaries(self, k):
+        rng = np.random.default_rng(k)
+        for seed in range(4):
+            n = int(rng.integers(2, 100))
+            edges = random_edges(rng, n, float(rng.uniform(0.02, 0.15)))
+            self.check_against_oracle(n, edges, rng.integers(n, size=k).tolist())
+
+    def test_repeated_sources(self):
+        edges = connected_random_graph(5, 40, 0.08)
+        self.check_against_oracle(40, edges, [7] * 64)
+        self.check_against_oracle(40, edges, [3, 9] * 32)
+        # each pair of equal sources straddles a byte boundary: bits 7 and 8, 15 and 16, ...
+        self.check_against_oracle(40, edges, [(i + 1) // 2 for i in range(64)])
+
+    def test_sources_in_different_bytes_meet_at_one_node(self):
+        # every leaf of a star reaches the hub at hop 1, so every byte of
+        # the hub's word is set at once
+        star = [(0, i) for i in range(1, 65)]
+        self.check_against_oracle(65, star, list(range(1, 65)))
+        self.check_against_oracle(65, star, [1 + 8 * j for j in range(8)])
+        # hub 0 is at hop 1 from its own leaves and at hop 2 from hub 21's,
+        # whose bits interleave with theirs in every byte
+        hubs = [(0, i) for i in range(1, 21)] + [(21, i) for i in range(22, 41)] + [(0, 21)]
+        sources = [1, 22, 2, 23, 3, 24, 4, 25, 5, 26] * 6 + [40, 20, 0, 21]
+        self.check_against_oracle(41, hubs, sources)
+
+    def test_farthest_ties_at_last_level(self):
+        # from a star's leaf every other leaf is at hop 2: the smallest wins
+        star = [(0, i) for i in range(1, 65)]
+        got = bfs_batch(snapshot_from_edges(star, n=65), list(range(1, 65)))
+        assert got.eccentricity.tolist() == [2] * 64
+        assert got.farthest.tolist() == [2] + [1] * 63
+        # on a 9-cycle each node has two nodes at hop 4
+        sources = list(range(9)) * 7 + [8]
+        got = bfs_batch(snapshot_from_edges(cycle_edges(9)), sources)
+        assert got.farthest.tolist() == [min((s + 4) % 9, (s + 5) % 9) for s in sources]
+        self.check_against_oracle(9, cycle_edges(9), sources)
 
     def test_batch_size_limits(self):
         snap = snapshot_from_edges(path_edges(70))
@@ -410,6 +450,40 @@ class TestUpperBound:
         with pytest.raises(ValueError):
             diameter_upper_bound(snap, mask, 3)
 
+    def test_matches_brute_force_tree_diameter(self):
+        rng = np.random.default_rng(53)
+        for _ in range(40):
+            # a random spanning tree plus G(n, p) links, from near-trees to dense graphs
+            n = int(rng.integers(2, 70))
+            tree = {(int(rng.integers(v)), v) for v in range(1, n)}
+            edges = tree | set(random_edges(rng, n, float(rng.uniform(0.0, 0.3))))
+            snap = snapshot_from_edges(sorted(edges), n=n)
+            for root in rng.choice(n, size=min(n, 4), replace=False).tolist():
+                assert diameter_upper_bound(snap, full_mask(n), root) == tree_diameter_brute(
+                    snap, root
+                )
+
+    @pytest.mark.parametrize(
+        "edges, root, want",
+        [
+            ([(0, 1)], 1, 1),
+            (path_edges(7), 0, 6),
+            (path_edges(7), 3, 6),
+            ([(0, i) for i in range(1, 7)], 0, 2),
+            ([(0, i) for i in range(1, 7)], 4, 2),
+            # three arms of equal length: several deepest nodes
+            ([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)], 0, 6),
+            # both ends of the longest path lie below node 2, away from the root
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)], 0, 6),
+            # one end (5) is the only deepest node, the other (8) is not deepest
+            ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 7), (7, 8)], 0, 7),
+        ],
+    )
+    def test_small_trees_against_brute_force(self, edges, root, want):
+        snap = snapshot_from_edges(edges)
+        assert tree_diameter_brute(snap, root) == want
+        assert diameter_upper_bound(snap, full_mask(snap.n), root) == want
+
     def test_height_diameter_equals_two_sweep_tree_diameter(self):
         rng = np.random.default_rng(47)
         for _ in range(40):
@@ -524,6 +598,14 @@ def connected_graphs(draw):
 
 
 class TestBracketProperty:
+    @given(connected_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_tree_bound_equals_brute_force_from_every_root(self, case):
+        n, edges = case
+        snap = snapshot_from_edges(edges, n=n)
+        for root in range(n):
+            assert diameter_upper_bound(snap, full_mask(n), root) == tree_diameter_brute(snap, root)
+
     @given(connected_graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_bounds_always_bracket_truth(self, case, seed):

@@ -286,6 +286,52 @@ class TestOutputs:
                 sum(r[key] for r in timings["per_checkpoint"])
             )
 
+    def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):
+        from netreplay import distances
+
+        calls = {"dist_batches": 0, "dist_tree_bfs": 0}
+
+        def counted(fn, key):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(distances, "bfs_batch", counted(distances.bfs_batch, "dist_batches"))
+        monkeypatch.setattr(
+            distances,
+            "diameter_upper_bound",
+            counted(distances.diameter_upper_bound, "dist_tree_bfs"),
+        )
+        # above 64 samples or rounds a checkpoint needs more than one batch
+        _, out = self.run_to_dir(
+            tmp_path,
+            "outw",
+            estimator=EstimatorConfig(i_min=70, epsilon=0.01),
+            bounds=BoundConfig(min_iterations=65, gap_target=1, iteration_cap=130),
+        )
+
+        def column(name):
+            rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+            return [int(row.rsplit(",", 1)[1]) for row in rows if not row.endswith(",")]
+
+        samples = column("average_distance_samples")
+        iterations = column("diameter_iterations")
+        assert len(samples) == len(iterations) > 1
+        assert max(samples) > 64 and max(iterations) > 64
+        work = json.loads((out / "timings.json").read_text())["work"]
+        assert work == calls
+        assert work == {
+            "dist_batches": sum(-(-s // 64) + 2 * -(-i // 64) for s, i in zip(samples, iterations)),
+            "dist_tree_bfs": sum(iterations),
+        }
+
+    def test_work_counts_zero_without_distances(self, tmp_path):
+        _, out = self.run_to_dir(tmp_path, "outz", stats=frozenset({"conn", "deg"}))
+        work = json.loads((out / "timings.json").read_text())["work"]
+        assert work == {"dist_batches": 0, "dist_tree_bfs": 0}
+
     def test_csv_round_numbers_survive(self, tmp_path):
         result, out = self.run_to_dir(tmp_path, "out")
         lines = (out / "average_degree.csv").read_text().splitlines()
