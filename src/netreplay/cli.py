@@ -13,11 +13,24 @@ import os
 import sys
 
 from netreplay.distances import BoundConfig, EstimatorConfig
-from netreplay.generate import generate, write_stream
+from netreplay.generate import MODELS, generate, write_stream
 from netreplay.pipeline import STAT_GROUPS, RunConfig, run_evolution
 
 DEFAULT_OUT = "netreplay-out"
 OUT_ENV_VAR = "NETREPLAY_OUT"
+# gen's model parameters: flag type, metavar and what it sets
+_GEN_FLAGS = {
+    "nodes": (int, "N", "node count"),
+    "prob": (float, "P", "link probability"),
+    "links_per_node": (int, "K", "links per new node"),
+    "phase1_nodes": (int, "N1", "phase 1 size"),
+    "phase2_nodes": (int, "N2", "phase 2 size"),
+    "extra_per_node": (int, "R", "extra links per phase 2 node"),
+}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -29,21 +42,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
     an = sub.add_parser("analyze", help="replay a trace and compute per-checkpoint statistics")
     an.add_argument("input", help="trace file, optionally .gz")
-    an.add_argument("--checkpoints", type=int, default=100, metavar="K",
-                    help="nominal number of checkpoints (default 100)")
-    an.add_argument("--seed", type=int, default=0, metavar="S",
-                    help="global random seed (default 0)")
+    an.add_argument("--checkpoints", type=int, default=RunConfig.nominal_checkpoints,
+                    metavar="K", help="nominal number of checkpoints (default %(default)s)")
+    an.add_argument("--seed", type=int, default=RunConfig.seed, metavar="S",
+                    help="global random seed (default %(default)s)")
     an.add_argument("--stats", default=",".join(STAT_GROUPS), metavar="GROUPS",
-                    help="comma list from conn,deg,dist,tri (default all)")
-    an.add_argument("--imin", type=int, default=10, metavar="I",
+                    help=f"comma list from {','.join(STAT_GROUPS)} (default all)")
+    an.add_argument("--imin", type=int, default=EstimatorConfig.i_min, metavar="I",
                     help="minimum samples before the distance estimator may stop")
-    an.add_argument("--eps", type=float, default=0.1, metavar="E",
+    an.add_argument("--eps", type=float, default=EstimatorConfig.epsilon, metavar="E",
                     help="stability threshold for the distance estimator")
-    an.add_argument("--gap", type=int, default=5, metavar="G",
+    an.add_argument("--gap", type=int, default=BoundConfig.gap_target, metavar="G",
                     help="diameter bracket width that counts as converged")
-    an.add_argument("--min-iters", type=int, default=10, metavar="T",
+    an.add_argument("--min-iters", type=int, default=BoundConfig.min_iterations, metavar="T",
                     help="minimum diameter bounding iterations")
-    an.add_argument("--cap", type=int, default=100, metavar="C",
+    an.add_argument("--cap", type=int, default=BoundConfig.iteration_cap, metavar="C",
                     help="hard cap on diameter bounding iterations")
     an.add_argument("--out", default=None, metavar="DIR", help="output directory")
     an.add_argument("--dump-distributions", action="store_true",
@@ -52,37 +65,23 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="ignore and do not write the binary stream cache")
 
     gen = sub.add_parser("gen", help="generate a synthetic trace")
-    gen.add_argument(
-        "model",
-        choices=["path", "complete", "random-gnp", "preferential-attachment", "two-phase"],
-    )
-    gen.add_argument("--nodes", type=int, metavar="N", help="node count (path, complete, random-gnp, preferential-attachment)")
-    gen.add_argument("--prob", type=float, metavar="P", help="link probability (random-gnp)")
-    gen.add_argument("--links-per-node", type=int, metavar="K",
-                     help="links per new node (preferential-attachment, two-phase)")
-    gen.add_argument("--phase1-nodes", type=int, metavar="N1", help="phase 1 size (two-phase)")
-    gen.add_argument("--phase2-nodes", type=int, metavar="N2", help="phase 2 size (two-phase)")
-    gen.add_argument("--extra-per-node", type=int, metavar="R",
-                     help="extra links per phase 2 node (two-phase)")
-    gen.add_argument("--seed", type=int, default=0, metavar="S")
+    gen.add_argument("model", choices=list(MODELS))
+    for name, (kind, metavar, text) in _GEN_FLAGS.items():
+        users = ", ".join(model for model, spec in MODELS.items() if name in spec.params)
+        gen.add_argument(_flag(name), type=kind, metavar=metavar, help=f"{text} ({users})")
+    gen.add_argument("--seed", type=int, metavar="S")
     gen.add_argument("--out", required=True, metavar="FILE", help="trace file to write")
     return parser
 
 
 def _gen_params(args) -> dict:
-    required = {
-        "path": ["nodes"],
-        "complete": ["nodes"],
-        "random-gnp": ["nodes", "prob"],
-        "preferential-attachment": ["nodes", "links_per_node"],
-        "two-phase": ["phase1_nodes", "links_per_node", "phase2_nodes", "extra_per_node"],
-    }[args.model]
-    params = {}
-    for name in required:
+    """The model's parameters from the flags, and the seed when one is given;
+    ``generate`` supplies the default seed."""
+    params = {} if args.seed is None else {"seed": args.seed}
+    for name in MODELS[args.model].params:
         value = getattr(args, name)
         if value is None:
-            flag = "--" + name.replace("_", "-")
-            raise SystemExit(f"netreplay gen {args.model}: missing {flag}")
+            raise SystemExit(f"netreplay gen {args.model}: missing {_flag(name)}")
         params[name] = value
     return params
 
@@ -112,7 +111,7 @@ def _run_analyze(args) -> int:
 
 
 def _run_gen(args) -> int:
-    stream = generate(args.model, seed=args.seed, **_gen_params(args))
+    stream = generate(args.model, **_gen_params(args))
     write_stream(args.out, stream)
     print(f"wrote {len(stream[0])} events to {args.out}")
     return 0

@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from netreplay.graph import Snapshot, frontier_neighbors
+from netreplay.graph import Snapshot
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class EstimatorConfig:
 
     i_min: int = 10
     epsilon: float = 0.1
-    rng_seed: object = 0
 
     def __post_init__(self):
         if self.i_min < 1:
@@ -56,7 +55,6 @@ class BoundConfig:
     min_iterations: int = 10
     gap_target: int = 5
     iteration_cap: int = 100
-    rng_seed: object = 0
 
     def __post_init__(self):
         if self.min_iterations < 1:
@@ -92,37 +90,43 @@ _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of
 
 def _bfs_levels(
     offsets: np.ndarray, neighbors: np.ndarray, source: int
-) -> tuple[np.ndarray, np.ndarray, list[np.ndarray]]:
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Level-synchronous BFS equivalent to a FIFO queue with neighbors
     visited in ascending order.
 
-    Returns (dist, parent, levels): hops from ``source`` (-1 where
-    unreached), each reached node's FIFO parent (-1 at the source and where
-    unreached), and each level's nodes in discovery order. The gathered
-    entries of a level come in (frontier rank, neighbor) order, so a node's
-    first entry is the one a FIFO queue would pop it from.
+    Returns (parent, levels): each reached node's FIFO parent (-1 at the
+    source and where unreached), and each level's nodes in discovery order.
+    A level gathers its frontier's neighbor segments in (frontier rank,
+    neighbor) order, so a node's first entry is the one a FIFO queue would
+    pop it from.
     """
     n = offsets.size - 1
-    dist = np.full(n, -1, dtype=np.int32)
+    seen = np.zeros(n, dtype=bool)
     parent = np.full(n, -1, dtype=np.intp)
     first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)  # each node's first entry
-    dist[source] = 0
+    seen[source] = True
     frontier = np.array([source], dtype=np.int64)
     levels = [frontier]
     while True:
-        nbrs, origin = frontier_neighbors(offsets, neighbors, frontier)
-        nbrs = nbrs.astype(np.intp)  # int32 fancy indices are cast on every use
-        pos = np.flatnonzero(dist[nbrs] < 0)
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        total = int(counts.sum())
+        if total == 0:
+            break
+        ends = np.cumsum(counts)
+        entries = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
+        nbrs = neighbors[entries].astype(np.intp)  # int32 fancy indices are cast on every use
+        pos = np.flatnonzero(~seen[nbrs])
         if pos.size == 0:
             break
         cand = nbrs[pos]
         np.minimum.at(first, cand, pos)
         keep = first[cand] == pos
+        parent[cand[keep]] = np.repeat(frontier, counts)[pos[keep]]
         frontier = cand[keep]
-        dist[frontier] = len(levels)
-        parent[frontier] = origin[pos[keep]]
+        seen[frontier] = True
         levels.append(frontier)
-    return dist, parent, levels
+    return parent, levels
 
 
 def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
@@ -184,8 +188,15 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
     return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
 
 
+def bfs_batch_calls(samples: int, iterations: int) -> int:
+    """:func:`bfs_batch` calls behind an estimate of ``samples`` sources and
+    a bracket of ``iterations`` rounds: one per block of 64 samples, two per
+    block of 64 double sweeps."""
+    return -(-samples // _WORD) + 2 * -(-iterations // _WORD)
+
+
 def estimate_average_distance(
-    snapshot: Snapshot, giant_mask: np.ndarray, config: EstimatorConfig = EstimatorConfig()
+    snapshot: Snapshot, giant_mask: np.ndarray, config: EstimatorConfig = EstimatorConfig(), seed=0
 ) -> tuple[float, int]:
     """Sampled average distance over the giant component.
 
@@ -193,7 +204,7 @@ def estimate_average_distance(
     mean of their mean distances, and stops once ``config.i_min`` successive
     estimates in a row each changed by less than ``config.epsilon``. Returns
     (estimate, number of sources sampled); the sample count is always at
-    least i_min + 1.
+    least i_min + 1. The draws come from ``numpy.random.default_rng(seed)``.
 
     Sources are drawn and traversed in blocks of 64; a block draw yields the
     same sources as 64 single draws, and the rule consumes them in order, so
@@ -205,7 +216,7 @@ def estimate_average_distance(
     if nodes.size < 2:
         raise ValueError("giant component must have at least 2 nodes")
     size = int(nodes.size)
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     samples: list[float] = []
     means: list[float] = []
     while True:
@@ -258,12 +269,12 @@ def diameter_upper_bound(snapshot: Snapshot, giant_mask: np.ndarray, root: int) 
     """
     if not giant_mask[root]:
         raise ValueError(f"root {root} is outside the giant component")
-    _, parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbors, root)
+    parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbors, root)
     return _tree_diameter(parent, levels)
 
 
 def diameter_bounds(
-    snapshot: Snapshot, giant_mask: np.ndarray, config: BoundConfig = BoundConfig()
+    snapshot: Snapshot, giant_mask: np.ndarray, config: BoundConfig = BoundConfig(), seed=0
 ) -> BoundsOutcome:
     """Iterated sandwich of the giant component's diameter.
 
@@ -271,7 +282,8 @@ def diameter_bounds(
     lower bound) and one BFS-tree bound from the next root in degree-descending
     order (lowering the upper bound), so the bracket can only tighten. Stops
     after at least ``min_iterations`` rounds once upper - lower < gap_target,
-    or unconditionally at ``iteration_cap``.
+    or unconditionally at ``iteration_cap``. The sweep starts come from
+    ``numpy.random.default_rng(seed)``.
 
     The double sweeps run 64 rounds ahead: one batch BFS from 64 drawn starts,
     then one from the 64 farthest nodes it found. Round t reads entry t, so
@@ -283,7 +295,7 @@ def diameter_bounds(
         raise ValueError("giant component must have at least 2 nodes")
     deg = snapshot.degrees
     root_order = nodes[np.lexsort((nodes, -deg[nodes]))]
-    rng = np.random.default_rng(config.rng_seed)
+    rng = np.random.default_rng(seed)
     lower, upper = 0, math.inf
     lowers: list[int] = []
     uppers: list[int] = []

@@ -11,6 +11,7 @@ for exercising statistics that should visibly react to the change.
 from __future__ import annotations
 
 import gzip
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -150,22 +151,28 @@ def write_stream(path: str, stream: Stream) -> None:
             f.write(f"{t} {u} {v}\n")
 
 
+class Model(NamedTuple):
+    generator: Callable[..., Stream]
+    params: tuple[str, ...]  # the generator's arguments before the seed, in order
+    seeded: bool  # the generator takes a trailing seed
+
+
+# The one place each model is declared; parameter names match the CLI flags.
+MODELS = {
+    "path": Model(gen_path, ("nodes",), False),
+    "complete": Model(gen_complete, ("nodes",), False),
+    "random-gnp": Model(gen_gnp, ("nodes", "prob"), True),
+    "preferential-attachment": Model(gen_preferential, ("nodes", "links_per_node"), True),
+    "two-phase": Model(
+        gen_two_phase, ("phase1_nodes", "links_per_node", "phase2_nodes", "extra_per_node"), True
+    ),
+}
+
+
 def generate(model: str, seed: int = 0, **params) -> Stream:
-    """Dispatch by model name; parameter names match the CLI flags."""
-    if model == "path":
-        return gen_path(params["nodes"])
-    if model == "complete":
-        return gen_complete(params["nodes"])
-    if model == "random-gnp":
-        return gen_gnp(params["nodes"], params["prob"], seed)
-    if model == "preferential-attachment":
-        return gen_preferential(params["nodes"], params["links_per_node"], seed)
-    if model == "two-phase":
-        return gen_two_phase(
-            params["phase1_nodes"],
-            params["links_per_node"],
-            params["phase2_nodes"],
-            params["extra_per_node"],
-            seed,
-        )
-    raise ValueError(f"unknown model {model!r}")
+    """Dispatch by model name to ``MODELS``."""
+    if model not in MODELS:
+        raise ValueError(f"unknown model {model!r}")
+    generator, names, seeded = MODELS[model]
+    args = [params[name] for name in names]
+    return generator(*args, seed) if seeded else generator(*args)

@@ -93,22 +93,3 @@ def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:
         raise ValueError(f"n={n} smaller than largest endpoint range {span}")
     return finalize_snapshot(arrival_csr(u, v, n), len(pairs), n)
 
-
-def frontier_neighbors(
-    offsets: np.ndarray, neighbors: np.ndarray, frontier: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Gather the concatenated neighbor lists of ``frontier`` in order.
-
-    Returns (gathered neighbors, matching source per entry). Entry order is
-    frontier order, ascending within each node's segment; BFS layers built
-    from this reproduce a FIFO traversal with ascending tie-breaks.
-    """
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        e = np.empty(0, dtype=neighbors.dtype)
-        return e, np.empty(0, dtype=frontier.dtype)
-    ends = np.cumsum(counts)
-    idx = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
-    return neighbors[idx], np.repeat(frontier, counts)

@@ -35,9 +35,9 @@ import numpy as np
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import BasicStats, cumulative, ks_statistic, stats_from_counts
 from netreplay.distances import (
-    _WORD,
     BoundConfig,
     EstimatorConfig,
+    bfs_batch_calls,
     diameter_bounds,
     estimate_average_distance,
 )
@@ -102,6 +102,8 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown statistic groups: {sorted(unknown)}")
         object.__setattr__(self, "stats", groups)
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.nominal_checkpoints < 1:
             raise ValueError("nominal_checkpoints must be at least 1")
         if self.dump_distributions and "deg" not in groups:
@@ -138,15 +140,6 @@ class EvolutionSeries:
         self.times.append(record.time)
         self.values.append(value)
 
-    def rows(self):
-        return zip(self.checkpoint_indices, self.ns, self.ms, self.times, self.values)
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            f.write("checkpoint,n,m,time,value\n")
-            for ci, n, m, t, v in self.rows():
-                f.write(f"{ci},{n},{m},{t},{_format_value(v)}\n")
-
 
 @dataclass
 class RunResult:
@@ -156,10 +149,13 @@ class RunResult:
     checkpoints: list[CheckpointRecord]
     series: dict[str, EvolutionSeries]
     manifest: dict
-    out_dir: Optional[str]
 
 
 def _format_value(v) -> str:
+    if type(v) is int:  # the common cells first: exact types, so never a bool
+        return str(v)
+    if type(v) is float:
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, bool):
@@ -167,6 +163,13 @@ def _format_value(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))
+
+
+def _write_csv(path: str, header: str, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(header + "\n")
+        for row in rows:
+            f.write(",".join(map(_format_value, row)) + "\n")
 
 
 def load_stream(config: RunConfig) -> ArrivalStream:
@@ -219,7 +222,7 @@ def run_evolution(config: RunConfig) -> RunResult:
     csr = arrival_csr(stream.u, stream.v, stream.final_n)
     label = np.arange(stream.final_n)
     records: list[CheckpointRecord] = []
-    values: dict[str, list] = {name: [] for group in groups for name in SERIES[group]}
+    series = {name: EvolutionSeries(name) for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
     plan = checkpoint_plan(stream, sizes)
     positions = np.array([position for _, _, position, _ in plan], dtype=np.int64)
@@ -254,7 +257,7 @@ def run_evolution(config: RunConfig) -> RunResult:
                     final_tail, dists,
                 )
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
-                    values[name].append(value)
+                    series[name].append(record, value)
                 timing[group] = _time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(
@@ -264,13 +267,6 @@ def run_evolution(config: RunConfig) -> RunResult:
         checkpoint_timings.append(timing)
         t_replay = _time.perf_counter()
 
-    series = {}
-    for name, column in values.items():
-        s = EvolutionSeries(name=name)
-        for record, value in zip(records, column):
-            s.append(record, value)
-        series[name] = s
-
     manifest = _build_manifest(config, stream, sizes, records, series)
     result = RunResult(
         config=config,
@@ -279,7 +275,6 @@ def run_evolution(config: RunConfig) -> RunResult:
         checkpoints=records,
         series=series,
         manifest=manifest,
-        out_dir=config.out_dir,
     )
     if config.out_dir is not None:
         _write_outputs(result, dists, checkpoint_timings, load_s)
@@ -316,20 +311,17 @@ def _measure(
     if components.giant_size < 2:
         return None
     giant = components.giant_mask()
-    est_cfg = dataclasses.replace(
-        config.estimator, rng_seed=checkpoint_estimator_seed(config.seed, checkpoint_index)
-    )
     t0 = _time.perf_counter()
-    estimate, samples = estimate_average_distance(snapshot, giant, est_cfg)
-    t1 = _time.perf_counter()
-    bnd_cfg = dataclasses.replace(
-        config.bounds, rng_seed=checkpoint_bounds_seed(config.seed, checkpoint_index)
+    estimate, samples = estimate_average_distance(
+        snapshot, giant, config.estimator, checkpoint_estimator_seed(config.seed, checkpoint_index)
     )
-    bounds = diameter_bounds(snapshot, giant, bnd_cfg)
+    t1 = _time.perf_counter()
+    bounds = diameter_bounds(
+        snapshot, giant, config.bounds, checkpoint_bounds_seed(config.seed, checkpoint_index)
+    )
     timing["dist_estimator"] = t1 - t0
     timing["dist_bounds"] = _time.perf_counter() - t1
-    # 64-source bfs_batch calls: estimator blocks, then two per block of sweeps
-    timing["dist_batches"] = -(-samples // _WORD) + 2 * -(-bounds.iterations // _WORD)
+    timing["dist_batches"] = bfs_batch_calls(samples, bounds.iterations)
     timing["dist_tree_bfs"] = bounds.iterations
     return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
@@ -346,26 +338,12 @@ def _build_manifest(config, stream, sizes, records, series) -> dict:
         "seed": config.seed,
         "nominal_checkpoints": config.nominal_checkpoints,
         "stats": sorted(config.stats),
-        "estimator": {"i_min": config.estimator.i_min, "epsilon": config.estimator.epsilon},
-        "bounds": {
-            "min_iterations": config.bounds.min_iterations,
-            "gap_target": config.bounds.gap_target,
-            "iteration_cap": config.bounds.iteration_cap,
-        },
+        "estimator": dataclasses.asdict(config.estimator),
+        "bounds": dataclasses.asdict(config.bounds),
         "final_n": stream.final_n,
         "final_m": stream.final_m,
         "scheduled_targets": list(sizes),
-        "checkpoints": [
-            {
-                "index": r.index,
-                "target_n": r.target_n,
-                "position": r.position,
-                "n": r.n,
-                "m": r.m,
-                "time": r.time,
-            }
-            for r in records
-        ],
+        "checkpoints": [dataclasses.asdict(r) for r in records],
         "series": {name: f"{name}.csv" for name in series},
         "extra_files": ["growth.csv", "links_vs_nodes.csv", "plots.gp"],
         "timings_file": "timings.json",
@@ -374,18 +352,21 @@ def _build_manifest(config, stream, sizes, records, series) -> dict:
 
 def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) -> None:
     t_write = _time.perf_counter()
-    out = result.out_dir
+    out = result.config.out_dir
     os.makedirs(out, exist_ok=True)
     for name, s in result.series.items():
-        s.write_csv(os.path.join(out, f"{name}.csv"))
-    with open(os.path.join(out, "growth.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("checkpoint,n,m,time\n")
-        for r in result.checkpoints:
-            f.write(f"{r.index},{r.n},{r.m},{r.time}\n")
-    with open(os.path.join(out, "links_vs_nodes.csv"), "w", encoding="utf-8", newline="\n") as f:
-        f.write("n,m\n")
-        for r in result.checkpoints:
-            f.write(f"{r.n},{r.m}\n")
+        _write_csv(
+            os.path.join(out, f"{name}.csv"),
+            "checkpoint,n,m,time,value",
+            zip(s.checkpoint_indices, s.ns, s.ms, s.times, s.values),
+        )
+    records = result.checkpoints
+    _write_csv(
+        os.path.join(out, "growth.csv"),
+        "checkpoint,n,m,time",
+        ((r.index, r.n, r.m, r.time) for r in records),
+    )
+    _write_csv(os.path.join(out, "links_vs_nodes.csv"), "n,m", ((r.n, r.m) for r in records))
     with open(os.path.join(out, "manifest.json"), "w", encoding="utf-8", newline="\n") as f:
         json.dump(result.manifest, f, indent=2, sort_keys=True)
         f.write("\n")
@@ -393,15 +374,14 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
     if dists is not None:
         ddir = os.path.join(out, "distributions")
         os.makedirs(ddir, exist_ok=True)
-        width = len(str(max(r.index for r in result.checkpoints)))
-        for record, counts in zip(result.checkpoints, dists):
+        width = len(str(max(r.index for r in records)))
+        for record, counts in zip(records, dists):
             name = f"degree_distribution_{record.index:0{width}d}.csv"
-            tail = cumulative(counts)
-            with open(os.path.join(ddir, name), "w", encoding="utf-8", newline="\n") as f:
-                f.write("degree,count,proportion,cumulative\n")
-                for k in np.flatnonzero(counts):
-                    c = counts[k]
-                    f.write(f"{k},{c},{_format_value(c / record.n)},{_format_value(tail[k])}\n")
+            degrees = np.flatnonzero(counts)
+            kept = counts[degrees]
+            columns = (degrees, kept, kept / record.n, cumulative(counts)[degrees])
+            rows = zip(*(column.tolist() for column in columns))
+            _write_csv(os.path.join(ddir, name), "degree,count,proportion,cumulative", rows)
     # "totals" keeps one key per timed step of the checkpoint loop, so its
     # values sum to the loop's timed part; parts of a step ("dist" =
     # estimator + bounds) are totalled apart in "part_totals", and work

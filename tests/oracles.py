@@ -18,8 +18,7 @@ import numpy as np
 
 from netreplay.degrees import BasicStats, stats_from_counts
 from netreplay.ingest import _MAX_NODE, ArrivalStream, FormatOptions, StreamFormatError
-from netreplay.distances import _bfs_levels
-from netreplay.graph import Snapshot, frontier_neighbors
+from netreplay.graph import Snapshot
 
 _PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
 
@@ -158,24 +157,10 @@ def components(snapshot: Snapshot) -> ComponentSummary:
         raise ValueError("empty snapshot has no components")
     labels = np.full(n, -1, dtype=np.int32)
     next_label = 0
-    scan = 0
-    while scan < n:
-        if labels[scan] >= 0:
-            scan += 1
-            continue
-        labels[scan] = next_label
-        frontier = np.array([scan], dtype=np.int64)
-        while frontier.size:
-            nbrs, _ = frontier_neighbors(snapshot.offsets, snapshot.neighbors, frontier)
-            if nbrs.size == 0:
-                break
-            fresh = nbrs[labels[nbrs] < 0]
-            if fresh.size == 0:
-                break
-            frontier = np.unique(fresh).astype(np.int64)
-            labels[frontier] = next_label
-        next_label += 1
-        scan += 1
+    for scan in range(n):
+        if labels[scan] < 0:
+            labels[hops_from(snapshot, scan) >= 0] = next_label
+            next_label += 1
     sizes = np.bincount(labels, minlength=next_label)
     giant_id = int(np.argmax(sizes))  # first max = smallest min-index component
     giant_size = int(sizes[giant_id])
@@ -188,6 +173,23 @@ def components(snapshot: Snapshot) -> ComponentSummary:
     )
 
 
+def hops_from(snapshot: Snapshot, source: int) -> np.ndarray:
+    """Hop distances from ``source``, -1 where unreached. Each level is every
+    unreached end of an adjacency entry whose owner is on the level before,
+    found by comparing every entry's owner distance with that level."""
+    owner = np.repeat(np.arange(snapshot.n), snapshot.degrees)
+    dist = np.full(snapshot.n, -1, dtype=np.int32)
+    dist[source] = 0
+    level = 0
+    while True:
+        ends = snapshot.neighbors[dist[owner] == level]
+        ends = ends[dist[ends] < 0]
+        if ends.size == 0:
+            return dist
+        level += 1
+        dist[ends] = level
+
+
 class BfsResult(NamedTuple):
     dist: np.ndarray  # int32 hops from source, -1 where unreached
     farthest: int  # smallest-index node at maximum distance
@@ -198,7 +200,7 @@ def bfs(snapshot: Snapshot, source: int) -> BfsResult:
     """Hop distances from ``source``; unreached nodes get -1."""
     if not 0 <= source < snapshot.n:
         raise IndexError(f"source {source} out of range [0, {snapshot.n})")
-    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    dist = hops_from(snapshot, source)
     far = int(np.argmax(dist))
     return BfsResult(dist=dist, farthest=far, farthest_dist=int(dist[far]))
 
@@ -208,7 +210,7 @@ def mean_distance_from(snapshot: Snapshot, giant_mask: np.ndarray, source: int) 
     the source's own zero included."""
     if not giant_mask[source]:
         raise ValueError(f"source {source} is outside the giant component")
-    dist, _, _ = _bfs_levels(snapshot.offsets, snapshot.neighbors, source)
+    dist = hops_from(snapshot, source)
     inside = dist[giant_mask]
     if np.any(inside < 0):
         raise ValueError("giant mask contains nodes unreachable from source")

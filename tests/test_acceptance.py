@@ -6,7 +6,6 @@ to watch them go by). Tolerances and time budgets are pinned inline next to
 the assertions they guard.
 """
 
-import dataclasses
 import itertools
 import json
 import math
@@ -206,9 +205,7 @@ def test_diameter_bounds_bracket_truth():
         mask = components(snap).giant_mask()
         giant = [int(x) for x in np.flatnonzero(mask)]
         d_true = true_diameter(n, edges, within=giant)
-        out = diameter_bounds(
-            snap, mask, BoundConfig(rng_seed=np.random.SeedSequence([29, idx]))
-        )
+        out = diameter_bounds(snap, mask, BoundConfig(), np.random.SeedSequence([29, idx]))
         if not out.lower <= d_true <= out.upper:
             violations.append(f"{label}: {out.lower}..{out.upper} vs {d_true}")
         if tree:
@@ -216,7 +213,8 @@ def test_diameter_bounds_bracket_truth():
             one = diameter_bounds(
                 snap,
                 mask,
-                BoundConfig(min_iterations=1, rng_seed=np.random.SeedSequence([31, idx])),
+                BoundConfig(min_iterations=1),
+                np.random.SeedSequence([31, idx]),
             )
             if not (
                 one.iterations == 1
@@ -263,7 +261,8 @@ def test_distance_estimator_accuracy():
         est, _ = estimate_average_distance(
             snap,
             mask,
-            EstimatorConfig(i_min=10, epsilon=0.1, rng_seed=np.random.SeedSequence([3, seed])),
+            EstimatorConfig(i_min=10, epsilon=0.1),
+            np.random.SeedSequence([3, seed]),
         )
         err = abs(est - exact)
         worst_err = max(worst_err, err)
@@ -399,18 +398,16 @@ def test_checkpoints_match_fresh_recomputation(tmp_path):
         est, samples = estimate_average_distance(
             snap,
             mask,
-            dataclasses.replace(
-                cfg.estimator, rng_seed=checkpoint_estimator_seed(cfg.seed, r.index)
-            ),
+            cfg.estimator,
+            checkpoint_estimator_seed(cfg.seed, r.index),
         )
         if est != val("average_distance", k) or samples != val("average_distance_samples", k):
             mismatches.append(f"ckpt {r.index}: estimator")
         out = diameter_bounds(
             snap,
             mask,
-            dataclasses.replace(
-                cfg.bounds, rng_seed=checkpoint_bounds_seed(cfg.seed, r.index)
-            ),
+            cfg.bounds,
+            checkpoint_bounds_seed(cfg.seed, r.index),
         )
         if (
             out.lower != val("diameter_lower", k)

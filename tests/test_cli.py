@@ -178,6 +178,20 @@ class TestAnalyze:
         assert "dump_distributions needs the deg statistic group" in proc.stderr
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("groups", ["conn,deg", "conn,deg,dist"])
+    def test_negative_seed_exits_one_before_reading_input(self, tmp_path, capsys, groups):
+        trace = tmp_path / "s.txt"
+        trace.write_text("0 a b\n1 b c\n")
+        code, _, stderr = run_cli(
+            ["analyze", str(trace), "--stats", groups, "--seed", "-1",
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert "seed must be non-negative" in stderr
+        assert not (tmp_path / "o").exists()
+        assert not os.path.exists(str(trace) + ".arrivals")
+
     def test_missing_input_exits_one(self, tmp_path, capsys):
         code, _, stderr = run_cli(
             ["analyze", str(tmp_path / "absent.txt"), "--out", str(tmp_path / "o")],

@@ -193,7 +193,7 @@ class TestBfsBatch:
             edges = random_edges(rng, n, 0.12)
             snap = snapshot_from_edges(edges, n=n)
             root = int(rng.integers(n))
-            _, parent, levels = _bfs_levels(snap.offsets, snap.neighbors, root)
+            parent, levels = _bfs_levels(snap.offsets, snap.neighbors, root)
             want = queue_bfs_tree(adjacency_dict(n, edges), root)
             assert {v: int(parent[v]) for v in np.flatnonzero(parent >= 0)} == {
                 v: p for v, p in want.items() if p >= 0
@@ -220,7 +220,7 @@ class TestBlockDraws:
             edges = connected_random_graph(seed, 50, 0.08)
             snap = snapshot_from_edges(edges, n=50)
             mask = full_mask(50)
-            cfg = EstimatorConfig(i_min=70, epsilon=0.02, rng_seed=seed)
+            cfg = EstimatorConfig(i_min=70, epsilon=0.02)
             rng = np.random.default_rng(seed)
             samples, means = [], []
             while True:
@@ -230,14 +230,14 @@ class TestBlockDraws:
                 window = np.abs(np.diff(means[max(0, i - cfg.i_min - 1) :]))
                 if i > cfg.i_min and np.all(window < cfg.epsilon):
                     break
-            assert estimate_average_distance(snap, mask, cfg) == (means[-1], len(means))
+            assert estimate_average_distance(snap, mask, cfg, seed) == (means[-1], len(means))
 
     def test_bounds_match_one_sweep_at_a_time(self):
         # the bracket of this graph stays open, so all 150 rounds run
         snap = snapshot_from_edges(connected_random_graph(0, 60, 0.05), n=60)
         mask = full_mask(60)
-        cfg = BoundConfig(min_iterations=1, gap_target=1, iteration_cap=150, rng_seed=5)
-        out = diameter_bounds(snap, mask, cfg)
+        cfg = BoundConfig(min_iterations=1, gap_target=1, iteration_cap=150)
+        out = diameter_bounds(snap, mask, cfg, 5)
         rng = np.random.default_rng(5)
         roots = np.lexsort((np.arange(60), -snap.degrees))
         lowers, uppers = [], []
@@ -301,7 +301,7 @@ class TestEstimator:
         mask = full_mask(10)
         exact = average_distance_exact(snap, mask)
         est, used = estimate_average_distance(
-            snap, mask, EstimatorConfig(i_min=10, epsilon=0.1, rng_seed=1)
+            snap, mask, EstimatorConfig(i_min=10, epsilon=0.1), 1
         )
         assert abs(est - exact) <= math.ulp(exact)
         assert used == 11
@@ -310,7 +310,7 @@ class TestEstimator:
     def test_sample_count_is_at_least_i_min_plus_one(self):
         snap = snapshot_from_edges(cycle_edges(8))
         _, used = estimate_average_distance(
-            snap, full_mask(8), EstimatorConfig(i_min=4, epsilon=10.0, rng_seed=0)
+            snap, full_mask(8), EstimatorConfig(i_min=4, epsilon=10.0), 0
         )
         assert used == 5
 
@@ -319,23 +319,23 @@ class TestEstimator:
         snap = snapshot_from_edges(cycle_edges(9))
         mask = full_mask(9)
         est, _ = estimate_average_distance(
-            snap, mask, EstimatorConfig(i_min=3, epsilon=0.5, rng_seed=7)
+            snap, mask, EstimatorConfig(i_min=3, epsilon=0.5), 7
         )
         assert est == pytest.approx(average_distance_exact(snap, mask), abs=1e-12)
 
     def test_deterministic_for_fixed_seed(self):
         edges = connected_random_graph(99, 40, 0.1)
         snap = snapshot_from_edges(edges, n=40)
-        cfg = EstimatorConfig(i_min=5, epsilon=0.05, rng_seed=42)
-        a = estimate_average_distance(snap, full_mask(40), cfg)
-        b = estimate_average_distance(snap, full_mask(40), cfg)
+        cfg = EstimatorConfig(i_min=5, epsilon=0.05)
+        a = estimate_average_distance(snap, full_mask(40), cfg, 42)
+        b = estimate_average_distance(snap, full_mask(40), cfg, 42)
         assert a == b
 
     def test_reasonable_accuracy_on_random_graph(self):
         edges = connected_random_graph(5, 60, 0.12)
         snap = snapshot_from_edges(edges, n=60)
         est, _ = estimate_average_distance(
-            snap, full_mask(60), EstimatorConfig(i_min=15, epsilon=0.05, rng_seed=3)
+            snap, full_mask(60), EstimatorConfig(i_min=15, epsilon=0.05), 3
         )
         exact = exact_mean_distance(60, edges, range(60))
         assert abs(est - exact) < 0.35
@@ -520,7 +520,8 @@ class TestDiameterBounds:
             out = diameter_bounds(
                 snap,
                 full_mask(n),
-                BoundConfig(min_iterations=1, gap_target=1, iteration_cap=50, rng_seed=4),
+                BoundConfig(min_iterations=1, gap_target=1, iteration_cap=50),
+                4,
             )
             assert out.iterations == 1
             assert out.converged
@@ -563,9 +564,9 @@ class TestDiameterBounds:
     def test_deterministic_for_fixed_seed(self):
         edges = connected_random_graph(3, 40, 0.12)
         snap = snapshot_from_edges(edges, n=40)
-        cfg = BoundConfig(min_iterations=3, gap_target=2, iteration_cap=15, rng_seed=11)
-        assert diameter_bounds(snap, full_mask(40), cfg) == diameter_bounds(
-            snap, full_mask(40), cfg
+        cfg = BoundConfig(min_iterations=3, gap_target=2, iteration_cap=15)
+        assert diameter_bounds(snap, full_mask(40), cfg, 11) == diameter_bounds(
+            snap, full_mask(40), cfg, 11
         )
 
     def test_respects_giant_restriction(self):
@@ -614,7 +615,8 @@ class TestBracketProperty:
         out = diameter_bounds(
             snap,
             np.ones(n, dtype=bool),
-            BoundConfig(min_iterations=2, gap_target=1, iteration_cap=6, rng_seed=seed),
+            BoundConfig(min_iterations=2, gap_target=1, iteration_cap=6),
+            seed,
         )
         diam = true_diameter(n, edges)
         assert out.lower <= diam <= out.upper

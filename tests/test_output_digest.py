@@ -1,21 +1,30 @@
-"""Pinned output digest: every CSV of three small fixed runs, hashed.
+"""Pinned output digests of three small fixed runs: every CSV, and apart
+from them the manifest and the gnuplot script.
 
 The runs cover a messy trace (leading loop-only nodes, loops, duplicates in
 both directions, equal timestamps), a sparse trace with many components and
 tied giants, and a gzipped trace through the command line. A change that
 moves any series value, checkpoint or degree-distribution row changes the
-digest; an intended change of values updates it and says why in CHANGES.md.
+CSV digest; one that moves a manifest field or a plot line changes the
+other. An intended change of values updates a digest and says why in
+CHANGES.md.
 """
 
 import gzip
 import hashlib
+import json
 import os
+
+import pytest
 
 from netreplay.cli import main
 from netreplay.distances import BoundConfig, EstimatorConfig
 from netreplay.pipeline import RunConfig, run_evolution
 
 PINNED = "5dcfb55e902c7e768f1cefd60c0940e3f81c129d601c5d32c626447404a8c2ba"
+# manifest.json without its machine-dependent keys, plus plots.gp
+PINNED_MANIFEST = "19f101272e3bd49702d35e2b6533945068b2f6f5dc6969265ba10dd61d3a50b0"
+MACHINE_KEYS = ("input", "versions")
 
 
 def scrambled(i, k):
@@ -61,7 +70,25 @@ def csv_digest(roots):
     return h.hexdigest()
 
 
-def test_outputs_match_pinned_digest(tmp_path, capsys):
+def manifest_digest(roots):
+    """sha256 over each root's manifest, less ``MACHINE_KEYS``, and its
+    plots.gp. The manifest must be its own canonical JSON, so hashing the
+    re-serialized remainder pins its bytes."""
+    h = hashlib.sha256()
+    for root in roots:
+        text = (root / "manifest.json").read_text(encoding="utf-8")
+        manifest = json.loads(text)
+        assert text == json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+        for key in MACHINE_KEYS:
+            del manifest[key]
+        h.update(json.dumps(manifest, indent=2, sort_keys=True).encode() + b"\0")
+        h.update((root / "plots.gp").read_bytes() + b"\0")
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def outs(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("digest")
     messy = tmp_path / "messy.txt"
     messy.write_text("\n".join(messy_lines()) + "\n", encoding="utf-8")
     sparse = tmp_path / "sparse.txt"
@@ -85,5 +112,12 @@ def test_outputs_match_pinned_digest(tmp_path, capsys):
         "analyze", str(zipped), "--checkpoints", "25", "--seed", "7", "--stats", "conn,deg,dist",
         "--dump-distributions", "--no-cache", "--out", str(outs[2]),
     ]) == 0
-    capsys.readouterr()
+    return outs
+
+
+def test_outputs_match_pinned_digest(outs):
     assert csv_digest(outs) == PINNED
+
+
+def test_manifest_and_plots_match_pinned_digest(outs):
+    assert manifest_digest(outs) == PINNED_MANIFEST

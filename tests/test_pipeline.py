@@ -202,21 +202,14 @@ class TestPrefixConsistency:
             for name, value in zip(pipeline.SERIES["tri"], tri, strict=True):
                 assert result.series[name].values[idx] == value
             mask = summ.giant_mask()
-            est_cfg = EstimatorConfig(
-                i_min=FAST_EST.i_min,
-                epsilon=FAST_EST.epsilon,
-                rng_seed=checkpoint_estimator_seed(cfg.seed, r.index),
+            est, samples = estimate_average_distance(
+                snap, mask, FAST_EST, checkpoint_estimator_seed(cfg.seed, r.index)
             )
-            est, samples = estimate_average_distance(snap, mask, est_cfg)
             assert result.series["average_distance"].values[idx] == est
             assert result.series["average_distance_samples"].values[idx] == samples
-            bnd_cfg = BoundConfig(
-                min_iterations=FAST_BND.min_iterations,
-                gap_target=FAST_BND.gap_target,
-                iteration_cap=FAST_BND.iteration_cap,
-                rng_seed=checkpoint_bounds_seed(cfg.seed, r.index),
+            out = diameter_bounds(
+                snap, mask, FAST_BND, checkpoint_bounds_seed(cfg.seed, r.index)
             )
-            out = diameter_bounds(snap, mask, bnd_cfg)
             assert result.series["diameter_lower"].values[idx] == out.lower
             assert result.series["diameter_upper"].values[idx] == out.upper
 
@@ -526,6 +519,14 @@ class TestErrors:
             RunConfig(input_path="x", stats=frozenset({"conn", "nope"}))
         with pytest.raises(ValueError):
             RunConfig(input_path="x", nominal_checkpoints=0)
+
+    @pytest.mark.parametrize("groups", [{"conn", "deg"}, {"conn", "deg", "dist"}])
+    def test_negative_seed_rejected(self, groups):
+        # Seeds derive the distance group's draws, but the run records the
+        # seed whichever groups are on, so the rule cannot depend on them.
+        with pytest.raises(ValueError, match="seed must be non-negative"):
+            RunConfig(input_path="x", stats=frozenset(groups), seed=-1)
+        RunConfig(input_path="x", stats=frozenset(groups), seed=0)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(OSError):
