@@ -18,15 +18,6 @@ from netreplay.pipeline import STAT_GROUPS, RunConfig, run_evolution
 
 DEFAULT_OUT = "netreplay-out"
 OUT_ENV_VAR = "NETREPLAY_OUT"
-# gen's model parameters: flag type, metavar and what it sets
-_GEN_FLAGS = {
-    "nodes": (int, "N", "node count"),
-    "prob": (float, "P", "link probability"),
-    "links_per_node": (int, "K", "links per new node"),
-    "phase1_nodes": (int, "N1", "phase 1 size"),
-    "phase2_nodes": (int, "N2", "phase 2 size"),
-    "extra_per_node": (int, "R", "extra links per phase 2 node"),
-}
 
 
 def _flag(name: str) -> str:
@@ -66,9 +57,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="generate a synthetic trace")
     gen.add_argument("model", choices=list(MODELS))
-    for name, (kind, metavar, text) in _GEN_FLAGS.items():
-        users = ", ".join(model for model, spec in MODELS.items() if name in spec.params)
-        gen.add_argument(_flag(name), type=kind, metavar=metavar, help=f"{text} ({users})")
+    users: dict = {}  # each parameter, in first-use order, and the models that take it
+    for model, spec in MODELS.items():
+        for p in spec.params:
+            users.setdefault(p, []).append(model)
+    for p, models in users.items():
+        gen.add_argument(_flag(p.name), type=p.kind, metavar=p.metavar,
+                         help=f"{p.help} ({', '.join(models)})")
     gen.add_argument("--seed", type=int, metavar="S")
     gen.add_argument("--out", required=True, metavar="FILE", help="trace file to write")
     return parser
@@ -78,11 +73,11 @@ def _gen_params(args) -> dict:
     """The model's parameters from the flags, and the seed when one is given;
     ``generate`` supplies the default seed."""
     params = {} if args.seed is None else {"seed": args.seed}
-    for name in MODELS[args.model].params:
-        value = getattr(args, name)
+    for p in MODELS[args.model].params:
+        value = getattr(args, p.name)
         if value is None:
-            raise SystemExit(f"netreplay gen {args.model}: missing {_flag(name)}")
-        params[name] = value
+            raise SystemExit(f"netreplay gen {args.model}: missing {_flag(p.name)}")
+        params[p.name] = value
     return params
 
 

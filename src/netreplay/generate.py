@@ -151,20 +151,36 @@ def write_stream(path: str, stream: Stream) -> None:
             f.write(f"{t} {u} {v}\n")
 
 
+class Param(NamedTuple):
+    name: str  # the generator's argument and, as --name-with-dashes, the CLI flag
+    kind: type
+    metavar: str
+    help: str
+
+
+NODES = Param("nodes", int, "N", "node count")
+PROB = Param("prob", float, "P", "link probability")
+LINKS_PER_NODE = Param("links_per_node", int, "K", "links per new node")
+PHASE1_NODES = Param("phase1_nodes", int, "N1", "phase 1 size")
+PHASE2_NODES = Param("phase2_nodes", int, "N2", "phase 2 size")
+EXTRA_PER_NODE = Param("extra_per_node", int, "R", "extra links per phase 2 node")
+
+
 class Model(NamedTuple):
     generator: Callable[..., Stream]
-    params: tuple[str, ...]  # the generator's arguments before the seed, in order
+    params: tuple[Param, ...]  # the generator's arguments before the seed, in order
     seeded: bool  # the generator takes a trailing seed
 
 
-# The one place each model is declared; parameter names match the CLI flags.
+# The one place each model and its parameters are declared; the CLI's gen
+# flags are built from it.
 MODELS = {
-    "path": Model(gen_path, ("nodes",), False),
-    "complete": Model(gen_complete, ("nodes",), False),
-    "random-gnp": Model(gen_gnp, ("nodes", "prob"), True),
-    "preferential-attachment": Model(gen_preferential, ("nodes", "links_per_node"), True),
+    "path": Model(gen_path, (NODES,), False),
+    "complete": Model(gen_complete, (NODES,), False),
+    "random-gnp": Model(gen_gnp, (NODES, PROB), True),
+    "preferential-attachment": Model(gen_preferential, (NODES, LINKS_PER_NODE), True),
     "two-phase": Model(
-        gen_two_phase, ("phase1_nodes", "links_per_node", "phase2_nodes", "extra_per_node"), True
+        gen_two_phase, (PHASE1_NODES, LINKS_PER_NODE, PHASE2_NODES, EXTRA_PER_NODE), True
     ),
 }
 
@@ -173,6 +189,6 @@ def generate(model: str, seed: int = 0, **params) -> Stream:
     """Dispatch by model name to ``MODELS``."""
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
-    generator, names, seeded = MODELS[model]
-    args = [params[name] for name in names]
+    generator, declared, seeded = MODELS[model]
+    args = [params[p.name] for p in declared]
     return generator(*args, seed) if seeded else generator(*args)

@@ -152,17 +152,13 @@ class RunResult:
 
 
 def _format_value(v) -> str:
-    if type(v) is int:  # the common cells first: exact types, so never a bool
-        return str(v)
-    if type(v) is float:
-        return repr(v)
+    """One CSV cell from a Python scalar (numpy columns reach the writer
+    through ``tolist()``): empty for None, 0/1 for a bool, else its repr."""
     if v is None:
         return ""
     if isinstance(v, bool):
         return "1" if v else "0"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    return repr(float(v))
+    return repr(v)
 
 
 def _write_csv(path: str, header: str, rows) -> None:

@@ -10,7 +10,8 @@ import sys
 import pytest
 
 import netreplay
-from netreplay.cli import main
+from netreplay.cli import _build_parser, _gen_params, main
+from netreplay.generate import MODELS
 
 
 def run_cli(argv, capsys):
@@ -57,6 +58,18 @@ class TestGen:
                 "gen", "two-phase", "--phase1-nodes", "50", "--links-per-node", "2",
                 "--phase2-nodes", "20", "--out", str(tmp_path / "x"),
             ])
+
+    @pytest.mark.parametrize("model", sorted(MODELS))
+    def test_every_model_parameter_has_a_typed_flag(self, model):
+        """Each declared parameter parses from its flag, with its type, and
+        reaches the generator under its own name."""
+        params = MODELS[model].params
+        argv = ["gen", model, "--seed", "5", "--out", "x"]
+        for p in params:
+            argv += ["--" + p.name.replace("_", "-"), "3"]
+        got = _gen_params(_build_parser().parse_args(argv))
+        assert got == {"seed": 5, **{p.name: p.kind("3") for p in params}}
+        assert all(type(got[p.name]) is p.kind for p in params)
 
     def test_invalid_param_value_exits_nonzero(self, tmp_path, capsys):
         code, _, stderr = run_cli(
