@@ -71,9 +71,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _gen_params(args) -> dict:
     """The model's parameters from the flags, and the seed when one is given;
-    ``generate`` supplies the default seed."""
+    ``generate`` supplies the default seed. A flag the model does not take
+    is an error, not ignored."""
+    model = MODELS[args.model]
+    taken = [p.name for p in model.params] + (["seed"] if model.seeded else [])
+    every = dict.fromkeys([p.name for spec in MODELS.values() for p in spec.params] + ["seed"])
+    extra = [_flag(name) for name in every if name not in taken and getattr(args, name) is not None]
+    if extra:
+        raise SystemExit(f"netreplay gen {args.model}: does not take {', '.join(extra)}")
     params = {} if args.seed is None else {"seed": args.seed}
-    for p in MODELS[args.model].params:
+    for p in model.params:
         value = getattr(args, p.name)
         if value is None:
             raise SystemExit(f"netreplay gen {args.model}: missing {_flag(p.name)}")

@@ -4,18 +4,22 @@ Exhaustive distance computation is off the table at measurement scale, so
 everything here leans on a small number of full BFS runs. The average
 distance is estimated by sampling sources uniformly from the giant component
 until the running mean settles. The diameter is bracketed from below by
-double-sweep eccentricities and from above by the diameter of a BFS tree,
-which contains all of the graph's nodes but only a subset of its links, so
-its diameter can only overestimate. Repeating both with fresh starting points
-tightens the bracket.
+double-sweep eccentricities. From above, the first round takes the diameter
+of a BFS tree from the top hub, which contains all of the graph's nodes but
+only a subset of its links, so its diameter can only overestimate, and which
+is exact on a tree; later rounds take twice the eccentricity of the next hub
+(Magnien, Latapy & Habib, ACM JEA 2009). Repeating both with fresh starting
+points tightens the bracket.
 
-Estimator sources and double-sweep starts are drawn 64 at a time and
-traversed together by a bit-parallel BFS (one ``uint64`` word per node, one
-bit per source), following Then et al., "The More the Merrier: Efficient
+Estimator sources, double-sweep starts and hub roots are traversed up to 64
+at a time by a bit-parallel BFS (one ``uint64`` word per node, one bit per
+source), following Then et al., "The More the Merrier: Efficient
 Multi-Source Graph Traversal" (VLDB 2014); the stopping rules still consume
-them one by one; per level a byte histogram counts each source's new nodes.
-The BFS-tree bound runs one FIFO BFS with parents per root; a node on the
-deepest level ends a longest tree path, measured in one pass down the levels.
+them one by one. Per level, one OR of the new words gives the eccentricities;
+a byte histogram counting each source's new nodes, and the search for its
+farthest node, run only for callers that read them. The BFS-tree bound runs
+one FIFO BFS with parents; a node on the deepest level ends a longest tree
+path, measured in one pass down the levels.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -75,15 +79,17 @@ class BoundsOutcome(NamedTuple):
 
 
 class BatchResult(NamedTuple):
-    """Per-source results of one :func:`bfs_batch` call, in source order."""
+    """Per-source results of one :func:`bfs_batch` call, in source order;
+    None for a field the call was asked not to compute."""
 
-    distance_sums: np.ndarray  # int64 sum of hops to every reached node
-    reached: np.ndarray  # int64 reached nodes, the source included
+    distance_sums: Optional[np.ndarray]  # int64 sum of hops to every reached node
+    reached: Optional[np.ndarray]  # int64 reached nodes, the source included
     eccentricity: np.ndarray  # int64 largest hop count reached
-    farthest: np.ndarray  # int64 smallest-index node at that hop count
+    farthest: Optional[np.ndarray]  # int64 smallest-index node at that hop count
 
 
 _WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
+_BLOCK = _WORD // 2  # bound rounds per block: their sweep starts and hub roots share a batch
 _BYTE_BINS = 256 * np.arange(8, dtype=np.uint16)  # one range of 256 bins per byte of a word
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of byte value v
 
@@ -129,14 +135,15 @@ def _bfs_levels(
     return parent, levels
 
 
-def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
+def bfs_batch(snapshot: Snapshot, sources, *, counts=True, farthest=True) -> BatchResult:
     """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
 
     Each level costs one gather of the frontier words over the adjacency
     array and one ``bitwise_or.reduceat`` over the nodes' segments, however
     many sources share the call. Sources may repeat. Per source it returns
-    the total of the reached nodes' distances, their number, the
-    eccentricity, and the farthest node at that distance of smallest index.
+    the eccentricity; with ``counts``, the total of the reached nodes'
+    distances and their number; with ``farthest``, the farthest node at the
+    eccentricity of smallest index. A field left out is None.
     """
     sources = np.asarray(sources, dtype=np.int64)
     k = sources.size
@@ -151,13 +158,14 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
     # reduceat reads an empty segment as its next entry, so only nodes with
     # neighbors get one; their segments tile the adjacency array in order.
     segment_starts = offsets[linked]
+    bit_of = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
     seen = np.zeros(n, dtype=np.uint64)
-    np.bitwise_or.at(seen, sources, np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64)))
+    np.bitwise_or.at(seen, sources, bit_of)
     frontier = seen
-    sums = np.zeros(k, dtype=np.int64)
-    reached = np.ones(k, dtype=np.int64)
     ecc = np.zeros(k, dtype=np.int64)
-    far = sources.copy()
+    sums = np.zeros(k, dtype=np.int64) if counts else None
+    reached = np.ones(k, dtype=np.int64) if counts else None
+    far = sources.copy() if farthest else None
     reach = np.zeros(n, dtype=np.uint64)
     level = 0
     while linked.size:
@@ -169,30 +177,32 @@ def bfs_batch(snapshot: Snapshot, sources) -> BatchResult:
         level += 1
         seen |= frontier
         words = frontier[hit].astype("<u8", copy=False)
-        # bit b of byte j is source 8j + b: histogram each byte position's
-        # values, then read the bits of each value off _BYTE_BITS
-        octets = words.view(np.uint8).reshape(hit.size, 8) + _BYTE_BINS
-        histogram = np.bincount(octets.ravel(), minlength=8 * 256).reshape(8, 256)
-        counts = (histogram @ _BYTE_BITS).ravel()[:k]
-        sums += level * counts
-        reached += counts
-        # in ascending node order, a row whose running OR gains a bit holds
-        # that source's smallest-index node at this level
-        grown = np.bitwise_or.accumulate(words)
-        rows = np.flatnonzero(np.diff(grown, prepend=np.uint64(0)))
-        gained = np.diff(grown[rows], prepend=np.uint64(0))  # a superset minus its subset
-        bits = np.unpackbits(gained.view(np.uint8).reshape(rows.size, 8), axis=1, bitorder="little")
-        row, got = np.nonzero(bits)
-        ecc[got] = level
-        far[got] = hit[rows[row]]
+        ecc[(np.bitwise_or.reduce(words) & bit_of) != 0] = level  # sources that gained nodes
+        if counts:
+            # bit b of byte j is source 8j + b: histogram each byte position's
+            # values, then read the bits of each value off _BYTE_BITS
+            octets = words.view(np.uint8).reshape(hit.size, 8) + _BYTE_BINS
+            histogram = np.bincount(octets.ravel(), minlength=8 * 256).reshape(8, 256)
+            new = (histogram @ _BYTE_BITS).ravel()[:k]
+            sums += level * new
+            reached += new
+        if farthest:
+            # in ascending node order, a row whose running OR gains a bit
+            # holds that source's smallest-index node at this level
+            grown = np.bitwise_or.accumulate(words)
+            rows = np.flatnonzero(np.diff(grown, prepend=np.uint64(0)))
+            gained = np.diff(grown[rows], prepend=np.uint64(0))  # a superset minus its subset
+            bits = np.unpackbits(gained.view(np.uint8).reshape(rows.size, 8), axis=1, bitorder="little")
+            row, got = np.nonzero(bits)
+            far[got] = hit[rows[row]]
     return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
 
 
 def bfs_batch_calls(samples: int, iterations: int) -> int:
     """:func:`bfs_batch` calls behind an estimate of ``samples`` sources and
     a bracket of ``iterations`` rounds: one per block of 64 samples, two per
-    block of 64 double sweeps."""
-    return -(-samples // _WORD) + 2 * -(-iterations // _WORD)
+    block of 32 rounds."""
+    return -(-samples // _WORD) + 2 * -(-iterations // _BLOCK)
 
 
 def estimate_average_distance(
@@ -220,7 +230,7 @@ def estimate_average_distance(
     samples: list[float] = []
     means: list[float] = []
     while True:
-        batch = bfs_batch(snapshot, nodes[rng.integers(size, size=_WORD)])
+        batch = bfs_batch(snapshot, nodes[rng.integers(size, size=_WORD)], farthest=False)
         if np.any(batch.reached != size):
             raise ValueError("giant mask is not the component of its sources")
         for total in batch.distance_sums.tolist():
@@ -279,16 +289,19 @@ def diameter_bounds(
     """Iterated sandwich of the giant component's diameter.
 
     Each round runs one double sweep from a random giant node (raising the
-    lower bound) and one BFS-tree bound from the next root in degree-descending
-    order (lowering the upper bound), so the bracket can only tighten. Stops
-    after at least ``min_iterations`` rounds once upper - lower < gap_target,
-    or unconditionally at ``iteration_cap``. The sweep starts come from
-    ``numpy.random.default_rng(seed)``.
+    lower bound) and bounds the diameter from above at the next root in
+    degree-descending order, wrapping around (lowering the upper bound), so
+    the bracket can only tighten. Round 0 takes the root's BFS-tree diameter,
+    exact on a tree; round t >= 1 takes twice the root's eccentricity, since
+    every node lies within that many hops of every other through the root.
+    Stops after at least ``min_iterations`` rounds once upper - lower <
+    gap_target, or unconditionally at ``iteration_cap``. The sweep starts
+    come from ``numpy.random.default_rng(seed)``.
 
-    The double sweeps run 64 rounds ahead: one batch BFS from 64 drawn starts,
-    then one from the 64 farthest nodes it found. Round t reads entry t, so
-    the bounds equal those of one sweep per round. Tree bounds stay one per
-    round.
+    Rounds run in blocks of 32: one batch BFS from the block's 32 drawn
+    starts and its 32 roots, then one from the 32 farthest nodes the starts
+    found. Round t reads entry t mod 32, so the bounds equal those of one
+    sweep and one root per round. The one FIFO tree BFS is round 0's.
     """
     nodes = np.nonzero(giant_mask)[0]
     if nodes.size < 2:
@@ -296,17 +309,22 @@ def diameter_bounds(
     deg = snapshot.degrees
     root_order = nodes[np.lexsort((nodes, -deg[nodes]))]
     rng = np.random.default_rng(seed)
-    lower, upper = 0, math.inf
+    lower, upper = 0, diameter_upper_bound(snapshot, giant_mask, int(root_order[0]))
     lowers: list[int] = []
     uppers: list[int] = []
     for t in range(config.iteration_cap):
-        if t % _WORD == 0:  # double sweeps for this round and the next 63
-            starts = nodes[rng.integers(nodes.size, size=_WORD)]
-            ends = bfs_batch(snapshot, starts).farthest
-            sweeps = bfs_batch(snapshot, ends).eccentricity
-        lower = max(lower, int(sweeps[t % _WORD]))
-        root = int(root_order[t % root_order.size])
-        upper = min(upper, diameter_upper_bound(snapshot, giant_mask, root))
+        i = t % _BLOCK
+        if i == 0:  # sweeps and roots for this round and the next 31
+            starts = nodes[rng.integers(nodes.size, size=_BLOCK)]
+            roots = root_order[np.arange(t, t + _BLOCK) % root_order.size]
+            first = bfs_batch(snapshot, np.concatenate([starts, roots]), counts=False)
+            root_ecc = first.eccentricity[_BLOCK:]
+            sweeps = bfs_batch(
+                snapshot, first.farthest[:_BLOCK], counts=False, farthest=False
+            ).eccentricity
+        lower = max(lower, int(sweeps[i]))
+        if t:
+            upper = min(upper, 2 * int(root_ecc[i]))
         lowers.append(lower)
         uppers.append(upper)
         if t + 1 >= config.min_iterations and upper - lower < config.gap_target:

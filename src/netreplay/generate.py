@@ -190,5 +190,7 @@ def generate(model: str, seed: int = 0, **params) -> Stream:
     if model not in MODELS:
         raise ValueError(f"unknown model {model!r}")
     generator, declared, seeded = MODELS[model]
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     args = [params[p.name] for p in declared]
     return generator(*args, seed) if seeded else generator(*args)

@@ -318,7 +318,7 @@ def _measure(
     timing["dist_estimator"] = t1 - t0
     timing["dist_bounds"] = _time.perf_counter() - t1
     timing["dist_batches"] = bfs_batch_calls(samples, bounds.iterations)
-    timing["dist_tree_bfs"] = bounds.iterations
+    timing["dist_tree_bfs"] = 1  # round 0's; later rounds read eccentricities off batches
     return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
 

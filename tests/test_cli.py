@@ -63,13 +63,56 @@ class TestGen:
     def test_every_model_parameter_has_a_typed_flag(self, model):
         """Each declared parameter parses from its flag, with its type, and
         reaches the generator under its own name."""
-        params = MODELS[model].params
-        argv = ["gen", model, "--seed", "5", "--out", "x"]
+        params, seeded = MODELS[model].params, MODELS[model].seeded
+        argv = ["gen", model, "--out", "x"] + (["--seed", "5"] if seeded else [])
         for p in params:
             argv += ["--" + p.name.replace("_", "-"), "3"]
         got = _gen_params(_build_parser().parse_args(argv))
-        assert got == {"seed": 5, **{p.name: p.kind("3") for p in params}}
+        assert got == {**({"seed": 5} if seeded else {}), **{p.name: p.kind("3") for p in params}}
         assert all(type(got[p.name]) is p.kind for p in params)
+
+    @pytest.mark.parametrize(
+        "argv, flags",
+        [
+            (["path", "--nodes", "4", "--prob", "0.5"], "--prob"),
+            (["path", "--nodes", "4", "--seed", "3", "--prob", "0.5"], "--prob, --seed"),
+            (["complete", "--nodes", "4", "--seed", "0"], "--seed"),
+            (["random-gnp", "--nodes", "4", "--prob", "0.5", "--links-per-node", "2"],
+             "--links-per-node"),
+            (["preferential-attachment", "--nodes", "9", "--links-per-node", "2",
+              "--extra-per-node", "1"], "--extra-per-node"),
+        ],
+    )
+    def test_flag_the_model_does_not_take_is_rejected(self, tmp_path, argv, flags):
+        out = tmp_path / "x.txt"
+        with pytest.raises(SystemExit) as exc:
+            main(["gen", *argv, "--out", str(out)])
+        assert str(exc.value) == f"netreplay gen {argv[0]}: does not take {flags}"
+        assert not out.exists()
+
+    def test_flag_rejection_exits_one(self, tmp_path):
+        src = os.path.dirname(os.path.dirname(netreplay.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "netreplay.cli", "gen", "path", "--nodes", "4",
+             "--prob", "0.5", "--out", str(tmp_path / "x.txt")],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "does not take --prob" in proc.stderr
+        assert not (tmp_path / "x.txt").exists()
+
+    def test_negative_seed_exits_one(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        code, _, stderr = run_cli(
+            ["gen", "random-gnp", "--nodes", "4", "--prob", "0.5", "--seed", "-1",
+             "--out", str(out)],
+            capsys,
+        )
+        assert code == 1
+        assert stderr == "netreplay: error: seed must be non-negative, got -1\n"
+        assert not out.exists()
 
     def test_invalid_param_value_exits_nonzero(self, tmp_path, capsys):
         code, _, stderr = run_cli(

@@ -186,6 +186,28 @@ class TestBfsBatch:
         with pytest.raises(IndexError):
             bfs_batch(snap, [0, 70])
 
+    @given(
+        st.integers(min_value=2, max_value=70),
+        st.floats(min_value=0.0, max_value=0.25),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_flags_leave_out_only_their_fields(self, n, p, seed, k):
+        rng = np.random.default_rng(seed)
+        snap = snapshot_from_edges(random_edges(rng, n, p), n=n)
+        sources = rng.integers(n, size=k)
+        full = bfs_batch(snap, sources)
+        for counts, farthest in itertools.product((False, True), repeat=2):
+            got = bfs_batch(snap, sources, counts=counts, farthest=farthest)
+            assert got.eccentricity.tolist() == full.eccentricity.tolist()
+            for field, on in [("distance_sums", counts), ("reached", counts), ("farthest", farthest)]:
+                value = getattr(got, field)
+                if on:
+                    assert value.tolist() == getattr(full, field).tolist()
+                else:
+                    assert value is None
+
     def test_fifo_parents_match_queue_bfs(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
@@ -202,17 +224,19 @@ class TestBfsBatch:
 
 
 class TestBlockDraws:
-    """Sources are drawn 64 at a time; the sequence must equal one draw at a time."""
+    """Sources are drawn 64 (estimator) or 32 (bounds) at a time; the
+    sequence must equal one draw at a time."""
 
     @pytest.mark.parametrize("seed_of", [checkpoint_estimator_seed, checkpoint_bounds_seed])
     @pytest.mark.parametrize("size", [2, 3, 1000, 6000, 2**31 + 11])
     def test_block_draws_equal_single_draws(self, seed_of, size):
-        for checkpoint in (0, 1, 57):
-            single = np.random.default_rng(seed_of(1, checkpoint))
-            block = np.random.default_rng(seed_of(1, checkpoint))
-            want = [int(single.integers(size)) for _ in range(200)]
-            got = np.concatenate([block.integers(size, size=64) for _ in range(4)])
-            assert got[:200].tolist() == want
+        for block_size in (32, 64):
+            for checkpoint in (0, 1, 57):
+                single = np.random.default_rng(seed_of(1, checkpoint))
+                block = np.random.default_rng(seed_of(1, checkpoint))
+                want = [int(single.integers(size)) for _ in range(200)]
+                blocks = [block.integers(size, size=block_size) for _ in range(256 // block_size)]
+                assert np.concatenate(blocks)[:200].tolist() == want
 
     def test_estimator_matches_one_source_at_a_time(self):
         # i_min above 64 makes the rule consume several blocks
@@ -233,25 +257,41 @@ class TestBlockDraws:
             assert estimate_average_distance(snap, mask, cfg, seed) == (means[-1], len(means))
 
     def test_bounds_match_one_sweep_at_a_time(self):
-        # the bracket of this graph stays open, so all 150 rounds run
-        snap = snapshot_from_edges(connected_random_graph(0, 60, 0.05), n=60)
-        mask = full_mask(60)
-        cfg = BoundConfig(min_iterations=1, gap_target=1, iteration_cap=150)
-        out = diameter_bounds(snap, mask, cfg, 5)
-        rng = np.random.default_rng(5)
-        roots = np.lexsort((np.arange(60), -snap.degrees))
-        lowers, uppers = [], []
-        for t in range(out.iterations):
-            lowers.append(diameter_lower_bound(snap, mask, int(rng.integers(60)))[0])
-            uppers.append(diameter_upper_bound(snap, mask, int(roots[t % 60])))
-        assert out.iterations == 150
-        assert out.lower_history == tuple(np.maximum.accumulate(lowers).tolist())
-        assert out.upper_history == tuple(np.minimum.accumulate(uppers).tolist())
+        # on the 8 x 8 grid the root order walks inward from (1, 1), so later
+        # roots' 2 * ecc fall below round 0's tree bound, 19, at rounds 8 and 14
+        grid = [(8 * i + j, 8 * i + j + 1) for i in range(8) for j in range(7)]
+        grid += [(8 * i + j, 8 * i + j + 8) for i in range(7) for j in range(8)]
+        # all 150 rounds run: five blocks of 32, and the root order wraps
+        cfg = BoundConfig(min_iterations=150, gap_target=1, iteration_cap=150)
+        for edges, n in [(connected_random_graph(0, 60, 0.05), 60), (grid, 64)]:
+            snap = snapshot_from_edges(edges, n=n)
+            mask = full_mask(n)
+            out = diameter_bounds(snap, mask, cfg, 5)
+            rng = np.random.default_rng(5)
+            roots = np.lexsort((np.arange(n), -snap.degrees))
+            lowers, uppers = [], []
+            for t in range(150):
+                lowers.append(diameter_lower_bound(snap, mask, int(rng.integers(n)))[0])
+                root = int(roots[t % n])
+                uppers.append(
+                    diameter_upper_bound(snap, mask, root) if t == 0 else 2 * bfs(snap, root).farthest_dist
+                )
+            assert out.iterations == 150
+            assert out.lower_history == tuple(np.maximum.accumulate(lowers).tolist())
+            assert out.upper_history == tuple(np.minimum.accumulate(uppers).tolist())
+        assert out.upper_history[:15] == (19,) * 8 + (18,) * 6 + (16,)
 
     def test_estimator_rejects_mask_that_is_not_a_component(self):
         snap = snapshot_from_edges([(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             estimate_average_distance(snap, full_mask(4))
+
+    def test_estimator_rejects_mask_inside_a_larger_component(self):
+        # every source of the mask reaches all 5 path nodes, not the mask's 3
+        snap = snapshot_from_edges(path_edges(5))
+        mask = np.array([True, True, True, False, False])
+        with pytest.raises(ValueError, match="not the component"):
+            estimate_average_distance(snap, mask)
 
 
 class TestMeanDistance:

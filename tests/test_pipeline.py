@@ -285,9 +285,9 @@ class TestOutputs:
         calls = {"dist_batches": 0, "dist_tree_bfs": 0}
 
         def counted(fn, key):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[key] += 1
-                return fn(*args)
+                return fn(*args, **kwargs)
 
             return wrapper
 
@@ -297,7 +297,7 @@ class TestOutputs:
             "diameter_upper_bound",
             counted(distances.diameter_upper_bound, "dist_tree_bfs"),
         )
-        # above 64 samples or rounds a checkpoint needs more than one batch
+        # above 64 samples or 32 rounds a checkpoint needs more than one block
         _, out = self.run_to_dir(
             tmp_path,
             "outw",
@@ -316,8 +316,8 @@ class TestOutputs:
         work = json.loads((out / "timings.json").read_text())["work"]
         assert work == calls
         assert work == {
-            "dist_batches": sum(-(-s // 64) + 2 * -(-i // 64) for s, i in zip(samples, iterations)),
-            "dist_tree_bfs": sum(iterations),
+            "dist_batches": sum(-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)),
+            "dist_tree_bfs": len(iterations),
         }
 
     def test_work_counts_zero_without_distances(self, tmp_path):
