@@ -54,13 +54,19 @@ def arrival_csr(u: np.ndarray, v: np.ndarray, final_n: int) -> ArrivalCSR:
     them by (node, neighbor). Callers guarantee distinct links, no loops and
     endpoints in [0, final_n)."""
     m = len(u)
-    src = np.concatenate((u, v)).astype(np.int64)
-    dst = np.concatenate((v, u)).astype(np.int64)
-    order = np.argsort(src * final_n + dst)
+    src = np.concatenate((u, v)).astype(np.int64, copy=False)
+    dst = np.concatenate((v, u)).astype(np.int32, copy=False)
+    key = src * final_n
+    key += dst
     offsets = np.zeros(final_n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=final_n), out=offsets[1:])
-    arrival = np.where(order < m, order, order - m)
-    return ArrivalCSR(offsets, dst[order].astype(np.int32), arrival)
+    del src
+    order = np.argsort(key)  # the keys are distinct links, so no ties
+    del key
+    neighbors = dst[order]
+    del dst
+    np.subtract(order, m, out=order, where=order >= m)  # entry index -> link index
+    return ArrivalCSR(offsets, neighbors, order)
 
 
 def finalize_snapshot(csr: ArrivalCSR, position: int, n: int) -> Snapshot:

@@ -76,7 +76,7 @@ SERIES = {
 }
 STAT_GROUPS = tuple(SERIES)
 _TIMING_PARTS = ("dist_estimator", "dist_bounds")  # timed inside "dist"
-_WORK_COUNTS = ("dist_batches", "dist_tree_bfs")  # counted, not timed
+_WORK_COUNTS = ("dist_batches", "dist_tree_bfs", "tri_probes", "tri_batches")  # counted, not timed
 
 
 @dataclass(frozen=True)
@@ -290,7 +290,9 @@ def _measure(
     degree histogram to ``dists`` when distributions are dumped. The
     distance group records in ``timing`` its estimator's and bounds' wall
     time and its work: ``bfs_batch`` calls and tree BFS runs. The triangle
-    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``."""
+    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``;
+    at ``k == 0``, where the listing runs, it records the listing's probes
+    and batches."""
     if group == "conn":
         return components.count, components.giant_size / snapshot.n
     if group == "deg":
@@ -300,8 +302,12 @@ def _measure(
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
         return (*head, ks_statistic(cumulative(counts), final_tail))
     if group == "tri":
-        totals, per_node = tri_counts()
-        return analyze_triangles(snapshot, basic, int(totals[k]), per_node[k, : snapshot.n])
+        counts = tri_counts()
+        if k == 0:
+            timing["tri_probes"], timing["tri_batches"] = counts.probes, counts.batches
+        return analyze_triangles(
+            snapshot, basic, int(counts.totals[k]), counts.per_node[k, : snapshot.n]
+        )
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
     timing["dist_batches"] = timing["dist_tree_bfs"] = 0
     if components.giant_size < 2:
@@ -395,6 +401,7 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
     timings = {
         "load": load_s,
         "part_totals": part_totals,
+        "peak_rss_mb": _peak_rss_mb(),
         "per_checkpoint": checkpoint_timings,
         "totals": totals,
         "work": work,
@@ -403,6 +410,21 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
     with open(os.path.join(out, "timings.json"), "w", encoding="utf-8", newline="\n") as f:
         json.dump(timings, f, indent=2, sort_keys=True)
         f.write("\n")
+
+
+def _peak_rss_mb() -> Optional[float]:
+    """This process's peak resident set so far (``VmHWM``) in MB, or None
+    where ``/proc/self/status`` cannot be read. ``ru_maxrss`` is not used:
+    a process started by ``subprocess`` inherits its parent's high-water
+    mark."""
+    try:
+        with open("/proc/self/status", "rb") as f:
+            for line in f:
+                if line.startswith(b"VmHWM:"):
+                    return int(line.split()[1]) / 1024.0
+    except OSError:
+        pass
+    return None
 
 
 def _write_plot_script(result: RunResult, path: str) -> None:

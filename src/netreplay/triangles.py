@@ -6,8 +6,17 @@ each link is examined once, from its higher-ranked endpoint: intersecting the
 two endpoints' lists of lower-ranked neighbors finds each triangle exactly
 once, at its highest-ranked corner (compact-forward; Latapy, TCS 2008).
 Total work is O(m^(3/2)). The intersections run as vectorized key lookups
-in bounded batches; beyond the adjacency, those and a per-checkpoint table
-of per-node counts are all the memory used.
+in batches of about ``_PROBE_BUDGET`` probes.
+
+Memory, beyond the adjacency: about 28 bytes per adjacency entry for the
+forward links, their keys, arrivals and probe counts; at most three 8-byte
+arrays and one byte per probe in a batch, 25 bytes in all; and the
+(checkpoints + 1) x n table of 8-byte per-node counts, which is the largest
+of these on large inputs. The budget of 2^18 probes (6.5 MB a batch) was
+chosen from rotating benchmark runs of budgets 2^17 to 2^23 on the
+``pa-tri`` workload (BENCH_tri-memory.json): run time did not move, and peak
+RSS fell from 88 MB at 2^21 and up to 50 MB. There a batch is no larger
+than the listing's other arrays, and the next halving saved 4 MB more.
 
 A replay sample, a prefix of the stream, holds a triangle exactly when it
 holds its closing link, the latest of the three. So one listing of the final
@@ -21,19 +30,31 @@ missing, never as 0.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from netreplay.degrees import BasicStats
 from netreplay.graph import ArrivalCSR, Snapshot
 
-_PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
+_PROBE_BUDGET = 1 << 18  # per-batch intersection probes, caps peak memory
 
 
-def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row i of ``(totals, per_node)`` counts the triangles of the first
-    ``positions[i]`` links (ascending), in all and per final-graph node."""
+class TriangleCounts(NamedTuple):
+    """Row i of ``totals`` and ``per_node`` counts the triangles of the
+    first ``positions[i]`` links, in all and per final-graph node.
+    ``probes`` is the number of key lookups the listing made and
+    ``batches`` the number of batches they ran in."""
+
+    totals: np.ndarray
+    per_node: np.ndarray
+    probes: int
+    batches: int
+
+
+def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
+    """Per-checkpoint triangle counts of the prefixes of ``positions``
+    (ascending) links, from one listing of the final graph."""
     n = csr.offsets.size - 1
     k = len(positions)
     # Row i gets the corners first present at positions[i]; row k, the rest.
@@ -43,50 +64,67 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> tuple[np.ndarray,
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
 
-    entry_src = np.repeat(np.arange(n, dtype=np.int64), deg)
-    r_src = rank[entry_src]
+    # Each link once, from its higher rank, sorted by (higher, lower) rank.
+    r_src = np.repeat(rank, deg)
     r_dst = rank[csr.neighbors]
-    forward = np.flatnonzero(r_dst < r_src)  # each link once, from its higher rank
-    forward = forward[np.lexsort((r_dst[forward], r_src[forward]))]
-    f_src, f_dst, f_arrival = r_src[forward], r_dst[forward], csr.arrival[forward]
-    keys = f_src * n + f_dst  # sorted ascending by construction
+    forward = np.flatnonzero(r_dst < r_src)
+    keys = r_src[forward]
+    del r_src
+    keys *= n
+    keys += r_dst[forward]
+    del r_dst
+    by_key = np.argsort(keys)
+    keys = keys[by_key]
+    f_arrival = csr.arrival[forward[by_key]]
+    del forward, by_key
+    f_src, f_dst = np.divmod(keys, n)
 
     f_len = np.bincount(f_src, minlength=n)
     f_off = np.concatenate(([0], np.cumsum(f_len)))
     probes_per_edge = f_len[f_dst]
     cum_probes = np.cumsum(probes_per_edge)
 
+    # Each batch holds at most three probe-sized arrays at once.
     n_edges = f_src.size
-    e0 = 0
+    batches = e0 = 0
     while e0 < n_edges:
         consumed = int(cum_probes[e0 - 1]) if e0 else 0
         e1 = int(np.searchsorted(cum_probes, consumed + _PROBE_BUDGET, side="left")) + 1
         e1 = min(max(e1, e0 + 1), n_edges)
         cnt = probes_per_edge[e0:e1]
         ends = np.cumsum(cnt)
-        flat = (
-            np.arange(ends[-1], dtype=np.int64)
-            - np.repeat(ends - cnt, cnt)
-            + np.repeat(f_off[f_dst[e0:e1]], cnt)
-        )
-        w = f_dst[flat]  # lower-ranked neighbors of each edge's lower end
-        probe_keys = np.repeat(f_src[e0:e1], cnt) * n + w
+        # Probe j of edge e reads forward entry j + shift[e]: the lower
+        # end's lower-ranked neighbors, w.
+        shift = f_off[f_dst[e0:e1]] - (ends - cnt)
+        flat = np.arange(ends[-1], dtype=np.int64)
+        flat += np.repeat(shift, cnt)
+        probe_keys = f_dst[flat]
+        del flat
+        probe_keys += np.repeat(f_src[e0:e1] * n, cnt)
+        # w's rank is below the lower end's, so each probe key is below its
+        # own edge's key, and pos stays inside keys.
         pos = np.searchsorted(keys, probe_keys)
-        pos[pos == keys.size] = 0
         hits = np.flatnonzero(keys[pos] == probe_keys)
-        edge = e0 + np.searchsorted(ends, hits, side="right")
+        del probe_keys
+        matched = pos[hits]  # forward entry of the link (upper end, w)
+        del pos
+        edge = np.searchsorted(ends, hits, side="right")
+        hits += shift[edge]  # probe index -> forward entry (lower end, w)
+        edge += e0
         # Present from the first position past its closing link's arrival.
         closing = np.maximum(
-            f_arrival[edge], np.maximum(f_arrival[pos[hits]], f_arrival[flat[hits]])
+            f_arrival[edge], np.maximum(f_arrival[matched], f_arrival[hits])
         )
         row = np.searchsorted(positions, closing, side="right")
-        for corner in (f_src[edge], f_dst[edge], w[hits]):
+        for corner in (f_src[edge], f_dst[edge], f_dst[hits]):
             np.add.at(table, (row, order[corner]), 1)
+        batches += 1
         e0 = e1
 
     np.cumsum(table, axis=0, out=table)
     per_node = table[:k]
-    return per_node.sum(axis=1) // 3, per_node
+    probes = int(cum_probes[-1]) if n_edges else 0
+    return TriangleCounts(per_node.sum(axis=1) // 3, per_node, probes, batches)
 
 
 def clustering_coefficient(snapshot: Snapshot, per_node: np.ndarray) -> Optional[float]:

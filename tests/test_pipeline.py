@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from netreplay import ingest, pipeline
+from netreplay import ingest, pipeline, triangles
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
 from netreplay.generate import gen_complete, gen_preferential, write_stream
 from netreplay.graph import snapshot_from_edges
@@ -314,16 +314,18 @@ class TestOutputs:
         assert len(samples) == len(iterations) > 1
         assert max(samples) > 64 and max(iterations) > 64
         work = json.loads((out / "timings.json").read_text())["work"]
-        assert work == calls
-        assert work == {
+        dist_work = {key: work.pop(key) for key in calls}
+        assert dist_work == calls
+        assert dist_work == {
             "dist_batches": sum(-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)),
             "dist_tree_bfs": len(iterations),
         }
+        assert sorted(work) == ["tri_batches", "tri_probes"]  # checked in TestTriangleWork
 
     def test_work_counts_zero_without_distances(self, tmp_path):
         _, out = self.run_to_dir(tmp_path, "outz", stats=frozenset({"conn", "deg"}))
         work = json.loads((out / "timings.json").read_text())["work"]
-        assert work == {"dist_batches": 0, "dist_tree_bfs": 0}
+        assert work == {"dist_batches": 0, "dist_tree_bfs": 0, "tri_probes": 0, "tri_batches": 0}
 
     def test_csv_round_numbers_survive(self, tmp_path):
         result, out = self.run_to_dir(tmp_path, "out")
@@ -358,6 +360,79 @@ class TestOutputs:
         assert len(lines) == len(result.checkpoints)
         for line, r in zip(lines, result.checkpoints):
             assert line == f"{r.index},{r.n},{r.m},{r.time}"
+
+
+def compact_forward_probes(u, v, n):
+    """The probes of each link in the triangle listing's order, recomputed
+    from the final graph's degrees. Nodes rank by degree descending, then
+    by index. A link costs one probe per neighbor of its better-ranked end
+    that ranks better still, and links are listed by the ranks of their
+    (worse, better) ends."""
+    adj = [set() for _ in range(n)]
+    for a, b in zip(u, v):
+        adj[a].add(b)
+        adj[b].add(a)
+    by_rank = sorted(range(n), key=lambda x: (-len(adj[x]), x))
+    rank = {x: r for r, x in enumerate(by_rank)}
+    better = [sum(rank[w] < rank[x] for w in adj[x]) for x in range(n)]
+    links = sorted((max(rank[a], rank[b]), min(rank[a], rank[b])) for a, b in zip(u, v))
+    return [better[by_rank[top]] for _, top in links]
+
+
+def listing_passes(probes, budget):
+    """Batches of consecutive links, each closed at the first link that
+    brings its probes to ``budget``."""
+    passes = i = 0
+    while i < len(probes):
+        held = 0
+        while i < len(probes) and held < budget:
+            held += probes[i]
+            i += 1
+        passes += 1
+    return passes
+
+
+class TestTriangleWork:
+    def run(self, tmp_path):
+        path = tmp_path / "s.txt"
+        write_stream(str(path), gen_preferential(200, 4, seed=11))
+        out = tmp_path / "out"
+        run_evolution(
+            quick_config(path, nominal_checkpoints=10, out_dir=str(out), stats=frozenset({"tri"}))
+        )
+        stream = ingest.normalize(str(path))
+        probes = compact_forward_probes(stream.u.tolist(), stream.v.tolist(), stream.final_n)
+        return json.loads((out / "timings.json").read_text()), probes
+
+    def test_probes_are_the_compact_forward_total(self, tmp_path):
+        timings, probes = self.run(tmp_path)
+        assert sum(probes) > 0
+        assert timings["work"]["tri_probes"] == sum(probes)
+        assert timings["work"]["tri_batches"] == 1
+        # counted once, where the listing runs: the first checkpoint
+        carriers = [r["checkpoint"] for r in timings["per_checkpoint"] if "tri_probes" in r]
+        assert carriers == [timings["per_checkpoint"][0]["checkpoint"]]
+
+    def test_batches_count_the_listing_passes(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(triangles, "_PROBE_BUDGET", 3)
+        timings, probes = self.run(tmp_path)
+        assert timings["work"]["tri_probes"] == sum(probes)
+        assert timings["work"]["tri_batches"] == listing_passes(probes, 3) > 1
+
+    def test_peak_rss_is_this_process_high_water_mark(self, tmp_path, monkeypatch):
+        timings, _ = self.run(tmp_path)
+        if not os.path.exists("/proc/self/status"):
+            assert timings["peak_rss_mb"] is None
+        else:
+            with open("/proc/self/status", "rb") as f:
+                hwm = next(int(line.split()[1]) for line in f if line.startswith(b"VmHWM:"))
+            assert 0 < timings["peak_rss_mb"] <= hwm / 1024
+
+        def unreadable(*args, **kwargs):
+            raise OSError("no /proc here")
+
+        monkeypatch.setattr(pipeline, "open", unreadable, raising=False)
+        assert pipeline._peak_rss_mb() is None
 
 
 class TestDeterminismAndCache:

@@ -1,12 +1,15 @@
 """Triangle counts against brute force and the per-snapshot oracle, plus
 clustering and transitivity."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay import triangles
+from netreplay.generate import gen_preferential
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 from netreplay.pipeline import SERIES
 from netreplay.triangles import (
@@ -240,7 +243,7 @@ def assert_counts_match_oracle(pairs, n, positions):
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
     csr = arrival_csr(u, v, n)
-    totals, per_node = triangle_counts(csr, np.asarray(positions, dtype=np.int64))
+    totals, per_node, _, _ = triangle_counts(csr, np.asarray(positions, dtype=np.int64))
     assert per_node.shape == (len(positions), n)
     for i, p in enumerate(positions):
         want_total, want_per = count_triangles(finalize_snapshot(csr, p, n))
@@ -263,11 +266,14 @@ def link_orders(draw):
 
 
 class TestArrivalListing:
-    @given(link_orders())
+    @given(link_orders(), st.integers(1, 64))
     @settings(max_examples=120, deadline=None)
-    def test_matches_fresh_count_of_every_prefix(self, case):
+    def test_matches_fresh_count_of_every_prefix(self, case, budget):
+        # Small probe budgets split the listing into many batches.
         n, pairs, positions = case
-        assert_counts_match_oracle(pairs, n, positions)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(triangles, "_PROBE_BUDGET", budget)
+            assert_counts_match_oracle(pairs, n, positions)
 
     def test_linkless_graph(self):
         assert_counts_match_oracle([], 5, [0, 0])
@@ -275,7 +281,7 @@ class TestArrivalListing:
     def test_triangle_present_from_position_after_closing_link(self):
         # Closing arrival 2 for (0, 1, 2), 4 for (1, 2, 3).
         pairs = [(0, 1), (1, 2), (2, 0), (3, 1), (2, 3)]
-        totals, per_node = triangle_counts(
+        totals, per_node, _, _ = triangle_counts(
             arrival_csr(*np.array(pairs).T, 4), np.array([2, 3, 4, 5])
         )
         assert totals.tolist() == [0, 1, 1, 2]
@@ -295,3 +301,28 @@ class TestArrivalListing:
         order = rng.permutation(len(edges))
         positions = sorted(rng.integers(0, len(edges) + 1, size=6).tolist())
         assert_counts_match_oracle([edges[i] for i in order], 30, positions + [len(edges)])
+
+
+class TestProbeBatches:
+    def test_traced_peak_bounded_per_probe_and_entry(self, monkeypatch):
+        # A batch holds about 25 bytes per probe and the listing about 24
+        # per adjacency entry, beside the per-checkpoint table; the bound
+        # leaves a margin on both. A batch ends at the first link that
+        # brings it to the budget, so it overshoots by less than one link's
+        # probes, at most the maximum degree.
+        budget = 1 << 14
+        monkeypatch.setattr(triangles, "_PROBE_BUDGET", budget)
+        n = 2000
+        _, u, v = gen_preferential(n, 10, seed=3)
+        csr = arrival_csr(np.array(u), np.array(v), n)
+        positions = np.linspace(0, len(u), 10).astype(np.int64)
+        tracemalloc.start()
+        try:
+            counts = triangle_counts(csr, positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert counts.batches >= 5
+        batch = budget + int(np.diff(csr.offsets).max())
+        table = (positions.size + 1) * n * 8
+        assert peak < 40 * batch + 40 * csr.neighbors.size + table
