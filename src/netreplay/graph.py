@@ -9,7 +9,8 @@ starts. So ``arrival_csr`` builds the final graph's CSR once, tagging each
 adjacency entry with the index of the link behind it, and
 ``finalize_snapshot`` derives the sample after ``p`` links by keeping the
 entries whose arrival is below ``p``. Each snapshot costs Theta(final m)
-time and Theta(m) memory.
+time and Theta(m) memory, so the replay builds one only at a checkpoint
+that measures distances, the one group that traverses it.
 """
 
 from __future__ import annotations

@@ -1,15 +1,18 @@
 """Replay orchestration: one pass over the stream, statistics per checkpoint.
 
-``run_evolution`` builds the final graph of a normalized stream once, with
-each adjacency entry tagged by its link's arrival. ``checkpoint_plan``
-places every scheduled node-count checkpoint in the stream up front; at each
-one the loop takes the snapshot of the links seen so far as a prefix mask of
-that graph and computes the enabled statistic groups. Connectivity comes
-from one label array that merges each checkpoint's new links as a batch
-(links only ever merge components), triangles come from one listing of the
-final graph, the degree group measures each snapshot's degree tail against
-the final graph's, and the rest runs on the snapshot. ``SERIES`` names the
-series of each group, in the order ``_measure`` returns their values.
+``checkpoint_plan`` places every scheduled node-count checkpoint in a
+normalized stream up front; at each one the loop folds the links seen since
+the previous one into its running state and computes the enabled statistic
+groups. Connectivity comes from one label array that merges each
+checkpoint's new links as a batch (links only ever merge components), and
+the degrees from one running count of link endpoints. The degree group
+measures the degree tail against the final graph's, and the triangle group
+reads one listing of the final graph. Only the triangle and distance groups
+need the final graph's adjacency, built once with each entry tagged by its
+link's arrival, and only the distance group traverses a snapshot: the
+prefix mask of that adjacency, built at a checkpoint only when distances are
+on. ``SERIES`` names the series of each group, in the order ``_measure``
+returns their values.
 Results come back as one EvolutionSeries per statistic and, when an output
 directory is configured, land on disk as CSV files plus a manifest, a
 gnuplot script, and a separate timing file.
@@ -41,7 +44,7 @@ from netreplay.distances import (
     diameter_bounds,
     estimate_average_distance,
 )
-from netreplay.graph import arrival_csr, finalize_snapshot
+from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot
 from netreplay.ingest import (
     ArrivalStream,
     FormatOptions,
@@ -76,7 +79,9 @@ SERIES = {
 }
 STAT_GROUPS = tuple(SERIES)
 _TIMING_PARTS = ("dist_estimator", "dist_bounds")  # timed inside "dist"
-_WORK_COUNTS = ("dist_batches", "dist_tree_bfs", "tri_probes", "tri_batches")  # counted, not timed
+_WORK_COUNTS = (  # counted, not timed
+    "dist_batches", "dist_tree_bfs", "snapshots", "tri_probes", "tri_searches", "tri_batches"
+)
 
 
 @dataclass(frozen=True)
@@ -215,49 +220,62 @@ def run_evolution(config: RunConfig) -> RunResult:
     # A checkpoint's replay time runs from the end of the previous one, so
     # the first includes building the final CSR.
     t_replay = _time.perf_counter()
-    csr = arrival_csr(stream.u, stream.v, stream.final_n)
+    csr = None
+    if "tri" in groups or "dist" in groups:
+        csr = arrival_csr(stream.u, stream.v, stream.final_n)
     label = np.arange(stream.final_n)
+    degree = np.zeros(stream.final_n, dtype=np.int64)  # over the links replayed so far
     records: list[CheckpointRecord] = []
     series = {name: EvolutionSeries(name) for group in groups for name in SERIES[group]}
     checkpoint_timings: list[dict] = []
     plan = checkpoint_plan(stream, sizes)
     positions = np.array([position for _, _, position, _ in plan], dtype=np.int64)
     tri_counts = functools.cache(functools.partial(triangle_counts, csr, positions))
-    final_tail = cumulative(np.bincount(np.diff(csr.offsets))) if "deg" in groups else None
+    final_tail = None
+    if "deg" in groups:
+        final_degrees = np.bincount(stream.u, minlength=stream.final_n)
+        final_degrees += np.bincount(stream.v, minlength=stream.final_n)
+        final_tail = cumulative(np.bincount(final_degrees))
     dists = [] if config.dump_distributions else None
     pos = 0
 
     for k, (ci, target, position, n) in enumerate(plan):
-        merge_links(label, stream.u[pos:position], stream.v[pos:position])
+        u, v = stream.u[pos:position], stream.v[pos:position]
+        merge_links(label, u, v)
+        for ends in (u, v):  # every endpoint so far is below n
+            degree[:n] += np.bincount(ends, minlength=n)
         pos = position
+        degrees = degree[:n]
         components = components_of(label, n)
-        snapshot = finalize_snapshot(csr, position, n)
+        snapshot = finalize_snapshot(csr, position, n) if "dist" in groups else None
         record = CheckpointRecord(
             index=ci,
             target_n=target,
             position=position,
             n=n,
-            m=snapshot.m,
+            m=position,  # the stream's links are distinct and never loops
             time=int(stream.time[position - 1]) if position else 0,
         )
         timing = {"checkpoint": ci, "replay": _time.perf_counter() - t_replay}
+        if snapshot is not None:
+            timing["snapshots"] = 1
         try:
             basic = None
             if n >= 2:
-                basic = stats_from_counts(n, snapshot.m, int(snapshot.degrees.max()))
+                basic = stats_from_counts(n, position, int(degrees.max()))
             for group in groups:
                 t0 = _time.perf_counter()
                 names = SERIES[group]
                 row = _measure(
-                    group, config, ci, k, snapshot, basic, components, timing, tri_counts,
-                    final_tail, dists,
+                    group, config, ci, k, degrees, snapshot, basic, components, timing,
+                    tri_counts, final_tail, dists,
                 )
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
                     series[name].append(record, value)
                 timing[group] = _time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(
-                f"checkpoint {ci} (target n={target}, actual n={n}, m={snapshot.m}): {exc}"
+                f"checkpoint {ci} (target n={target}, actual n={n}, m={position}): {exc}"
             ) from exc
         records.append(record)
         checkpoint_timings.append(timing)
@@ -278,25 +296,27 @@ def run_evolution(config: RunConfig) -> RunResult:
 
 
 def _measure(
-    group: str, config: RunConfig, checkpoint_index: int, k: int, snapshot,
-    basic: Optional[BasicStats], components: Components, timing: dict, tri_counts,
-    final_tail: Optional[np.ndarray], dists: Optional[list],
+    group: str, config: RunConfig, checkpoint_index: int, k: int, degrees: np.ndarray,
+    snapshot: Optional[Snapshot], basic: Optional[BasicStats], components: Components,
+    timing: dict, tri_counts, final_tail: Optional[np.ndarray], dists: Optional[list],
 ) -> Optional[tuple]:
     """One checkpoint's values for ``group``, in ``SERIES`` order; None where
     the whole group is undefined, as distances are while the giant component
-    has fewer than two nodes. ``basic`` is None below two nodes. The degree
-    group measures the K-S distance of the snapshot's degree tail to
-    ``final_tail``, the final graph's, and appends the snapshot's dense
-    degree histogram to ``dists`` when distributions are dumped. The
-    distance group records in ``timing`` its estimator's and bounds' wall
-    time and its work: ``bfs_batch`` calls and tree BFS runs. The triangle
-    group reads row ``k`` (place in the plan) of the lazy ``tri_counts()``;
-    at ``k == 0``, where the listing runs, it records the listing's probes
-    and batches."""
+    has fewer than two nodes. ``degrees`` holds the checkpoint's n node
+    degrees, and ``snapshot`` its adjacency, built only for the distance
+    group. ``basic`` is None below two nodes. The degree group measures the
+    K-S distance of the degree tail to ``final_tail``, the final graph's, and
+    appends the dense degree histogram to ``dists`` when distributions are
+    dumped. The distance group records in ``timing`` its estimator's and
+    bounds' wall time and its work: ``bfs_batch`` calls and tree BFS runs.
+    The triangle group reads row ``k`` (place in the plan) of the lazy
+    ``tri_counts()``; at ``k == 0``, where the listing runs, it records the
+    listing's probes, searches and batches."""
+    n = degrees.size
     if group == "conn":
-        return components.count, components.giant_size / snapshot.n
+        return components.count, components.giant_size / n
     if group == "deg":
-        counts = np.bincount(snapshot.degrees)
+        counts = np.bincount(degrees)
         if dists is not None:
             dists.append(counts)
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
@@ -304,10 +324,10 @@ def _measure(
     if group == "tri":
         counts = tri_counts()
         if k == 0:
-            timing["tri_probes"], timing["tri_batches"] = counts.probes, counts.batches
-        return analyze_triangles(
-            snapshot, basic, int(counts.totals[k]), counts.per_node[k, : snapshot.n]
-        )
+            timing["tri_probes"] = counts.probes
+            timing["tri_searches"] = counts.searches
+            timing["tri_batches"] = counts.batches
+        return analyze_triangles(degrees, basic, int(counts.totals[k]), counts.per_node[k, :n])
     timing["dist_estimator"] = timing["dist_bounds"] = 0.0
     timing["dist_batches"] = timing["dist_tree_bfs"] = 0
     if components.giant_size < 2:

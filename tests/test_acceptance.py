@@ -417,7 +417,7 @@ def test_checkpoints_match_fresh_recomputation(tmp_path):
         ):
             mismatches.append(f"ckpt {r.index}: bounds")
 
-        tri = analyze_triangles(snap, basic, *count_triangles(snap))
+        tri = analyze_triangles(snap.degrees, basic, *count_triangles(snap))
         if tri != tuple(val(name, k) for name in SERIES["tri"]):
             mismatches.append(f"ckpt {r.index}: triangles")
         if len(mismatches) > 5:

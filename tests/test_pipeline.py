@@ -3,15 +3,18 @@
 import json
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from netreplay import ingest, pipeline, triangles
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
 from netreplay.generate import gen_complete, gen_preferential, write_stream
-from netreplay.graph import snapshot_from_edges
-from netreplay.ingest import FormatOptions, StreamFormatError
+from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
+from netreplay.ingest import FormatOptions, StreamFormatError, checkpoint_plan, checkpoint_sizes
 from netreplay.pipeline import (
     RunConfig,
     checkpoint_bounds_seed,
@@ -198,7 +201,7 @@ class TestPrefixConsistency:
             assert result.series["average_degree"].values[idx] == stats.average_degree
             assert result.series["density"].values[idx] == stats.density
             assert result.series["max_degree"].values[idx] == stats.max_degree
-            tri = analyze_triangles(snap, stats, *count_triangles(snap))
+            tri = analyze_triangles(snap.degrees, stats, *count_triangles(snap))
             for name, value in zip(pipeline.SERIES["tri"], tri, strict=True):
                 assert result.series[name].values[idx] == value
             mask = summ.giant_mask()
@@ -298,7 +301,7 @@ class TestOutputs:
             counted(distances.diameter_upper_bound, "dist_tree_bfs"),
         )
         # above 64 samples or 32 rounds a checkpoint needs more than one block
-        _, out = self.run_to_dir(
+        result, out = self.run_to_dir(
             tmp_path,
             "outw",
             estimator=EstimatorConfig(i_min=70, epsilon=0.01),
@@ -320,12 +323,22 @@ class TestOutputs:
             "dist_batches": sum(-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)),
             "dist_tree_bfs": len(iterations),
         }
-        assert sorted(work) == ["tri_batches", "tri_probes"]  # checked in TestTriangleWork
+        # With distances on, every checkpoint builds its snapshot.
+        assert work.pop("snapshots") == len(result.checkpoints)
+        # checked in TestTriangleWork
+        assert sorted(work) == ["tri_batches", "tri_probes", "tri_searches"]
 
     def test_work_counts_zero_without_distances(self, tmp_path):
         _, out = self.run_to_dir(tmp_path, "outz", stats=frozenset({"conn", "deg"}))
         work = json.loads((out / "timings.json").read_text())["work"]
-        assert work == {"dist_batches": 0, "dist_tree_bfs": 0, "tri_probes": 0, "tri_batches": 0}
+        assert work == {
+            "dist_batches": 0,
+            "dist_tree_bfs": 0,
+            "snapshots": 0,
+            "tri_probes": 0,
+            "tri_searches": 0,
+            "tri_batches": 0,
+        }
 
     def test_csv_round_numbers_survive(self, tmp_path):
         result, out = self.run_to_dir(tmp_path, "out")
@@ -392,6 +405,68 @@ def listing_passes(probes, budget):
     return passes
 
 
+@st.composite
+def trace_lines(draw):
+    """Trace lines over a few nodes: links, repeats of them in either
+    direction, and loops, which may be the only lines naming a node."""
+    n = draw(st.integers(1, 10))
+    ends = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    events = draw(st.lists(ends, min_size=1, max_size=50))
+    return [f"{t} n{a} n{b}" for t, (a, b) in enumerate(events)]
+
+
+def raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return fail
+
+
+class TestAdjacencyOnlyWhereRead:
+    @given(trace_lines(), st.integers(1, 12))
+    @settings(max_examples=80, deadline=None)
+    def test_running_degrees_match_snapshot_at_every_checkpoint(self, lines, checkpoints):
+        seen = []
+
+        def measure(group, config, checkpoint_index, k, degrees, *rest):
+            seen.append(degrees.copy())
+
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.txt")
+            write_lines(path, lines)
+            cfg = quick_config(path, nominal_checkpoints=checkpoints, stats=frozenset({"deg"}))
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(pipeline, "_measure", measure)
+                result = run_evolution(cfg)
+            stream = pipeline.load_stream(cfg)
+        csr = arrival_csr(stream.u, stream.v, stream.final_n)
+        plan = checkpoint_plan(stream, checkpoint_sizes(stream.final_n, checkpoints))
+        assert len(seen) == len(plan) == len(result.checkpoints)
+        for degrees, record, (_, _, position, n) in zip(seen, result.checkpoints, plan):
+            snap = finalize_snapshot(csr, position, n)
+            assert degrees.tolist() == snap.degrees.tolist()
+            assert record.m == snap.m
+
+    @pytest.mark.parametrize(
+        "groups, unused",
+        [
+            ({"conn", "deg"}, ("arrival_csr", "finalize_snapshot")),
+            ({"tri"}, ("finalize_snapshot",)),
+        ],
+    )
+    def test_groups_without_distances_build_no_snapshot(self, tmp_path, monkeypatch, groups, unused):
+        path = tmp_path / "s.txt"
+        write_stream(str(path), gen_preferential(120, 3, seed=4))
+        want = run_evolution(quick_config(path, nominal_checkpoints=9, stats=frozenset(groups)))
+        for name in unused:
+            monkeypatch.setattr(pipeline, name, raising(name))
+        got = run_evolution(quick_config(path, nominal_checkpoints=9, stats=frozenset(groups)))
+        assert got.checkpoints == want.checkpoints
+        assert {k: s.values for k, s in got.series.items()} == {
+            k: s.values for k, s in want.series.items()
+        }
+
+
 class TestTriangleWork:
     def run(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -409,9 +484,26 @@ class TestTriangleWork:
         assert sum(probes) > 0
         assert timings["work"]["tri_probes"] == sum(probes)
         assert timings["work"]["tri_batches"] == 1
+        assert timings["work"]["snapshots"] == 0
         # counted once, where the listing runs: the first checkpoint
         carriers = [r["checkpoint"] for r in timings["per_checkpoint"] if "tri_probes" in r]
         assert carriers == [timings["per_checkpoint"][0]["checkpoint"]]
+
+    def test_searches_lie_between_triangles_and_probes(self, tmp_path, monkeypatch):
+        # Every triangle is one search that found its key; the filter keeps
+        # most other probes from being searched. With one filter slot, every
+        # probe is searched.
+        timings, probes = self.run(tmp_path)
+        triangles_total = int(
+            (tmp_path / "out" / "triangles.csv").read_text().splitlines()[-1].rsplit(",", 1)[1]
+        )
+        work = timings["work"]
+        assert 0 < triangles_total <= work["tri_searches"] < work["tri_probes"] == sum(probes)
+        carriers = [r["checkpoint"] for r in timings["per_checkpoint"] if "tri_searches" in r]
+        assert carriers == [timings["per_checkpoint"][0]["checkpoint"]]
+        monkeypatch.setattr(triangles, "_HASH_MULTIPLIER", 0)
+        timings, _ = self.run(tmp_path)
+        assert timings["work"]["tri_searches"] == timings["work"]["tri_probes"]
 
     def test_batches_count_the_listing_passes(self, tmp_path, monkeypatch):
         monkeypatch.setattr(triangles, "_PROBE_BUDGET", 3)

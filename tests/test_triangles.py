@@ -31,7 +31,7 @@ def complete_edges(n):
 def report(edges, n=None):
     """The triangle group's series of one graph, by name."""
     snap = snapshot_from_edges(edges, n=n)
-    row = analyze_triangles(snap, basic_stats(snap), *count_triangles(snap))
+    row = analyze_triangles(snap.degrees, basic_stats(snap), *count_triangles(snap))
     return dict(zip(SERIES["tri"], row))
 
 
@@ -93,40 +93,40 @@ class TestClustering:
     def test_single_triangle_is_one(self):
         snap = snapshot_from_edges([(0, 1), (1, 2), (0, 2)])
         _, per = count_triangles(snap)
-        assert clustering_coefficient(snap, per) == 1.0
+        assert clustering_coefficient(snap.degrees, per) == 1.0
 
     def test_two_triangles_sharing_a_node(self):
         snap = snapshot_from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         _, per = count_triangles(snap)
         # node 0 closes 2 of its 6 neighbor pairs, the rest are fully closed
-        assert clustering_coefficient(snap, per) == pytest.approx(13 / 15, rel=1e-12)
+        assert clustering_coefficient(snap.degrees, per) == pytest.approx(13 / 15, rel=1e-12)
 
     def test_degree_below_two_ignored(self):
         snap = snapshot_from_edges([(0, 1), (1, 2), (0, 2), (2, 3)])
         _, per = count_triangles(snap)
-        cc = clustering_coefficient(snap, per)
+        cc = clustering_coefficient(snap.degrees, per)
         # node 3 (degree 1) does not enter the mean
         assert cc == pytest.approx(np.mean([1.0, 1.0, 1 / 3]), rel=1e-12)
 
     def test_no_eligible_node_is_undefined(self):
         snap = snapshot_from_edges([(0, 1), (2, 3)])
         _, per = count_triangles(snap)
-        assert clustering_coefficient(snap, per) is None
+        assert clustering_coefficient(snap.degrees, per) is None
 
     def test_complete_graph_is_exactly_one(self):
         for k in (3, 7, 20):
             snap = snapshot_from_edges(complete_edges(k))
             _, per = count_triangles(snap)
-            assert clustering_coefficient(snap, per) == 1.0
+            assert clustering_coefficient(snap.degrees, per) == 1.0
 
 
 class TestTransitivity:
     def test_triples(self):
-        assert connected_triples(snapshot_from_edges([(0, 1), (1, 2)])) == 1
-        assert connected_triples(snapshot_from_edges(complete_edges(4))) == 12
+        assert connected_triples(snapshot_from_edges([(0, 1), (1, 2)]).degrees) == 1
+        assert connected_triples(snapshot_from_edges(complete_edges(4)).degrees) == 12
         assert (
             connected_triples(
-                snapshot_from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
+                snapshot_from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)]).degrees
             )
             == 10
         )
@@ -134,23 +134,23 @@ class TestTransitivity:
     def test_two_triangles_sharing_a_node(self):
         snap = snapshot_from_edges([(0, 1), (0, 2), (1, 2), (0, 3), (0, 4), (3, 4)])
         total, _ = count_triangles(snap)
-        assert transitivity(snap, total) == 0.6
+        assert transitivity(snap.degrees, total) == 0.6
 
     def test_complete_graph_is_exactly_one(self):
         for k in (3, 8, 20):
             snap = snapshot_from_edges(complete_edges(k))
             total, _ = count_triangles(snap)
-            assert transitivity(snap, total) == 1.0
+            assert transitivity(snap.degrees, total) == 1.0
 
     def test_no_triples_is_undefined(self):
         snap = snapshot_from_edges([(0, 1), (2, 3)])
         total, _ = count_triangles(snap)
-        assert transitivity(snap, total) is None
+        assert transitivity(snap.degrees, total) is None
 
     def test_star_closes_nothing(self):
         snap = snapshot_from_edges([(0, v) for v in range(1, 6)])
         total, _ = count_triangles(snap)
-        assert transitivity(snap, total) == 0.0
+        assert transitivity(snap.degrees, total) == 0.0
 
 
 class TestDerivedRatios:
@@ -166,7 +166,7 @@ class TestDerivedRatios:
 
     def test_single_node_without_degree_stats_has_no_ratios(self):
         snap = snapshot_from_edges([], n=1)
-        row = analyze_triangles(snap, None, *count_triangles(snap))
+        row = analyze_triangles(snap.degrees, None, *count_triangles(snap))
         assert row == (0, None, None, None, None)
 
     def test_clustered_fixture_beats_density_by_an_order(self):
@@ -187,9 +187,9 @@ class TestDerivedRatios:
         r = report([(0, 1), (1, 2), (0, 2), (2, 3)])
         assert r["triangles"] == total == 1
         assert per_node.tolist() == [1, 1, 1, 0]
-        assert connected_triples(snap) == 5
-        assert r["transitivity"] == 3 * total / connected_triples(snap) == pytest.approx(3 / 5)
-        assert r["clustering"] == clustering_coefficient(snap, per_node)
+        assert connected_triples(snap.degrees) == 5
+        assert r["transitivity"] == 3 * total / connected_triples(snap.degrees) == pytest.approx(3 / 5)
+        assert r["clustering"] == clustering_coefficient(snap.degrees, per_node)
 
 
 @st.composite
@@ -214,7 +214,7 @@ class TestProperties:
         n, edges = case
         snap = snapshot_from_edges(edges, n=n)
         total, _ = count_triangles(snap)
-        t = transitivity(snap, total)
+        t = transitivity(snap.degrees, total)
         assert t is None or 0.0 <= t <= 1.0
 
     @given(edge_lists(), st.integers(min_value=0, max_value=10**9))
@@ -239,16 +239,21 @@ class TestProperties:
 
 
 def assert_counts_match_oracle(pairs, n, positions):
-    """triangle_counts at every position equals a fresh count of that prefix."""
+    """triangle_counts at every position equals a fresh count of that prefix;
+    returns the counts."""
     u = np.array([a for a, _ in pairs], dtype=np.int64)
     v = np.array([b for _, b in pairs], dtype=np.int64)
     csr = arrival_csr(u, v, n)
-    totals, per_node, _, _ = triangle_counts(csr, np.asarray(positions, dtype=np.int64))
-    assert per_node.shape == (len(positions), n)
+    counts = triangle_counts(csr, np.asarray(positions, dtype=np.int64))
+    assert counts.per_node.shape == (len(positions), n)
     for i, p in enumerate(positions):
         want_total, want_per = count_triangles(finalize_snapshot(csr, p, n))
-        assert int(totals[i]) == want_total
-        assert per_node[i].tolist() == want_per.tolist()
+        assert int(counts.totals[i]) == want_total
+        assert counts.per_node[i].tolist() == want_per.tolist()
+    # Every triangle of the final graph is one search that found its key.
+    assert count_triangles(finalize_snapshot(csr, len(pairs), n))[0] <= counts.searches
+    assert counts.searches <= counts.probes
+    return counts
 
 
 @st.composite
@@ -266,14 +271,24 @@ def link_orders(draw):
 
 
 class TestArrivalListing:
-    @given(link_orders(), st.integers(1, 64))
-    @settings(max_examples=120, deadline=None)
-    def test_matches_fresh_count_of_every_prefix(self, case, budget):
-        # Small probe budgets split the listing into many batches.
+    @given(
+        link_orders(),
+        st.one_of(st.integers(1, 64), st.just(triangles._PROBE_BUDGET)),
+        st.booleans(),
+    )
+    @settings(max_examples=160, deadline=None)
+    def test_matches_fresh_count_of_every_prefix(self, case, budget, one_slot):
+        # Small probe budgets split the listing into many batches. A zero
+        # hash multiplier sends every key to one filter slot, so the filter
+        # passes every probe to the search.
         n, pairs, positions = case
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(triangles, "_PROBE_BUDGET", budget)
-            assert_counts_match_oracle(pairs, n, positions)
+            if one_slot:
+                patch.setattr(triangles, "_HASH_MULTIPLIER", 0)
+            counts = assert_counts_match_oracle(pairs, n, positions)
+        if one_slot:
+            assert counts.searches == counts.probes
 
     def test_linkless_graph(self):
         assert_counts_match_oracle([], 5, [0, 0])
@@ -281,7 +296,7 @@ class TestArrivalListing:
     def test_triangle_present_from_position_after_closing_link(self):
         # Closing arrival 2 for (0, 1, 2), 4 for (1, 2, 3).
         pairs = [(0, 1), (1, 2), (2, 0), (3, 1), (2, 3)]
-        totals, per_node, _, _ = triangle_counts(
+        totals, per_node, *_ = triangle_counts(
             arrival_csr(*np.array(pairs).T, 4), np.array([2, 3, 4, 5])
         )
         assert totals.tolist() == [0, 1, 1, 2]
