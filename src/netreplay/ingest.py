@@ -8,13 +8,33 @@ order of first appearance. The result is an :class:`ArrivalStream`, the
 canonical replay input for everything downstream.
 
 The trace is read in blocks of whole lines (``_BLOCK_BYTES``, cut after the
-last line end). Each block is decoded once and split once; its lines' field
-counts come from array operations over its code points, its times from one
-``int`` map, its node ids from one token dictionary kept across blocks, and
-its new links from ``np.unique`` on packed pair keys checked against the
-sorted keys kept so far. Beyond the stream's own arrays (filled in place in
-buffers that grow by doubling and are cut to size), working memory is the
-block, the dictionary (one entry per node) and 8 bytes per kept link.
+last line end) by a reader thread that runs at most ``_QUEUE_CHUNKS`` blocks
+ahead of the parser, so reading and gunzip overlap with parsing. The fields
+of a block and each line's field count come from array operations over its
+code points. Its times come from the same code points by array arithmetic
+when every stamp is 1 to 19 ASCII digits, and from ``int`` otherwise. Its
+node ids come one of two ways, which give the same ids:
+
+- the decimal path, for an ASCII block whose endpoint tokens are all
+  canonical decimals (no leading zero unless the token is ``0``) below
+  ``_DECIMAL_CAP``: the tokens' values index ``id_of``, an ``int32`` array
+  of node ids, without a split or a dictionary lookup per token;
+- the general path, for every other block: the block is split once and
+  each token looked up in one dictionary kept across blocks.
+
+The dictionary holds every token. ``id_of`` caches its ids of canonical
+decimal tokens, so the decimal path looks a token up in the dictionary only
+the first time it meets it, and a new token takes the next id whichever
+path meets it first. New links come from ``np.unique`` on packed pair keys. Only
+the keys whose endpoints were both known before the block are searched for
+among the keys kept so far, which are held as sorted runs merged by size,
+like a binary counter, so no block copies them all. Beyond the stream's own
+arrays (filled in place in buffers that grow by doubling and are cut to
+size), working memory is the block and at most ``_QUEUE_CHUNKS`` queued
+chunks, the dictionary (one entry per node), ``id_of`` (4 bytes per value
+up to at most twice the largest decimal token seen, below the cap, so at
+most 64 MiB) and 8 bytes per kept link, plus a merge buffer of up to half
+of them.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -33,13 +53,17 @@ from __future__ import annotations
 import contextlib
 import gzip
 import os
+import queue
 import struct
 import tempfile
+import threading
+import time as _time
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, count
-from typing import Optional, Sequence
+from operator import itemgetter
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -53,6 +77,13 @@ _COLUMN_DTYPES = (np.dtype("<i4"), np.dtype("<i4"), np.dtype("<u8"), np.dtype("<
 _MAX_NODE = 2**31 - 1
 
 _BLOCK_BYTES = 1 << 18  # read at a time; a block is cut after its last whole line
+_QUEUE_CHUNKS = 2  # blocks the reader thread may run ahead of the parser
+_PUT_WAIT_S = 0.05  # how often a reader waiting on a full queue looks for the stop flag
+_STAMP_DIGITS = 19  # stamps this long or shorter are read by array arithmetic: all < 2^64
+# Endpoint tokens that are canonical decimals below the cap are looked up in
+# an array indexed by value, not in the token dictionary.
+_DECIMAL_CAP = 1 << 24
+_CAP_DIGITS = len(str(_DECIMAL_CAP - 1))
 # str.isspace of each code point up to U+3000, the last that is whitespace;
 # every later code point reads the final False entry.
 _WHITESPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
@@ -98,7 +129,9 @@ class ArrivalStream:
         return int(self.u.size)
 
 
-def normalize(path: str, options: FormatOptions = FormatOptions()) -> ArrivalStream:
+def normalize(
+    path: str, options: FormatOptions = FormatOptions(), work: Optional[dict] = None
+) -> ArrivalStream:
     """Read, validate and normalize the trace at ``path`` (gzipped if it
     ends in ``.gz``), one block of whole lines at a time.
 
@@ -119,47 +152,130 @@ def normalize(path: str, options: FormatOptions = FormatOptions()) -> ArrivalStr
     loop (a, a) is dropped as a link but still discovers node a. Every
     distinct endpoint token becomes the next free index the first time it
     is seen, a line's source before its destination.
+
+    A reader thread reads and cuts the blocks while this one parses them;
+    it is stopped and joined before this function returns or raises. If
+    ``work`` is given, it receives how the load ran: ``blocks`` parsed,
+    ``decimal_blocks`` among them, and ``reader_wait_s``, the seconds spent
+    waiting for the reader.
     """
     blocks = _BlockNormalizer(options.no_time)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as f:
-        buf = bytearray()  # what was read after the last line end fed
-        while True:
-            data, fault = _read_block(f)
-            if not data and fault is None:
-                break
-            # A line can end only in the new bytes or at a "\r" just before
-            # them, so a line longer than a block is not searched again.
-            start = max(len(buf) - 1, 0)
-            buf += data
-            # Cut after the last "\n", or after a later "\r" that the next
-            # byte shows is not the start of a "\r\n".
-            cut = max(buf.rfind(b"\n", start), buf.rfind(b"\r", start, len(buf) - 1)) + 1
-            blocks.feed(bytes(buf[:cut]))
-            del buf[:cut]
+    with opener(path, "rb") as f, _ReadAhead(f) as reader:
+        for chunk, fault in reader:
+            blocks.feed(chunk)
             if fault is not None:
                 raise StreamFormatError(f"unreadable input after line {blocks.lines}: {fault}")
-    if buf:
-        blocks.feed(bytes(buf) + b"\n")
+    if work is not None:
+        work.update(
+            blocks=blocks.blocks, decimal_blocks=blocks.decimal_blocks, reader_wait_s=reader.wait_s
+        )
     return blocks.stream()
 
 
-def _read_block(f) -> tuple[bytes, Optional[Exception]]:
-    """The next ``_BLOCK_BYTES`` bytes of ``f`` (fewer at the end), and the
-    error that ended the read early, if any. Reading piece by piece keeps
-    what came before a fault, so its whole lines are still checked."""
-    pieces = []
-    size = 0
+def _read_block(f, buf: bytearray) -> Optional[Exception]:
+    """Append the next ``_BLOCK_BYTES`` bytes of ``f`` (fewer at the end) to
+    ``buf``, and return the error that ended the read early, if any. Reading
+    piece by piece keeps what came before a fault, so its whole lines are
+    still checked."""
+    end = len(buf) + _BLOCK_BYTES
     try:
-        while size < _BLOCK_BYTES:
-            piece = f.read1(_BLOCK_BYTES - size)
+        while len(buf) < end:
+            piece = f.read1(end - len(buf))
             if not piece:
                 break
-            pieces.append(piece)
-            size += len(piece)
+            buf += piece
     except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
-        return b"".join(pieces), exc
-    return b"".join(pieces), None
+        return exc
+    return None
+
+
+def _line_chunks(f) -> Iterator[tuple[bytearray, Optional[Exception]]]:
+    """``f`` as chunks of whole lines, one per block read, each with the
+    error that ended the read, if any (the last chunk then). A last line
+    without a line end gets one."""
+    buf = bytearray()  # what was read after the last line end handed on
+    while True:
+        # A line can end only in the new bytes or at a "\r" just before
+        # them, so a line longer than a block is not searched again.
+        start = max(len(buf) - 1, 0)
+        carried = len(buf)
+        fault = _read_block(f, buf)
+        if len(buf) == carried and fault is None:
+            break
+        # Cut after the last "\n", or after a later "\r" that the next
+        # byte shows is not the start of a "\r\n".
+        cut = max(buf.rfind(b"\n", start), buf.rfind(b"\r", start, len(buf) - 1)) + 1
+        chunk = buf[:cut]
+        del buf[:cut]
+        yield chunk, fault
+        if fault is not None:
+            return
+    if buf:
+        yield buf + b"\n", None
+
+
+class _ReadAhead:
+    """Runs :func:`_line_chunks` over a file in a thread of its own, at most
+    ``_QUEUE_CHUNKS`` chunks ahead of the thread iterating over this object.
+    zlib releases the interpreter lock while it inflates, so gunzip overlaps
+    with parsing. An exception the reader meets is raised by the iteration,
+    after the chunks before it. Leaving the ``with`` block stops the reader
+    and joins it, so the file can be closed after it."""
+
+    def __init__(self, f):
+        self._queue: queue.Queue = queue.Queue(_QUEUE_CHUNKS)
+        self._stop = threading.Event()
+        self._thread = threading.Thread(
+            target=self._read, args=(f,), name="netreplay-reader", daemon=True
+        )
+        self.wait_s = 0.0  # spent iterating while the queue was empty
+
+    def __enter__(self) -> _ReadAhead:
+        self._thread.start()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self._stop.set()
+        # An emptied queue takes the reader's next item at once, after which
+        # it sees the flag.
+        with contextlib.suppress(queue.Empty):
+            while True:
+                self._queue.get_nowait()
+        self._thread.join()
+
+    def __iter__(self) -> Iterator[tuple[bytearray, Optional[Exception]]]:
+        while True:
+            t0 = _time.perf_counter()
+            item = self._queue.get()
+            self.wait_s += _time.perf_counter() - t0
+            if item is None:
+                return
+            if isinstance(item, BaseException):
+                raise item
+            yield item
+
+    def _read(self, f) -> None:
+        end = None  # the end of the input, or the exception that ended the read
+        try:
+            for item in _line_chunks(f):
+                if not self._put(item):
+                    return
+        except BaseException as exc:  # raised again by the iterating thread
+            end = exc
+        self._put(end)
+
+    def _put(self, item) -> bool:
+        """Queue ``item``; False, without queueing it, once the stop flag is
+        set. A full queue is retried, so the flag is seen within
+        ``_PUT_WAIT_S``."""
+        while not self._stop.is_set():
+            try:
+                self._queue.put(item, timeout=_PUT_WAIT_S)
+                return True
+            except queue.Full:
+                pass
+        return False
 
 
 class _BlockNormalizer:
@@ -169,45 +285,56 @@ class _BlockNormalizer:
         self.no_time = no_time
         self.lines = 0  # lines consumed whole
         self.rows = 0  # data lines among them
+        self.blocks = 0  # non-empty chunks fed
+        self.decimal_blocks = 0  # those whose node ids came from id_of
         self.last_time = np.zeros(1, np.uint64)
         self.index: dict[str, int] = defaultdict(count().__next__)  # token -> node id
-        # Packed keys of the links kept so far, sorted; the upper sentinel
-        # keeps every search inside the array.
-        self.kept = np.array([np.iinfo(np.int64).max])
+        # id_of[value] is the node id of the decimal token str(value), or -1
+        # while the decimal path has not met it: a cache of the index for
+        # canonical decimal tokens below _DECIMAL_CAP, grown by doubling.
+        self.id_of = np.full(0, -1, np.int32)
+        # The packed keys of the links kept so far, as sorted runs one after
+        # another in one buffer: run i is kept[runs[i] : runs[i + 1]]. Each
+        # run is more than twice the size of the next, so there are at most
+        # log2(m) + 1 of them.
+        self.kept = np.empty(1 << 12, np.int64)
+        self.runs = [0]
         # The kept events' columns, grown in place by doubling and cut to
         # size at the end: per-block pieces joined at the end, or copies,
         # leave freed holes that stay resident in the heap.
         self.columns = [np.empty(1 << 12, dtype) for dtype in _COLUMN_DTYPES]
         self.events = 0
 
-    def feed(self, chunk: bytes) -> None:
+    def feed(self, chunk: bytes | bytearray) -> None:
         """Take whole lines: ``chunk`` is empty or ends with a line end."""
         if not chunk:
             return
         if b"\r" in chunk:
             chunk = chunk.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-        try:
-            text = chunk.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            self.feed(chunk[: chunk.rfind(b"\n", 0, exc.start) + 1])
-            raise StreamFormatError(f"line {self.lines + 1} is not valid utf-8") from None
-
-        # Count each line's fields from the code points, without splitting
-        # line by line.
-        if text.isascii():
+        text = None  # an ASCII chunk is decoded only for the general path
+        if chunk.isascii():
             code = np.frombuffer(chunk, np.uint8)
         else:
+            try:
+                text = chunk.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                self.feed(chunk[: chunk.rfind(b"\n", 0, exc.start) + 1])
+                raise StreamFormatError(f"line {self.lines + 1} is not valid utf-8") from None
             code = np.frombuffer(text.encode("utf-32-le"), "<u4")
+        self.blocks += 1
+
+        # Find the fields and count each line's from the code points, without
+        # splitting line by line: field i is code[starts[i] : stops[i]].
         space = _whitespace(code)
-        follows_space = np.empty_like(space)
-        follows_space[0] = True
-        follows_space[1:] = space[:-1]
-        starts = np.flatnonzero(follows_space & ~space)  # one per field
+        edges = np.flatnonzero(space[1:] != space[:-1]) + 1
+        if not space[0]:
+            edges = np.concatenate(([0], edges))
+        starts, stops = edges[0::2], edges[1::2]  # the chunk ends with a space
         upto = np.searchsorted(starts, np.flatnonzero(code == ord("\n")))
         first = np.concatenate(([0], upto[:-1]))  # each line's first field
         fields = upto - first
         data = fields > 0
-        if "#" in text:
+        if b"#" in chunk:
             data[data] = code[starts[first[data]]] != ord("#")
 
         # Only the lines before the first with the wrong field count are
@@ -216,22 +343,34 @@ class _BlockNormalizer:
         wrong = np.flatnonzero(data & (fields != width))
         stop = int(wrong[0]) if wrong.size else upto.size
         rows = np.flatnonzero(data[:stop])
-        tokens = text.split()
         error = None
         if stop < upto.size:
-            del tokens[first[stop] :]
             shape = "<src> <dst>" if self.no_time else "<time> <src> <dst>"
             error = f"malformed line {self.lines + stop + 1}: expected '{shape}'"
-        if len(tokens) != rows.size * width:  # drop the comment lines' fields
-            tokens = list(compress(tokens, np.repeat(data[:stop], fields[:stop]).tolist()))
+        head = first[rows]  # each data line's first field
         if self.no_time:
             times = np.arange(self.rows, self.rows + rows.size, dtype=np.uint64)
         else:
-            stamps = tokens[0::3]
-            del tokens[0::3]
-            times, fault = _parse_times(stamps)
-            if fault is not None:
-                error = f"malformed line {self.lines + rows[times.size] + 1}: {fault}"
+            times = _decimal_values(code, starts[head], stops[head], _STAMP_DIGITS)
+        values = None  # the endpoint tokens' values, on the decimal path
+        if text is None and times is not None:
+            ends = (head[:, None] + np.arange(width - 2, width)).ravel()
+            values = _decimal_tokens(code, starts[ends], stops[ends])
+        if values is None:
+            if text is None:
+                text = chunk.decode("ascii")
+            tokens = text.split()
+            if stop < upto.size:
+                del tokens[first[stop] :]
+            if len(tokens) != rows.size * width:  # drop the comment lines' fields
+                tokens = list(compress(tokens, np.repeat(data[:stop], fields[:stop]).tolist()))
+            if not self.no_time:
+                if times is None:
+                    times, fault = _parse_times(tokens[0::3])
+                    if fault is not None:
+                        error = f"malformed line {self.lines + rows[times.size] + 1}: {fault}"
+                del tokens[0::3]
+        if not self.no_time:
             down = np.flatnonzero(times < np.concatenate((self.last_time, times[:-1])))
             if down.size:
                 error = f"timestamp decreases at line {self.lines + rows[down[0]] + 1}"
@@ -241,24 +380,65 @@ class _BlockNormalizer:
         self.rows += rows.size
         if times.size:
             self.last_time = times[-1:]
-        self._add_events(tokens, times)
-
-    def _add_events(self, tokens: list[str], times: np.ndarray) -> None:
-        """Normalize events given as alternating source and destination
-        tokens, with their times."""
-        # A token missing from the index gets the next id on lookup, so ids
-        # follow first appearance and the nodes seen before an event number
-        # one more than the largest id before it.
         before = len(self.index)
-        ids = np.fromiter(map(self.index.__getitem__, tokens), np.int64, len(tokens))
+        if values is None:
+            ids = self._token_ids(tokens)
+        else:
+            ids = self._decimal_ids(values)
+            self.decimal_blocks += 1
+        self._add_events(ids, before, times)
+
+    def _token_ids(self, tokens: list[str]) -> np.ndarray:
+        """The node ids of ``tokens``, new tokens numbered in order of first
+        appearance."""
+        if not tokens:
+            return np.zeros(0, np.int64)
+        # A token missing from the index gets the next id on lookup. Sources
+        # and destinations come in pairs, so itemgetter returns a tuple.
+        return np.fromiter(itemgetter(*tokens)(self.index), np.int64, len(tokens))
+
+    def _decimal_ids(self, values: np.ndarray) -> np.ndarray:
+        """The node ids of the decimal tokens of ``values``. A value missing
+        from ``id_of`` is looked up in the index, in order of first
+        appearance, so a new token takes the next id there, and cached."""
+        self._grow_id_of(int(values.max(initial=-1)))
+        ids = self.id_of[values]
+        new = np.flatnonzero(ids < 0)
+        if new.size:
+            fresh, at = np.unique(values[new], return_index=True)
+            fresh = fresh[np.argsort(at)]
+            self.id_of[fresh] = np.fromiter(
+                map(self.index.__getitem__, map(str, fresh.tolist())), np.int32, fresh.size
+            )
+            ids[new] = self.id_of[values[new]]
+        return ids.astype(np.int64)
+
+    def _grow_id_of(self, largest: int) -> None:
+        size = self.id_of.size
+        if largest >= size:
+            self.id_of.resize(min(_DECIMAL_CAP, max(largest + 1, 2 * size)), refcheck=False)
+            self.id_of[size:] = -1
+
+    def _add_events(self, ids: np.ndarray, before: int, times: np.ndarray) -> None:
+        """Normalize events given as alternating source and destination node
+        ids, with their times; ``before`` nodes were known before them."""
+        # Ids follow first appearance, so the nodes seen before an event
+        # number one more than the largest id before it.
         u, v = ids[0::2], ids[1::2]
         seen = np.maximum.accumulate(np.concatenate(([before - 1], ids)))[0:-1:2] + 1
         links = np.flatnonzero(u != v)
         lo, hi = np.minimum(u[links], v[links]), np.maximum(u[links], v[links])
         keys, at_first = np.unique(lo << 31 | hi, return_index=True)
-        at = np.searchsorted(self.kept, keys)
-        new = self.kept[at] != keys
-        self.kept = np.insert(self.kept, at[new], keys[new])
+        # A kept link joins two nodes known before this block, so only such
+        # keys are searched for, run by run, until found.
+        new = (keys & _MAX_NODE) >= before
+        unsure = np.flatnonzero(~new)
+        for start, end in zip(self.runs, self.runs[1:]):
+            run = self.kept[start:end]
+            probe = keys[unsure]
+            unsure = unsure[run.take(np.searchsorted(run, probe), mode="clip") != probe]
+        new[unsure] = True
+        self._push_run(keys[new])
         keep = links[np.sort(at_first[new])]
         done, self.events = self.events, self.events + keep.size
         if self.events > self.columns[0].size:
@@ -267,6 +447,23 @@ class _BlockNormalizer:
                 column.resize(size, refcheck=False)  # no view of a column is ever kept
         for column, values in zip(self.columns, (u, v, times, seen)):
             column[done : self.events] = values[keep]
+
+    def _push_run(self, keys: np.ndarray) -> None:
+        """Append the sorted ``keys`` as the last run, then merge the last two
+        runs while the earlier is at most twice the later."""
+        if not keys.size:
+            return
+        runs = self.runs
+        end = runs[-1] + keys.size
+        if end > self.kept.size:
+            self.kept.resize(max(end, 2 * self.kept.size), refcheck=False)
+        self.kept[runs[-1] : end] = keys
+        runs.append(end)
+        while len(runs) > 2 and runs[-2] - runs[-3] <= 2 * (runs[-1] - runs[-2]):
+            del runs[-2]
+            # Two sorted runs side by side: timsort merges them in one pass,
+            # with a buffer the size of the smaller.
+            self.kept[runs[-2] : runs[-1]].sort(kind="stable")
 
     def stream(self) -> ArrivalStream:
         final_n = len(self.index)
@@ -288,23 +485,56 @@ def _whitespace(code: np.ndarray) -> np.ndarray:
     return space
 
 
+def _decimal_values(
+    code: np.ndarray, starts: np.ndarray, stops: np.ndarray, most: int
+) -> Optional[np.ndarray]:
+    """The values, as uint64, of the fields ``code[starts[i] : stops[i]]`` of
+    the unsigned code points ``code``, or None unless each field is 1 to
+    ``most`` (at most 19) ASCII digits."""
+    lengths = stops - starts
+    width = int(lengths.max(initial=0))
+    if width > most:
+        return None
+    short = lengths.min(initial=width) < width  # some field has fewer digits than the widest
+    values = np.zeros(lengths.size, np.uint64)
+    for j in range(width):  # each field's digit worth 10^j, the (j + 1)-th from its end
+        digits = code[stops - (j + 1)] - ord("0")  # a code point below "0" wraps around
+        if short:
+            digits[lengths <= j] = 0
+        if digits.max(initial=0) > 9:
+            return None
+        values += digits * np.uint64(10**j)
+    return values
+
+
+def _decimal_tokens(
+    code: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> Optional[np.ndarray]:
+    """The values of the endpoint fields ``code[starts[i] : stops[i]]`` when
+    each is a canonical decimal (no leading zero unless it is "0") below
+    ``_DECIMAL_CAP``, else None."""
+    lengths = stops - starts
+    if np.any((code[starts] == ord("0")) & (lengths > 1)):
+        return None
+    values = _decimal_values(code, starts, stops, _CAP_DIGITS)
+    if values is None or np.any(values >= _DECIMAL_CAP):
+        return None
+    return values.astype(np.intp)
+
+
 def _parse_times(stamps: list[str]) -> tuple[np.ndarray, Optional[str]]:
     """``stamps`` as uint64 up to the first that ``int`` rejects or that lies
     outside [0, 2^64), and that one's fault (None if every stamp is good)."""
-    try:
-        return np.array(list(map(int, stamps)), np.uint64), None
-    except (ValueError, OverflowError):
-        pass
-    for i, stamp in enumerate(stamps):
+    values = []
+    for stamp in stamps:
         try:
             value = int(stamp)
         except ValueError:
-            fault = f"bad timestamp {stamp!r}"
-            break
+            return np.array(values, np.uint64), f"bad timestamp {stamp!r}"
         if not 0 <= value < 2**64:
-            fault = "timestamp outside [0, 2^64)"
-            break
-    return np.array(list(map(int, stamps[:i])), np.uint64), fault
+            return np.array(values, np.uint64), "timestamp outside [0, 2^64)"
+        values.append(value)
+    return np.array(values, np.uint64), None
 
 
 def checkpoint_plan(

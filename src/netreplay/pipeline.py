@@ -129,21 +129,11 @@ class CheckpointRecord:
 
 @dataclass
 class EvolutionSeries:
-    """One statistic across checkpoints; value None where undefined."""
+    """One statistic across checkpoints: one value per entry of
+    ``RunResult.checkpoints``, None where undefined."""
 
     name: str
-    checkpoint_indices: list[int] = field(default_factory=list)
-    ns: list[int] = field(default_factory=list)
-    ms: list[int] = field(default_factory=list)
-    times: list[int] = field(default_factory=list)
     values: list = field(default_factory=list)
-
-    def append(self, record: CheckpointRecord, value) -> None:
-        self.checkpoint_indices.append(record.index)
-        self.ns.append(record.n)
-        self.ms.append(record.m)
-        self.times.append(record.time)
-        self.values.append(value)
 
 
 @dataclass
@@ -173,13 +163,15 @@ def _write_csv(path: str, header: str, rows) -> None:
             f.write(",".join(map(_format_value, row)) + "\n")
 
 
-def load_stream(config: RunConfig) -> ArrivalStream:
+def load_stream(config: RunConfig, work: Optional[dict] = None) -> ArrivalStream:
     """Normalized stream for a run, via the binary sidecar when possible.
 
     The sidecar lives next to the input with an ``.arrivals`` suffix and is
     only trusted when it was written for the input's current size and
     modification time under the same format options. Failures to write it
     are silently ignored; failures to read it fall back to a fresh parse.
+    ``work``, if given, receives :func:`normalize`'s counts when the input
+    is parsed, and is left as it is when the sidecar serves.
     """
     path = config.input_path
     cache_path = path + ".arrivals"
@@ -190,7 +182,7 @@ def load_stream(config: RunConfig) -> ArrivalStream:
                 return load_cache(cache_path, key)
             except (OSError, ValueError):
                 pass
-    stream = normalize(path, config.format_options)
+    stream = normalize(path, config.format_options, work)
     if config.use_cache:
         try:
             save_cache(stream, cache_path, key)
@@ -210,7 +202,8 @@ def checkpoint_bounds_seed(global_seed: int, checkpoint_index: int) -> np.random
 def run_evolution(config: RunConfig) -> RunResult:
     """Replay the input and measure every enabled statistic per checkpoint."""
     t_load = _time.perf_counter()
-    stream = load_stream(config)
+    load_work: dict = {}  # stays empty when the cache serves
+    stream = load_stream(config, load_work)
     load_s = _time.perf_counter() - t_load
     if stream.final_n < 1:
         raise ValueError(f"input {config.input_path!r} contains no nodes")
@@ -271,7 +264,7 @@ def run_evolution(config: RunConfig) -> RunResult:
                     tri_counts, final_tail, dists,
                 )
                 for name, value in zip(names, row or (None,) * len(names), strict=True):
-                    series[name].append(record, value)
+                    series[name].values.append(value)
                 timing[group] = _time.perf_counter() - t0
         except Exception as exc:
             raise RuntimeError(
@@ -291,7 +284,7 @@ def run_evolution(config: RunConfig) -> RunResult:
         manifest=manifest,
     )
     if config.out_dir is not None:
-        _write_outputs(result, dists, checkpoint_timings, load_s)
+        _write_outputs(result, dists, checkpoint_timings, load_s, load_work)
     return result
 
 
@@ -372,17 +365,22 @@ def _build_manifest(config, stream, sizes, records, series) -> dict:
     }
 
 
-def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) -> None:
+def _write_outputs(
+    result: RunResult, dists, checkpoint_timings, load_s: float, load_work: dict
+) -> None:
     t_write = _time.perf_counter()
     out = result.config.out_dir
     os.makedirs(out, exist_ok=True)
+    records = result.checkpoints
     for name, s in result.series.items():
         _write_csv(
             os.path.join(out, f"{name}.csv"),
             "checkpoint,n,m,time,value",
-            zip(s.checkpoint_indices, s.ns, s.ms, s.times, s.values),
+            (
+                (r.index, r.n, r.m, r.time, value)
+                for r, value in zip(records, s.values, strict=True)
+            ),
         )
-    records = result.checkpoints
     _write_csv(
         os.path.join(out, "growth.csv"),
         "checkpoint,n,m,time",
@@ -409,7 +407,7 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
     # estimator + bounds) are totalled apart in "part_totals", and work
     # counts in "work". "load" (the stream, parsed or from the cache) and
     # "write" (every output file but this one) lie outside the loop and
-    # stand apart from all three.
+    # stand apart from all three, as does "load_work", how the parse ran.
     totals: dict[str, float] = {}
     part_totals: dict[str, float] = {}
     work = dict.fromkeys(_WORK_COUNTS, 0)
@@ -420,6 +418,7 @@ def _write_outputs(result: RunResult, dists, checkpoint_timings, load_s: float) 
                 into[k] = into.get(k, 0.0) + v
     timings = {
         "load": load_s,
+        "load_work": load_work,
         "part_totals": part_totals,
         "peak_rss_mb": _peak_rss_mb(),
         "per_checkpoint": checkpoint_timings,

@@ -67,7 +67,8 @@ def _identity_cells(result):
     avg_s = result.series["average_degree"]
     dens_s = result.series["density"]
     checked = 0
-    for n, avg, dens in zip(avg_s.ns, avg_s.values, dens_s.values):
+    ns = [r.n for r in result.checkpoints]
+    for n, avg, dens in zip(ns, avg_s.values, dens_s.values, strict=True):
         if avg is None or dens is None:
             continue
         lhs, rhs = avg, dens * (n - 1)
@@ -449,8 +450,9 @@ def test_two_phase_regimes(tmp_path):
         RunConfig(input_path=str(path), stats=frozenset({"conn", "deg"}), use_cache=False)
     )
     s = res.series["average_degree"]
-    phase1 = [v for n, v in zip(s.ns, s.values) if n <= n1]
-    phase2 = [v for n, v in zip(s.ns, s.values) if n > n1]
+    ns = [r.n for r in res.checkpoints]
+    phase1 = [v for n, v in zip(ns, s.values, strict=True) if n <= n1]
+    phase2 = [v for n, v in zip(ns, s.values, strict=True) if n > n1]
     spread = max(phase1) / min(phase1) - 1
     increasing = all(b > a for a, b in zip(phase2, phase2[1:]))
     _identity_cells(res)

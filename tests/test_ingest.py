@@ -2,7 +2,10 @@ import dataclasses
 import gzip
 import os
 import re
+import sys
 import tempfile
+import threading
+import time
 import zlib
 from unittest import mock
 
@@ -184,7 +187,9 @@ class TestParse:
 # rejects in its own way.
 SEPARATORS = st.sampled_from([" ", "  ", "\t", " \t ", "\x0b", "\x1c", "\x1f", "\x85", "\xa0", "\u3000"])
 LINE_ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
-NODES = st.sampled_from(["a", "b", "c", "d", "10.0.0.1", "café", "日本", "#", "0"])
+NODES = st.sampled_from(
+    ["a", "b", "c", "d", "10.0.0.1", "café", "日本", "#", "0", "1", "7", "12", "007", "00"]
+)
 ODD_STAMPS = st.sampled_from(
     ["+5", "1_0", "\u0663", "-0", "-3", "x", "1.5", str(2**64 - 1), str(2**64)]
 )
@@ -301,6 +306,23 @@ EDGE_TRACES = [
     ("no-time", b"a b\nb c\n# c\n\nc a\r\nb a\rd d\n", True),
     ("no-time-three-fields", b"a b\n1 a b\n", True),
     ("no-time-one-field", b"a b\nc\n", True),
+    # Decimal tokens: read by value where every data line of a block allows
+    # it, through the token dictionary elsewhere, with the same node ids.
+    ("leading-zero-is-another-node", b"0 007 7\n1 7 007\n2 07 7\n3 7 8\n", False),
+    ("zero-and-double-zero", b"0 0 00\n1 00 0\n2 0 1\n3 00 1\n", False),
+    ("decimal-above-cap", b"0 16777215 16777216\n1 16777216 1\n2 1 16777215\n3 99999999 1\n",
+     False),
+    ("decimal-after-hostname", b"0 ab 12\n1 12 34\n2 34 ab\n3 12 56\n4 56 34\n", False),
+    ("decimal-before-hostname", b"0 12 34\n1 ab 12\n2 34 ab\n3 56 12\n4 ab 56\n", False),
+    ("decimal-after-comment", b"# 12 34\n0 34 12\n#x 56\n1 56 12\n", False),
+    ("decimal-before-comment", b"0 12 34\n# 12 ab\n1 ab 12\n2 12 34\n", False),
+    ("decimal-no-time", b"3 1\n1 3\n01 3\n3 2\n", True),
+    ("stamp-19-digits", b"0000000000000000001 1 2\n999999999999999998 2 3\n9999999999999999999 3 4\n",
+     False),
+    ("stamp-20-digits", b"1 1 2\n10000000000000000000 2 3\n18446744073709551615 3 4\n",
+     False),
+    ("stamp-20-digits-decreasing", b"00000000000000000005 1 2\n4 2 3\n", False),
+    ("stamp-leading-zeros", b"007 1 2\n7 2 3\n0008 3 1\n", False),
 ]
 
 
@@ -325,10 +347,215 @@ class TestBlockReader:
         assert len(text) > 2 * ingest._BLOCK_BYTES
         assert_reads_like_oracle(text.encode(), False)
 
+    def test_mixed_decimal_and_hostname_blocks_match_reference(self, monkeypatch):
+        # Decimal blocks, blocks with a hostname, a leading zero or a token
+        # above the cap, and decimal tokens seen first in either kind.
+        rng = np.random.default_rng(11)
+        pairs = rng.integers(0, 3000, size=(40_000, 2)).tolist()
+        lines = []
+        for i, (a, b) in enumerate(pairs):
+            if i % 2500 == 7:
+                a = f"h{a}"
+            elif i % 3100 == 11:
+                b = f"0{b}"
+            elif i % 4700 == 13:
+                b = 2**24 + b
+            lines.append(f"{i // 3} {a} {b}\n")
+        data = "".join(lines).encode()
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
+        assert_reads_like_oracle(data, False)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "t.txt")
+            with open(path, "wb") as f:
+                f.write(data)
+            work = {}
+            stream = ingest.normalize(path, work=work)
+            assert 0 < work["decimal_blocks"] < work["blocks"]
+            assert work["reader_wait_s"] >= 0.0
+            # The dictionary alone gives the same ids.
+            monkeypatch.setattr(ingest, "_decimal_tokens", lambda *args: None)
+            general = {}
+            assert_same_stream(ingest.normalize(path, work=general), stream)
+            assert general["decimal_blocks"] == 0 and general["blocks"] == work["blocks"]
+
+    def test_load_counts(self, tmp_path):
+        decimal = tmp_path / "decimal.txt.gz"
+        decimal.write_bytes(gzip.compress(numbered_trace(40_000).replace(b" n", b" ")))
+        named = tmp_path / "named.txt"
+        named.write_bytes(numbered_trace())
+        for path, decimal_blocks in ((decimal, "all"), (named, 0)):
+            work = {}
+            ingest.normalize(str(path), work=work)
+            assert set(work) == {"blocks", "decimal_blocks", "reader_wait_s"}
+            assert work["blocks"] >= 2
+            want = work["blocks"] if decimal_blocks == "all" else decimal_blocks
+            assert work["decimal_blocks"] == want
+
+    @given(
+        st.lists(st.text("0123456789", min_size=1, max_size=21), min_size=1, max_size=40),
+        st.sampled_from([np.uint8, np.uint32]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_decimal_values_match_int(self, fields, dtype):
+        text = " ".join(fields) + "\n"
+        code = np.array([ord(c) for c in text], dtype)
+        stops = np.cumsum([len(f) + 1 for f in fields]) - 1
+        starts = stops - [len(f) for f in fields]
+        got = ingest._decimal_values(code, starts, stops, 19)
+        if max(map(len, fields)) > 19:
+            assert got is None
+        else:
+            assert got.dtype == np.uint64 and got.tolist() == [int(f) for f in fields]
+
+    @pytest.mark.parametrize("field", ["+5", "1_0", "\u0663", "-0", "1.5", "x", "/", ":"])
+    def test_decimal_values_reject_other_fields(self, field):
+        code = np.array([ord(c) for c in f"12 {field}\n"], np.uint32)
+        stops = np.array([2, len(code) - 1])
+        assert ingest._decimal_values(code, np.array([0, 3]), stops, 19) is None
+
+    def test_kept_runs_stay_few_sorted_and_complete(self):
+        # Every link kept so far is in exactly one run; each run is sorted
+        # and more than twice the size of the next.
+        blocks = ingest._BlockNormalizer(no_time=False)
+        rng = np.random.default_rng(4)
+        t = 0
+        for size in rng.integers(1, 400, size=300).tolist():
+            pairs = rng.integers(0, 300, size=(size, 2)).tolist()
+            blocks.feed("".join(f"{t} {a} {b}\n" for a, b in pairs).encode())
+            t += 1
+            runs = [blocks.kept[a:b] for a, b in zip(blocks.runs, blocks.runs[1:])]
+            assert all(np.all(run[1:] > run[:-1]) for run in runs)
+            assert all(a.size > 2 * b.size for a, b in zip(runs, runs[1:]))
+        stream = blocks.stream()
+        lo = np.minimum(stream.u, stream.v).astype(np.int64)
+        hi = np.maximum(stream.u, stream.v).astype(np.int64)
+        kept = np.sort(np.concatenate(runs))
+        assert np.array_equal(kept, np.sort(lo << 31 | hi))
+        assert len(runs) <= np.log2(stream.final_m) + 1
+
     def test_whitespace_is_str_isspace(self):
         code = np.arange(0x110000, dtype=np.uint32)
         want = np.array([chr(c).isspace() for c in range(0x110000)])
         assert np.array_equal(ingest._whitespace(code), want)
+
+
+def normalize_and_count_threads(path, **opts):
+    """``ingest.normalize(path)``'s stream or StreamFormatError text, and
+    how many threads it left behind."""
+    before = threading.active_count()
+    try:
+        got = ingest.normalize(str(path), FormatOptions(**opts))
+    except StreamFormatError as exc:
+        got = str(exc)
+    return got, threading.active_count() - before
+
+
+class TestReaderThread:
+    def test_none_left_after_return(self, tmp_path):
+        path = tmp_path / "t.txt.gz"
+        path.write_bytes(gzip.compress(numbered_trace()))
+        got, left = normalize_and_count_threads(path)
+        assert got.final_m > 0 and left == 0
+
+    def test_none_left_after_bad_line_in_first_of_many_blocks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        path = tmp_path / "t.txt.gz"
+        path.write_bytes(gzip.compress(b"0 a\n" + numbered_trace(50_000)))
+        message = "malformed line 1: expected '<time> <src> <dst>'"
+        assert normalize_and_count_threads(path) == (message, 0)
+
+    def test_none_left_after_truncated_gzip(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        path = tmp_path / "t.txt.gz"
+        gz = gzip.compress(numbered_trace())
+        path.write_bytes(gz[: len(gz) // 2])
+        got, left = normalize_and_count_threads(path)
+        assert got.startswith("unreadable input after line ") and left == 0
+
+    def test_none_left_after_interrupt(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        path = tmp_path / "t.txt"
+        path.write_bytes(numbered_trace())
+        feed = ingest._BlockNormalizer.feed
+        fed = []
+
+        def interrupted(self, chunk):
+            fed.append(chunk)
+            if len(fed) == 2:
+                raise KeyboardInterrupt
+            feed(self, chunk)
+
+        monkeypatch.setattr(ingest._BlockNormalizer, "feed", interrupted)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            ingest.normalize(str(path))
+        assert threading.active_count() == before
+
+    def test_read_error_raised_after_earlier_chunks(self, tmp_path, monkeypatch):
+        # An error the reader meets reaches the caller once the chunks read
+        # before it were parsed, and ends the reader.
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
+        path = tmp_path / "t.txt"
+        path.write_bytes(numbered_trace())
+        read_block = ingest._read_block
+        reads = []
+
+        def failing(f, buf):
+            reads.append(1)
+            if len(reads) == 3:
+                raise OSError("disk gone")
+            return read_block(f, buf)
+
+        feed = ingest._BlockNormalizer.feed
+        fed = []
+        monkeypatch.setattr(ingest, "_read_block", failing)
+        monkeypatch.setattr(
+            ingest._BlockNormalizer, "feed", lambda self, chunk: fed.append(feed(self, chunk))
+        )
+        before = threading.active_count()
+        with pytest.raises(OSError, match="disk gone"):
+            ingest.normalize(str(path))
+        assert len(fed) == 2 and threading.active_count() == before
+
+    def test_reader_runs_at_most_the_queue_ahead(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1024)
+        path = tmp_path / "t.txt"
+        path.write_bytes(numbered_trace(5000))
+        line_chunks = ingest._line_chunks
+        produced = []
+
+        def counted(f):
+            for item in line_chunks(f):
+                produced.append(1)
+                yield item
+
+        feed = ingest._BlockNormalizer.feed
+        ahead = []
+
+        def slow(self, chunk):
+            ahead.append(len(produced) - self.blocks - 1)
+            time.sleep(0.002)
+            feed(self, chunk)
+
+        monkeypatch.setattr(ingest, "_line_chunks", counted)
+        monkeypatch.setattr(ingest._BlockNormalizer, "feed", slow)
+        ingest.normalize(str(path))
+        # Queued chunks, plus one made and waiting for room.
+        assert len(ahead) > 20 and max(ahead) <= ingest._QUEUE_CHUNKS + 1
+        assert max(ahead) >= ingest._QUEUE_CHUNKS
+
+    def test_same_stream_under_frequent_thread_switches(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 512)
+        path = tmp_path / "t.txt.gz"
+        path.write_bytes(gzip.compress(numbered_trace(5000)))
+        want = oracle_read(str(path), FormatOptions())
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert_same_stream(ingest.normalize(str(path)), want)
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestNormalize:

@@ -75,16 +75,16 @@ class TestCheckpointPlacement:
     def test_all_series_share_key_columns(self, tmp_path):
         path = tmp_path / "s.txt"
         write_stream(str(path), gen_preferential(80, 2, seed=5))
-        result = run_evolution(quick_config(path, nominal_checkpoints=8))
-        keys = None
-        for s in result.series.values():
-            cols = (s.checkpoint_indices, s.ns, s.ms, s.times)
-            if keys is None:
-                keys = cols
-            else:
-                assert cols == keys
-        assert keys is not None
-        assert len(keys[0]) == len(result.checkpoints)
+        out = tmp_path / "out"
+        result = run_evolution(quick_config(path, nominal_checkpoints=8, out_dir=str(out)))
+        # A series holds one value per checkpoint; its file takes the key
+        # columns from the checkpoints, as growth.csv does.
+        growth = (out / "growth.csv").read_text().splitlines()[1:]
+        assert len(growth) == len(result.checkpoints)
+        for name, s in result.series.items():
+            assert len(s.values) == len(result.checkpoints)
+            rows = (out / f"{name}.csv").read_text().splitlines()[1:]
+            assert [row.rsplit(",", 1)[0] for row in rows] == growth
 
     def test_checkpoint_times_from_stream(self, tmp_path):
         path = tmp_path / "t.txt"
@@ -281,6 +281,17 @@ class TestOutputs:
             assert timings["part_totals"][key] == pytest.approx(
                 sum(r[key] for r in timings["per_checkpoint"])
             )
+
+    def test_load_work_counts_the_parse(self, tmp_path):
+        def load_work(name):
+            _, out = self.run_to_dir(tmp_path, name, stats=frozenset({"deg"}), use_cache=True)
+            return json.loads((out / "timings.json").read_text())["load_work"]
+
+        parsed = load_work("parsed")
+        # A generated trace names its nodes 0, 1, 2, ...: one decimal block.
+        assert (parsed["blocks"], parsed["decimal_blocks"]) == (1, 1)
+        assert parsed["reader_wait_s"] >= 0.0
+        assert load_work("cached") == {}
 
     def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):
         from netreplay import distances
@@ -621,7 +632,7 @@ class TestDeterminismAndCache:
         run_evolution(cfg)  # writes the sidecar
         without = run_evolution(quick_config(path, nominal_checkpoints=6, use_cache=False))
 
-        def no_parse(path, options):
+        def no_parse(path, options, work=None):
             raise AssertionError("the second cached run parsed the input")
 
         monkeypatch.setattr(pipeline, "normalize", no_parse)
@@ -642,9 +653,9 @@ class TestDeterminismAndCache:
             f.write(b"NRSTRM03" + struct.pack("<2Q3q", 3, 2, *key) + columns)
         parses = []
 
-        def counted_normalize(path, options):
+        def counted_normalize(path, options, work=None):
             parses.append(1)
-            return ingest.normalize(path, options)
+            return ingest.normalize(path, options, work)
 
         monkeypatch.setattr(pipeline, "normalize", counted_normalize)
         stream = pipeline.load_stream(cfg)
