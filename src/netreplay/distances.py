@@ -11,15 +11,23 @@ is exact on a tree; later rounds take twice the eccentricity of the next hub
 (Magnien, Latapy & Habib, ACM JEA 2009). Repeating both with fresh starting
 points tightens the bracket.
 
-Estimator sources, double-sweep starts and hub roots are traversed up to 64
-at a time by a bit-parallel BFS (one ``uint64`` word per node, one bit per
-source), following Then et al., "The More the Merrier: Efficient
-Multi-Source Graph Traversal" (VLDB 2014); the stopping rules still consume
-them one by one. Per level, one OR of the new words gives the eccentricities;
-a byte histogram counting each source's new nodes, and the search for its
-farthest node, run only for callers that read them. The BFS-tree bound runs
-one FIFO BFS with parents; a node on the deepest level ends a longest tree
-path, measured in one pass down the levels.
+Sources are traversed up to 64 at a time by a bit-parallel BFS (one
+``uint64`` word per node, one bit per source), following Then et al., "The
+More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB 2014). One
+scheduler, :func:`distance_statistics`, packs a checkpoint's estimator
+samples and bracket rounds into shared batches: per wave of up to 32 rounds,
+one batch of sweep starts and one of the far ends they found plus the
+wave's hub roots, with samples in the free bits while the estimator's rule
+runs. The rules read results one source at a time in draw order, so every
+value equals that of one BFS per source.
+
+A batch over a component ends once every node of it has seen every source,
+so no level that finds nothing runs. Per level, one OR of the new words
+gives the eccentricities, and a byte histogram counts each source's new
+nodes when the batch carries samples. A source's farthest node is searched
+for only at its last level, which the next level's OR reveals. The BFS-tree
+bound runs one FIFO BFS with parents; a node on the deepest level ends a
+longest tree path, measured in one pass down the levels.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -28,6 +36,7 @@ distance includes the zero distance to itself.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -86,10 +95,24 @@ class BatchResult(NamedTuple):
     reached: Optional[np.ndarray]  # int64 reached nodes, the source included
     eccentricity: np.ndarray  # int64 largest hop count reached
     farthest: Optional[np.ndarray]  # int64 smallest-index node at that hop count
+    entries: int  # adjacency entries gathered, over all levels
+
+
+@dataclass
+class DistanceWork:
+    """What one checkpoint's distance statistics cost: seconds in the
+    round-0 tree bound and in :func:`bfs_batch` calls, the number of each,
+    and the adjacency entries their levels gathered."""
+
+    dist_tree: float = 0.0
+    dist_batch: float = 0.0
+    dist_batches: int = 0
+    dist_tree_bfs: int = 0
+    dist_entries: int = 0
 
 
 _WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
-_BLOCK = _WORD // 2  # bound rounds per block: their sweep starts and hub roots share a batch
+_ROUNDS = _WORD // 2  # bracket rounds per wave: its far ends and its roots share a word
 _BYTE_BINS = 256 * np.arange(8, dtype=np.uint16)  # one range of 256 bins per byte of a word
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of byte value v
 
@@ -121,7 +144,8 @@ def _bfs_levels(
             break
         ends = np.cumsum(counts)
         entries = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
-        nbrs = neighbors[entries].astype(np.intp)  # int32 fancy indices are cast on every use
+        # numpy casts int32 fancy indices on every use
+        nbrs = neighbors[entries].astype(np.intp, copy=False)
         pos = np.flatnonzero(~seen[nbrs])
         if pos.size == 0:
             break
@@ -135,7 +159,21 @@ def _bfs_levels(
     return parent, levels
 
 
-def bfs_batch(snapshot: Snapshot, sources, *, counts=True, farthest=True) -> BatchResult:
+def _first_holders(far: np.ndarray, hit: np.ndarray, words: np.ndarray, bits) -> None:
+    """For each bit set in ``bits``, store in ``far`` the first node of
+    ``hit`` (ascending) whose word in ``words`` has that bit."""
+    # a row whose running OR gains a bit holds that bit's first node
+    grown = np.bitwise_or.accumulate(words & bits)
+    rows = np.flatnonzero(np.diff(grown, prepend=np.uint64(0)))
+    gained = np.diff(grown[rows], prepend=np.uint64(0))  # a superset minus its subset
+    set_bits = np.unpackbits(gained.view(np.uint8).reshape(rows.size, 8), axis=1, bitorder="little")
+    row, source = np.nonzero(set_bits)
+    far[source] = hit[rows[row]]
+
+
+def bfs_batch(
+    snapshot: Snapshot, sources, *, counts=True, farthest=True, component_size=None
+) -> BatchResult:
     """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
 
     Each level costs one gather of the frontier words over the adjacency
@@ -144,6 +182,10 @@ def bfs_batch(snapshot: Snapshot, sources, *, counts=True, farthest=True) -> Bat
     the eccentricity; with ``counts``, the total of the reached nodes'
     distances and their number; with ``farthest``, the farthest node at the
     eccentricity of smallest index. A field left out is None.
+
+    With ``component_size``, the size of a connected component holding every
+    source, the call ends once that many nodes have seen every source, in
+    place of the level that finds no new node. The results are the same.
     """
     sources = np.asarray(sources, dtype=np.int64)
     k = sources.size
@@ -152,57 +194,210 @@ def bfs_batch(snapshot: Snapshot, sources, *, counts=True, farthest=True) -> Bat
     n = snapshot.n
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"source out of range [0, {n})")
-    offsets = snapshot.offsets
-    neighbors = snapshot.neighbors.astype(np.intp)  # int32 fancy indices are cast on every use
-    linked = np.flatnonzero(np.diff(offsets))
-    # reduceat reads an empty segment as its next entry, so only nodes with
-    # neighbors get one; their segments tile the adjacency array in order.
-    segment_starts = offsets[linked]
+    neighbors = snapshot.neighbor_index
+    linked = snapshot.linked
+    segment_starts = snapshot.segment_starts
     bit_of = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
+    full = np.bitwise_or.reduce(bit_of)
     seen = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seen, sources, bit_of)
+    saturated = np.count_nonzero(seen == full)  # nodes that have seen every source
     frontier = seen
     ecc = np.zeros(k, dtype=np.int64)
     sums = np.zeros(k, dtype=np.int64) if counts else None
     reached = np.ones(k, dtype=np.int64) if counts else None
     far = sources.copy() if farthest else None
     reach = np.zeros(n, dtype=np.uint64)
-    level = 0
-    while linked.size:
+    if counts:
+        bins = np.tile(_BYTE_BINS, n)  # byte j of a word goes to bins 256j to 256j + 255
+    level = entries = 0
+    last = None  # the latest level's (hit, words, gained)
+    while segment_starts.size and saturated != component_size:
         reach[linked] = np.bitwise_or.reduceat(frontier[neighbors], segment_starts)
+        entries += neighbors.size
         frontier = reach & ~seen
         hit = np.flatnonzero(frontier)
         if hit.size == 0:
             break
         level += 1
         seen |= frontier
+        saturated += np.count_nonzero(seen[hit] == full)
         words = frontier[hit].astype("<u8", copy=False)
-        ecc[(np.bitwise_or.reduce(words) & bit_of) != 0] = level  # sources that gained nodes
+        gained = np.bitwise_or.reduce(words)
+        ecc[(gained & bit_of) != 0] = level  # sources that gained nodes
+        if farthest and last is not None and last[2] & ~gained:
+            _first_holders(far, *last[:2], last[2] & ~gained)  # sources whose last level it was
+        last = hit, words, gained
         if counts:
             # bit b of byte j is source 8j + b: histogram each byte position's
             # values, then read the bits of each value off _BYTE_BITS
-            octets = words.view(np.uint8).reshape(hit.size, 8) + _BYTE_BINS
-            histogram = np.bincount(octets.ravel(), minlength=8 * 256).reshape(8, 256)
+            octets = words.view(np.uint8) + bins[: 8 * hit.size]
+            histogram = np.bincount(octets, minlength=8 * 256).reshape(8, 256)
             new = (histogram @ _BYTE_BITS).ravel()[:k]
             sums += level * new
             reached += new
-        if farthest:
-            # in ascending node order, a row whose running OR gains a bit
-            # holds that source's smallest-index node at this level
-            grown = np.bitwise_or.accumulate(words)
-            rows = np.flatnonzero(np.diff(grown, prepend=np.uint64(0)))
-            gained = np.diff(grown[rows], prepend=np.uint64(0))  # a superset minus its subset
-            bits = np.unpackbits(gained.view(np.uint8).reshape(rows.size, 8), axis=1, bitorder="little")
-            row, got = np.nonzero(bits)
-            far[got] = hit[rows[row]]
-    return BatchResult(distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far)
+    if farthest and last is not None:
+        _first_holders(far, *last)  # no source gains past the final level
+    return BatchResult(
+        distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far, entries=entries
+    )
 
 
-def bfs_batch_calls(samples: int, iterations: int) -> int:
-    """:func:`bfs_batch` calls behind an estimate of ``samples`` sources and
-    a bracket of ``iterations`` rounds: one per block of 64 samples, two per
-    block of 32 rounds."""
-    return -(-samples // _WORD) + 2 * -(-iterations // _BLOCK)
+def _component_nodes(snapshot: Snapshot, giant_mask: np.ndarray) -> np.ndarray:
+    """The mask's nodes, after checking that no adjacency entry of one of
+    them leads outside the mask. A batch's early stop counts saturated nodes
+    against the mask's size, so it relies on that."""
+    nodes = np.flatnonzero(giant_mask)
+    if nodes.size < 2:
+        raise ValueError("giant component must have at least 2 nodes")
+    owned = np.repeat(giant_mask, snapshot.degrees)  # the entries of the mask's nodes
+    if np.any(owned & ~giant_mask[snapshot.neighbor_index]):
+        raise ValueError("giant mask is not the component of its sources")
+    return nodes
+
+
+class _Estimator:
+    """The average-distance rule, fed one source's distance sum at a time."""
+
+    def __init__(self, size: int, config: EstimatorConfig, seed):
+        self.size = size  # the component's, which every source must reach
+        self.config = config
+        self.rng = np.random.default_rng(seed)
+        self.samples: list[float] = []
+        self.means: list[float] = []
+        self.done = False
+
+    def consume(self, sums: np.ndarray, reached: np.ndarray) -> None:
+        size = self.size
+        if np.any(reached != size):
+            raise ValueError("giant mask is not the component of its sources")
+        i_min, epsilon = self.config.i_min, self.config.epsilon
+        for total in sums.tolist():
+            self.samples.append(total / size)
+            self.means.append(math.fsum(self.samples) / len(self.samples))
+            i = len(self.means)
+            if i > i_min:
+                window = self.means[i - i_min - 1 :]
+                if all(abs(window[j + 1] - window[j]) < epsilon for j in range(i_min)):
+                    self.done = True
+                    return
+
+
+class _Bracket:
+    """The diameter bracket's rounds: round t's sweep raises the lower
+    bound, and twice the eccentricity of the hub at t in degree-descending
+    order (wrapping around) lowers the upper bound, which round 0 takes from
+    the top hub's BFS tree instead."""
+
+    def __init__(self, snapshot: Snapshot, nodes: np.ndarray, config: BoundConfig, seed):
+        self.nodes = nodes
+        self.config = config
+        self.rng = np.random.default_rng(seed)
+        self.root_order = nodes[np.lexsort((nodes, -snapshot.degrees[nodes]))]
+        self.lower = 0
+        self.upper = None  # round 0's tree bound, set by the scheduler
+        self.lowers: list[int] = []
+        self.uppers: list[int] = []
+        self.done = False
+
+    def wave(self) -> tuple[np.ndarray, np.ndarray]:
+        """The next wave's sweep starts, one per round, and the roots of its
+        rounds past round 0."""
+        t = len(self.uppers)
+        rounds = min(_ROUNDS, self.config.iteration_cap - t)
+        starts = self.nodes[self.rng.integers(self.nodes.size, size=rounds)]
+        roots = self.root_order[np.arange(max(t, 1), t + rounds) % self.root_order.size]
+        return starts, roots
+
+    def consume(self, sweeps: np.ndarray, root_ecc: np.ndarray) -> None:
+        uppers = (2 * root_ecc).tolist()
+        if not self.uppers:
+            uppers.insert(0, self.upper)
+        config = self.config
+        for lower, upper in zip(sweeps.tolist(), uppers, strict=True):
+            self.lower = max(self.lower, lower)
+            self.upper = min(self.upper, upper)
+            self.lowers.append(self.lower)
+            self.uppers.append(self.upper)
+            t = len(self.uppers)
+            if t >= config.min_iterations and self.upper - self.lower < config.gap_target:
+                self.done = True
+                return
+        self.done = t == config.iteration_cap
+
+    def outcome(self) -> BoundsOutcome:
+        return BoundsOutcome(
+            lower=self.lower,
+            upper=self.upper,
+            iterations=len(self.uppers),
+            converged=self.upper - self.lower < self.config.gap_target,
+            lower_history=tuple(self.lowers),
+            upper_history=tuple(self.uppers),
+        )
+
+
+def distance_statistics(
+    snapshot: Snapshot,
+    giant_mask: np.ndarray,
+    estimator: Optional[EstimatorConfig] = EstimatorConfig(),
+    bounds: Optional[BoundConfig] = BoundConfig(),
+    *,
+    estimator_seed=0,
+    bounds_seed=0,
+) -> tuple[Optional[tuple[float, int]], Optional[BoundsOutcome], DistanceWork]:
+    """The giant component's sampled average distance and diameter bracket,
+    through shared batches.
+
+    Returns ((estimate, samples), bounds, work), with None in place of a
+    statistic whose config is None; see :func:`estimate_average_distance`
+    and :func:`diameter_bounds` for each. The bracket runs in waves of
+    min(32, rounds left before the cap) rounds, two batches a wave: the
+    wave's sweep starts, then the far ends they found and the wave's roots.
+    Full waves keep the bracket at 2 * ceil(rounds / 32) batches, whatever
+    round its rule stops at. Estimator samples fill each batch's free bits
+    while the rule runs, then go 64 to a batch.
+    """
+    nodes = _component_nodes(snapshot, giant_mask)
+    work = DistanceWork()
+    sampler = _Estimator(nodes.size, estimator, estimator_seed) if estimator else None
+    bracket = None
+    if bounds:
+        bracket = _Bracket(snapshot, nodes, bounds, bounds_seed)
+        t0 = time.perf_counter()
+        bracket.upper = diameter_upper_bound(snapshot, giant_mask, int(bracket.root_order[0]))
+        work.dist_tree = time.perf_counter() - t0
+        work.dist_tree_bfs = 1
+        work.dist_entries = int(snapshot.degrees[nodes].sum())  # each node's segment, once
+
+    def run(head: np.ndarray, farthest: bool) -> BatchResult:
+        """One batch of ``head`` and, while the estimator runs, samples."""
+        free = _WORD - head.size if sampler and not sampler.done else 0
+        # a block draw yields the same sources as that many single draws
+        samples = nodes[sampler.rng.integers(nodes.size, size=free)] if free else head[:0]
+        t0 = time.perf_counter()
+        batch = bfs_batch(
+            snapshot,
+            np.concatenate([head, samples]),
+            counts=samples.size > 0,
+            farthest=farthest,
+            component_size=nodes.size,
+        )
+        work.dist_batch += time.perf_counter() - t0
+        work.dist_batches += 1
+        work.dist_entries += batch.entries
+        if samples.size:
+            sampler.consume(batch.distance_sums[head.size :], batch.reached[head.size :])
+        return batch
+
+    while bracket and not bracket.done:
+        starts, roots = bracket.wave()
+        ends = run(starts, farthest=True).farthest[: starts.size]
+        ecc = run(np.concatenate([ends, roots]), farthest=False).eccentricity
+        bracket.consume(ecc[: ends.size], ecc[ends.size : ends.size + roots.size])
+    while sampler and not sampler.done:
+        run(nodes[:0], farthest=False)
+    estimate = (sampler.means[-1], len(sampler.means)) if sampler else None
+    return estimate, bracket.outcome() if bracket else None, work
 
 
 def estimate_average_distance(
@@ -216,34 +411,14 @@ def estimate_average_distance(
     (estimate, number of sources sampled); the sample count is always at
     least i_min + 1. The draws come from ``numpy.random.default_rng(seed)``.
 
-    Sources are drawn and traversed in blocks of 64; a block draw yields the
-    same sources as 64 single draws, and the rule consumes them in order, so
-    the blocks change neither the estimate nor the count. ``giant_mask`` must
-    be a connected component: a source that reaches a different number of
-    nodes than the mask holds is an error.
+    Sources are drawn and traversed in blocks of up to 64; a block draw
+    yields the same sources as as many single draws, and the rule consumes
+    them in order, so the blocks change neither the estimate nor the count.
+    ``giant_mask`` must be a connected component: a mask with a link to a
+    node outside it, or a source that reaches a different number of nodes
+    than the mask holds, is an error.
     """
-    nodes = np.nonzero(giant_mask)[0]
-    if nodes.size < 2:
-        raise ValueError("giant component must have at least 2 nodes")
-    size = int(nodes.size)
-    rng = np.random.default_rng(seed)
-    samples: list[float] = []
-    means: list[float] = []
-    while True:
-        batch = bfs_batch(snapshot, nodes[rng.integers(size, size=_WORD)], farthest=False)
-        if np.any(batch.reached != size):
-            raise ValueError("giant mask is not the component of its sources")
-        for total in batch.distance_sums.tolist():
-            samples.append(total / size)
-            means.append(math.fsum(samples) / len(samples))
-            i = len(means)
-            if i > config.i_min:
-                window = means[i - config.i_min - 1 :]
-                if all(
-                    abs(window[j + 1] - window[j]) < config.epsilon
-                    for j in range(len(window) - 1)
-                ):
-                    return means[-1], i
+    return distance_statistics(snapshot, giant_mask, config, None, estimator_seed=seed)[0]
 
 
 def _tree_diameter(parent: np.ndarray, levels: list[np.ndarray]) -> int:
@@ -279,7 +454,7 @@ def diameter_upper_bound(snapshot: Snapshot, giant_mask: np.ndarray, root: int) 
     """
     if not giant_mask[root]:
         raise ValueError(f"root {root} is outside the giant component")
-    parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbors, root)
+    parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbor_index, root)
     return _tree_diameter(parent, levels)
 
 
@@ -298,42 +473,11 @@ def diameter_bounds(
     gap_target, or unconditionally at ``iteration_cap``. The sweep starts
     come from ``numpy.random.default_rng(seed)``.
 
-    Rounds run in blocks of 32: one batch BFS from the block's 32 drawn
-    starts and its 32 roots, then one from the 32 farthest nodes the starts
-    found. Round t reads entry t mod 32, so the bounds equal those of one
-    sweep and one root per round. The one FIFO tree BFS is round 0's.
+    Rounds run in waves of up to 32: one batch BFS from the wave's drawn
+    starts, then one from the farthest nodes they found and the wave's
+    roots. Rounds read their results in order, so the bounds equal those of
+    one sweep and one root per round. The one FIFO tree BFS is round 0's.
+    ``giant_mask`` must be a component, as for
+    :func:`estimate_average_distance`.
     """
-    nodes = np.nonzero(giant_mask)[0]
-    if nodes.size < 2:
-        raise ValueError("giant component must have at least 2 nodes")
-    deg = snapshot.degrees
-    root_order = nodes[np.lexsort((nodes, -deg[nodes]))]
-    rng = np.random.default_rng(seed)
-    lower, upper = 0, diameter_upper_bound(snapshot, giant_mask, int(root_order[0]))
-    lowers: list[int] = []
-    uppers: list[int] = []
-    for t in range(config.iteration_cap):
-        i = t % _BLOCK
-        if i == 0:  # sweeps and roots for this round and the next 31
-            starts = nodes[rng.integers(nodes.size, size=_BLOCK)]
-            roots = root_order[np.arange(t, t + _BLOCK) % root_order.size]
-            first = bfs_batch(snapshot, np.concatenate([starts, roots]), counts=False)
-            root_ecc = first.eccentricity[_BLOCK:]
-            sweeps = bfs_batch(
-                snapshot, first.farthest[:_BLOCK], counts=False, farthest=False
-            ).eccentricity
-        lower = max(lower, int(sweeps[i]))
-        if t:
-            upper = min(upper, 2 * int(root_ecc[i]))
-        lowers.append(lower)
-        uppers.append(upper)
-        if t + 1 >= config.min_iterations and upper - lower < config.gap_target:
-            break
-    return BoundsOutcome(
-        lower=lower,
-        upper=upper,
-        iterations=len(uppers),
-        converged=upper - lower < config.gap_target,
-        lower_history=tuple(lowers),
-        upper_history=tuple(uppers),
-    )
+    return distance_statistics(snapshot, giant_mask, None, config, bounds_seed=seed)[1]

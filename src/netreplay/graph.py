@@ -15,6 +15,7 @@ that measures distances, the one group that traverses it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -38,6 +39,32 @@ class Snapshot:
     @property
     def degrees(self) -> np.ndarray:
         return np.diff(self.offsets)
+
+    # What traversals index with, derived once per snapshot on first use.
+    @functools.cached_property
+    def neighbor_index(self) -> np.ndarray:
+        """``neighbors`` as ``intp``; numpy casts other fancy indices on every use."""
+        return _frozen(self.neighbors.astype(np.intp))
+
+    @functools.cached_property
+    def linked(self) -> slice | np.ndarray:
+        """The nodes with at least one neighbor, ascending, as an index: a
+        slice of all nodes when every node has one, which numpy copies
+        through without a gather."""
+        linked = np.flatnonzero(np.diff(self.offsets))
+        return slice(0, self.n) if linked.size == self.n else _frozen(linked)
+
+    @functools.cached_property
+    def segment_starts(self) -> np.ndarray:
+        """Where each of ``linked``'s segments starts. They tile ``neighbors``
+        in order, as ``np.ufunc.reduceat`` reads them; an empty segment would
+        be read as its next entry."""
+        return _frozen(self.offsets[self.linked])
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 class ArrivalCSR(NamedTuple):

@@ -37,13 +37,7 @@ import numpy as np
 
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import BasicStats, cumulative, ks_statistic, stats_from_counts
-from netreplay.distances import (
-    BoundConfig,
-    EstimatorConfig,
-    bfs_batch_calls,
-    diameter_bounds,
-    estimate_average_distance,
-)
+from netreplay.distances import BoundConfig, DistanceWork, EstimatorConfig, distance_statistics
 from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot
 from netreplay.ingest import (
     ArrivalStream,
@@ -78,9 +72,10 @@ SERIES = {
     ),
 }
 STAT_GROUPS = tuple(SERIES)
-_TIMING_PARTS = ("dist_estimator", "dist_bounds")  # timed inside "dist"
+_TIMING_PARTS = ("dist_tree", "dist_batch")  # timed inside "dist"
 _WORK_COUNTS = (  # counted, not timed
-    "dist_batches", "dist_tree_bfs", "snapshots", "tri_probes", "tri_searches", "tri_batches"
+    "dist_batches", "dist_tree_bfs", "dist_entries", "snapshots",
+    "tri_probes", "tri_searches", "tri_batches",
 )
 
 
@@ -300,8 +295,9 @@ def _measure(
     group. ``basic`` is None below two nodes. The degree group measures the
     K-S distance of the degree tail to ``final_tail``, the final graph's, and
     appends the dense degree histogram to ``dists`` when distributions are
-    dumped. The distance group records in ``timing`` its estimator's and
-    bounds' wall time and its work: ``bfs_batch`` calls and tree BFS runs.
+    dumped. The distance group records in ``timing`` its ``DistanceWork``:
+    the wall time of its tree bound and of its batches, their counts, and
+    the adjacency entries they gathered.
     The triangle group reads row ``k`` (place in the plan) of the lazy
     ``tri_counts()``; at ``k == 0``, where the listing runs, it records the
     listing's probes, searches and batches."""
@@ -321,23 +317,18 @@ def _measure(
             timing["tri_searches"] = counts.searches
             timing["tri_batches"] = counts.batches
         return analyze_triangles(degrees, basic, int(counts.totals[k]), counts.per_node[k, :n])
-    timing["dist_estimator"] = timing["dist_bounds"] = 0.0
-    timing["dist_batches"] = timing["dist_tree_bfs"] = 0
     if components.giant_size < 2:
+        timing.update(vars(DistanceWork()))
         return None
-    giant = components.giant_mask()
-    t0 = _time.perf_counter()
-    estimate, samples = estimate_average_distance(
-        snapshot, giant, config.estimator, checkpoint_estimator_seed(config.seed, checkpoint_index)
+    (estimate, samples), bounds, work = distance_statistics(
+        snapshot,
+        components.giant_mask(),
+        config.estimator,
+        config.bounds,
+        estimator_seed=checkpoint_estimator_seed(config.seed, checkpoint_index),
+        bounds_seed=checkpoint_bounds_seed(config.seed, checkpoint_index),
     )
-    t1 = _time.perf_counter()
-    bounds = diameter_bounds(
-        snapshot, giant, config.bounds, checkpoint_bounds_seed(config.seed, checkpoint_index)
-    )
-    timing["dist_estimator"] = t1 - t0
-    timing["dist_bounds"] = _time.perf_counter() - t1
-    timing["dist_batches"] = bfs_batch_calls(samples, bounds.iterations)
-    timing["dist_tree_bfs"] = 1  # round 0's; later rounds read eccentricities off batches
+    timing.update(vars(work))
     return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
 
 
@@ -403,8 +394,8 @@ def _write_outputs(
             rows = zip(*(column.tolist() for column in columns))
             _write_csv(os.path.join(ddir, name), "degree,count,proportion,cumulative", rows)
     # "totals" keeps one key per timed step of the checkpoint loop, so its
-    # values sum to the loop's timed part; parts of a step ("dist" =
-    # estimator + bounds) are totalled apart in "part_totals", and work
+    # values sum to the loop's timed part; parts of a step ("dist" holds its
+    # tree bound and its batches) are totalled apart in "part_totals", and work
     # counts in "work". "load" (the stream, parsed or from the cache) and
     # "write" (every output file but this one) lie outside the loop and
     # stand apart from all three, as does "load_work", how the parse ran.

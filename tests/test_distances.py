@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from netreplay import distances
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
@@ -16,6 +17,7 @@ from netreplay.distances import (
     bfs_batch,
     diameter_bounds,
     diameter_upper_bound,
+    distance_statistics,
     estimate_average_distance,
 )
 from netreplay.graph import snapshot_from_edges
@@ -208,6 +210,28 @@ class TestBfsBatch:
                 else:
                     assert value is None
 
+    @given(
+        st.integers(min_value=1, max_value=70),
+        st.floats(min_value=0.0, max_value=0.25),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.integers(min_value=1, max_value=64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_saturation_stop_equals_full_run(self, n, p, seed, k):
+        # sources from one component, which may be a lone node
+        rng = np.random.default_rng(seed)
+        snap = snapshot_from_edges(random_edges(rng, n, p), n=n)
+        labels = components(snap).component_id
+        inside = np.flatnonzero(labels == labels[rng.integers(n)])
+        sources = inside[rng.integers(inside.size, size=k)]
+        full = bfs_batch(snap, sources)
+        stopped = bfs_batch(snap, sources, component_size=inside.size)
+        for field in ("distance_sums", "reached", "eccentricity", "farthest"):
+            assert getattr(stopped, field).tolist() == getattr(full, field).tolist()
+        # the full run ends with one level that finds nothing; the stop skips it
+        assert full.entries - stopped.entries == snap.neighbors.size
+        assert stopped.entries == int(full.eccentricity.max()) * snap.neighbors.size
+
     def test_fifo_parents_match_queue_bfs(self):
         rng = np.random.default_rng(43)
         for _ in range(25):
@@ -223,20 +247,60 @@ class TestBfsBatch:
             assert [int(v) for level in levels for v in level] == list(want)
 
 
+def estimate_one_source_at_a_time(snap, mask, cfg, seed):
+    """The estimator's rule over one single draw and one oracle BFS per sample."""
+    nodes = np.flatnonzero(mask)
+    rng = np.random.default_rng(seed)
+    samples, means = [], []
+    while True:
+        samples.append(mean_distance_from(snap, mask, int(nodes[rng.integers(nodes.size)])))
+        means.append(math.fsum(samples) / len(samples))
+        i = len(means)
+        window = np.abs(np.diff(means[max(0, i - cfg.i_min - 1) :]))
+        if i > cfg.i_min and np.all(window < cfg.epsilon):
+            return means[-1], i
+
+
+def bounds_one_sweep_at_a_time(snap, mask, cfg, seed):
+    """The bracket's rule over one single draw, one oracle double sweep and
+    one root per round: (lower history, upper history)."""
+    nodes = np.flatnonzero(mask)
+    rng = np.random.default_rng(seed)
+    roots = nodes[np.lexsort((nodes, -snap.degrees[nodes]))]
+    lowers, uppers = [], []
+    for t in range(cfg.iteration_cap):
+        lower = diameter_lower_bound(snap, mask, int(nodes[rng.integers(nodes.size)]))[0]
+        root = int(roots[t % roots.size])
+        upper = diameter_upper_bound(snap, mask, root) if t == 0 else 2 * bfs(snap, root).farthest_dist
+        lowers.append(max(lowers[-1], lower) if lowers else lower)
+        uppers.append(min(uppers[-1], upper) if uppers else upper)
+        if t + 1 >= cfg.min_iterations and uppers[-1] - lowers[-1] < cfg.gap_target:
+            break
+    return tuple(lowers), tuple(uppers)
+
+
 class TestBlockDraws:
-    """Sources are drawn 64 (estimator) or 32 (bounds) at a time; the
-    sequence must equal one draw at a time."""
+    """Sources are drawn in blocks of 1 to 64, each block as large as the
+    batch has room for; the sequence must equal one draw at a time."""
 
     @pytest.mark.parametrize("seed_of", [checkpoint_estimator_seed, checkpoint_bounds_seed])
     @pytest.mark.parametrize("size", [2, 3, 1000, 6000, 2**31 + 11])
     def test_block_draws_equal_single_draws(self, seed_of, size):
-        for block_size in (32, 64):
-            for checkpoint in (0, 1, 57):
-                single = np.random.default_rng(seed_of(1, checkpoint))
+        # every size the scheduler can draw, alone and mixed, each pattern
+        # repeated until it covers the 200 single draws
+        mixed = [(24, 44, 64), (1, 3, 7, 64), (32, 63, 1, 62, 2, 31, 33)]
+        patterns = [(k,) for k in range(1, 65)] + mixed
+        for checkpoint in (0, 1, 57):
+            single = np.random.default_rng(seed_of(1, checkpoint))
+            want = [int(single.integers(size)) for _ in range(200)]
+            for pattern in patterns:
                 block = np.random.default_rng(seed_of(1, checkpoint))
-                want = [int(single.integers(size)) for _ in range(200)]
-                blocks = [block.integers(size, size=block_size) for _ in range(256 // block_size)]
-                assert np.concatenate(blocks)[:200].tolist() == want
+                got = []
+                for k in itertools.cycle(pattern):
+                    if len(got) >= 200:
+                        break
+                    got += block.integers(size, size=k).tolist()
+                assert got[:200] == want, pattern
 
     def test_estimator_matches_one_source_at_a_time(self):
         # i_min above 64 makes the rule consume several blocks
@@ -245,41 +309,48 @@ class TestBlockDraws:
             snap = snapshot_from_edges(edges, n=50)
             mask = full_mask(50)
             cfg = EstimatorConfig(i_min=70, epsilon=0.02)
-            rng = np.random.default_rng(seed)
-            samples, means = [], []
-            while True:
-                samples.append(mean_distance_from(snap, mask, int(rng.integers(50))))
-                means.append(math.fsum(samples) / len(samples))
-                i = len(means)
-                window = np.abs(np.diff(means[max(0, i - cfg.i_min - 1) :]))
-                if i > cfg.i_min and np.all(window < cfg.epsilon):
-                    break
-            assert estimate_average_distance(snap, mask, cfg, seed) == (means[-1], len(means))
+            want = estimate_one_source_at_a_time(snap, mask, cfg, seed)
+            assert estimate_average_distance(snap, mask, cfg, seed) == want
 
     def test_bounds_match_one_sweep_at_a_time(self):
         # on the 8 x 8 grid the root order walks inward from (1, 1), so later
         # roots' 2 * ecc fall below round 0's tree bound, 19, at rounds 8 and 14
         grid = [(8 * i + j, 8 * i + j + 1) for i in range(8) for j in range(7)]
         grid += [(8 * i + j, 8 * i + j + 8) for i in range(7) for j in range(8)]
-        # all 150 rounds run: five blocks of 32, and the root order wraps
+        # all 150 rounds run: five waves of 32 (the last cut to 22 by the
+        # cap), and the root order wraps
         cfg = BoundConfig(min_iterations=150, gap_target=1, iteration_cap=150)
         for edges, n in [(connected_random_graph(0, 60, 0.05), 60), (grid, 64)]:
             snap = snapshot_from_edges(edges, n=n)
             mask = full_mask(n)
             out = diameter_bounds(snap, mask, cfg, 5)
-            rng = np.random.default_rng(5)
-            roots = np.lexsort((np.arange(n), -snap.degrees))
-            lowers, uppers = [], []
-            for t in range(150):
-                lowers.append(diameter_lower_bound(snap, mask, int(rng.integers(n)))[0])
-                root = int(roots[t % n])
-                uppers.append(
-                    diameter_upper_bound(snap, mask, root) if t == 0 else 2 * bfs(snap, root).farthest_dist
-                )
             assert out.iterations == 150
-            assert out.lower_history == tuple(np.maximum.accumulate(lowers).tolist())
-            assert out.upper_history == tuple(np.minimum.accumulate(uppers).tolist())
+            assert (out.lower_history, out.upper_history) == bounds_one_sweep_at_a_time(
+                snap, mask, cfg, 5
+            )
         assert out.upper_history[:15] == (19,) * 8 + (18,) * 6 + (16,)
+
+    def test_shared_batches_match_one_source_at_a_time(self):
+        # the estimator outlasts the 33 free bits of the bracket's first
+        # wave, and the bracket needs a second wave: its rounds share
+        # batches with samples until the estimator stops
+        est_cfg = EstimatorConfig(i_min=40, epsilon=0.05)
+        bound_cfg = BoundConfig(min_iterations=40, gap_target=1, iteration_cap=60)
+        for seed in range(3):
+            snap = snapshot_from_edges(connected_random_graph(seed, 60, 0.05), n=60)
+            mask = full_mask(60)
+            estimate, bounds, work = distance_statistics(
+                snap, mask, est_cfg, bound_cfg, estimator_seed=seed, bounds_seed=seed + 10
+            )
+            assert estimate == estimate_one_source_at_a_time(snap, mask, est_cfg, seed)
+            assert (bounds.lower_history, bounds.upper_history) == bounds_one_sweep_at_a_time(
+                snap, mask, bound_cfg, seed + 10
+            )
+            assert 33 < estimate[1] <= 65 and 32 < bounds.iterations <= 60
+            assert (work.dist_batches, work.dist_tree_bfs) == (4, 1)
+            # alone, each rule runs the same scheduler and reads the same values
+            assert estimate_average_distance(snap, mask, est_cfg, seed) == estimate
+            assert diameter_bounds(snap, mask, bound_cfg, seed + 10) == bounds
 
     def test_estimator_rejects_mask_that_is_not_a_component(self):
         snap = snapshot_from_edges([(0, 1), (2, 3)])
@@ -292,6 +363,21 @@ class TestBlockDraws:
         mask = np.array([True, True, True, False, False])
         with pytest.raises(ValueError, match="not the component"):
             estimate_average_distance(snap, mask)
+
+    def test_mask_checked_before_any_draw(self, monkeypatch):
+        # from node 0 of a 5-path the mask {0, 1, 2} saturates at hop 2,
+        # so the saturation stop alone would accept it; the check must not
+        # depend on which sources are drawn
+        snap = snapshot_from_edges(path_edges(5))
+        mask = np.array([True, True, True, False, False])
+        got = bfs_batch(snap, [0] * 64, component_size=3)
+        assert got.reached.tolist() == [3] * 64
+        monkeypatch.setattr(distances, "bfs_batch", None)  # no batch may run
+        for seed in range(5):
+            with pytest.raises(ValueError, match="not the component"):
+                estimate_average_distance(snap, mask, seed=seed)
+            with pytest.raises(ValueError, match="not the component"):
+                diameter_bounds(snap, mask, seed=seed)
 
 
 class TestMeanDistance:

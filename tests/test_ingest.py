@@ -7,6 +7,7 @@ import tempfile
 import threading
 import time
 import zlib
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -874,7 +875,7 @@ class TestCache:
         s = read_events([RawEvent(0, "a", "b"), RawEvent(1, "b", "c")])
         path = str(tmp_path / "trunc.arrivals")
         ingest.save_cache(s, path, KEY)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         with open(path, "wb") as f:
             f.write(data[:-5])
         with pytest.raises(ValueError, match="truncated"):
@@ -899,7 +900,7 @@ def edited_sidecar(tmp_path, stream, field, index, value):
     (``final_n`` or a column) with ``value``, and return the sidecar's path."""
     path = str(tmp_path / "edited.arrivals")
     ingest.save_cache(stream, path, KEY)
-    data = bytearray(open(path, "rb").read())
+    data = bytearray(Path(path).read_bytes())
     m = stream.final_m
     views = {"final_n": np.frombuffer(data, "<u8", 1, 8)}
     offset = HEADER_BYTES
@@ -932,7 +933,7 @@ class TestCacheFormat:
             "0000000000000000" "0300000000000000"  # node_count_prefix, i8 ...
             "0400000000000000" "0400000000000000"  # ... final_m + 1 entries
         )
-        assert open(path, "rb").read() == expected
+        assert Path(path).read_bytes() == expected
 
     @given(
         st.lists(
@@ -961,7 +962,7 @@ class TestCacheFormat:
         with tempfile.TemporaryDirectory() as d:
             path = os.path.join(d, "s.arrivals")
             ingest.save_cache(stream, path, KEY)
-            raw = bytearray(open(path, "rb").read())
+            raw = bytearray(Path(path).read_bytes())
             at = data.draw(st.integers(0, len(raw) - 1))
             raw[at] ^= data.draw(st.integers(1, 255))
             with open(path, "wb") as f:
@@ -980,7 +981,7 @@ class TestCacheFormat:
     def test_every_truncation_rejected(self, tmp_path):
         path = str(tmp_path / "small.arrivals")
         ingest.save_cache(read_events(SMALL), path, KEY)
-        data = open(path, "rb").read()
+        data = Path(path).read_bytes()
         for cut in range(len(data)):
             with open(path, "wb") as f:
                 f.write(data[:cut])

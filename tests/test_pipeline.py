@@ -271,13 +271,14 @@ class TestOutputs:
         _, out = self.run_to_dir(tmp_path, "out")
         timings = json.loads((out / "timings.json").read_text())
         for record in timings["per_checkpoint"]:
-            parts = record["dist_estimator"] + record["dist_bounds"]
-            assert 0.0 <= parts <= record["dist"]
+            assert record["dist_tree"] >= 0.0 and record["dist_batch"] >= 0.0
+            assert record["dist_tree"] + record["dist_batch"] <= record["dist"]
         assert sorted(timings["totals"]) == ["conn", "deg", "dist", "replay", "tri"]
         # Load and write lie outside the checkpoint loop, so outside totals.
         for key in ("load", "write"):
             assert isinstance(timings[key], float) and timings[key] >= 0.0
-        for key in ("dist_estimator", "dist_bounds"):
+        assert sorted(timings["part_totals"]) == ["dist_batch", "dist_tree"]
+        for key in ("dist_tree", "dist_batch"):
             assert timings["part_totals"][key] == pytest.approx(
                 sum(r[key] for r in timings["per_checkpoint"])
             )
@@ -297,6 +298,7 @@ class TestOutputs:
         from netreplay import distances
 
         calls = {"dist_batches": 0, "dist_tree_bfs": 0}
+        gathered = []
 
         def counted(fn, key):
             def wrapper(*args, **kwargs):
@@ -305,18 +307,30 @@ class TestOutputs:
 
             return wrapper
 
-        monkeypatch.setattr(distances, "bfs_batch", counted(distances.bfs_batch, "dist_batches"))
-        monkeypatch.setattr(
-            distances,
-            "diameter_upper_bound",
-            counted(distances.diameter_upper_bound, "dist_tree_bfs"),
-        )
-        # above 64 samples or 32 rounds a checkpoint needs more than one block
+        def batch(snapshot, sources, **flags):
+            calls["dist_batches"] += 1
+            # every level of a batch gathers the whole adjacency array, and
+            # the last level reaches the sources' farthest nodes
+            got = bfs_batch(snapshot, sources, **flags)
+            gathered.append(int(got.eccentricity.max()) * snapshot.neighbors.size)
+            return got
+
+        def tree(snapshot, giant_mask, root):
+            # the FIFO tree gathers each giant node's segment once
+            gathered.append(int(snapshot.degrees[giant_mask].sum()))
+            return counted(diameter_upper_bound, "dist_tree_bfs")(snapshot, giant_mask, root)
+
+        bfs_batch, diameter_upper_bound = distances.bfs_batch, distances.diameter_upper_bound
+        monkeypatch.setattr(distances, "bfs_batch", batch)
+        monkeypatch.setattr(distances, "diameter_upper_bound", tree)
+        # above 33 samples a checkpoint's estimator needs more than its
+        # bracket's first wave; above 32 rounds the bracket needs a second
+        cap = 130
         result, out = self.run_to_dir(
             tmp_path,
             "outw",
             estimator=EstimatorConfig(i_min=70, epsilon=0.01),
-            bounds=BoundConfig(min_iterations=65, gap_target=1, iteration_cap=130),
+            bounds=BoundConfig(min_iterations=65, gap_target=1, iteration_cap=cap),
         )
 
         def column(name):
@@ -328,12 +342,23 @@ class TestOutputs:
         assert len(samples) == len(iterations) > 1
         assert max(samples) > 64 and max(iterations) > 64
         work = json.loads((out / "timings.json").read_text())["work"]
+        assert work.pop("dist_entries") == sum(gathered)
         dist_work = {key: work.pop(key) for key in calls}
         assert dist_work == calls
-        assert dist_work == {
-            "dist_batches": sum(-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)),
-            "dist_tree_bfs": len(iterations),
-        }
+
+        def scheduled(s, i):
+            # waves of min(32, rounds left before the cap); a wave's first
+            # batch leaves 64 - r bits to samples, its second 64 - 2r, plus
+            # round 0's, which has no root; further samples go 64 a batch
+            waves = [min(32, cap - t) for t in range(0, i, 32)]
+            slots = sum(128 - 3 * r for r in waves) + 1
+            return 2 * len(waves) + -(-max(0, s - slots) // 64)
+
+        parent_schedule = [-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)]
+        per_checkpoint = [scheduled(s, i) for s, i in zip(samples, iterations)]
+        assert all(a <= b for a, b in zip(per_checkpoint, parent_schedule))
+        assert sum(per_checkpoint) < sum(parent_schedule)
+        assert dist_work == {"dist_batches": sum(per_checkpoint), "dist_tree_bfs": len(iterations)}
         # With distances on, every checkpoint builds its snapshot.
         assert work.pop("snapshots") == len(result.checkpoints)
         # checked in TestTriangleWork
@@ -345,6 +370,7 @@ class TestOutputs:
         assert work == {
             "dist_batches": 0,
             "dist_tree_bfs": 0,
+            "dist_entries": 0,
             "snapshots": 0,
             "tri_probes": 0,
             "tri_searches": 0,
