@@ -289,13 +289,15 @@ class _Bracket:
     order (wrapping around) lowers the upper bound, which round 0 takes from
     the top hub's BFS tree instead."""
 
-    def __init__(self, snapshot: Snapshot, nodes: np.ndarray, config: BoundConfig, seed):
+    def __init__(
+        self, nodes: np.ndarray, root_order: np.ndarray, config: BoundConfig, seed, tree_bound: int
+    ):
         self.nodes = nodes
+        self.root_order = root_order
         self.config = config
         self.rng = np.random.default_rng(seed)
-        self.root_order = nodes[np.lexsort((nodes, -snapshot.degrees[nodes]))]
         self.lower = 0
-        self.upper = None  # round 0's tree bound, set by the scheduler
+        self.upper = tree_bound
         self.lowers: list[int] = []
         self.uppers: list[int] = []
         self.done = False
@@ -362,12 +364,13 @@ def distance_statistics(
     sampler = _Estimator(nodes.size, estimator, estimator_seed) if estimator else None
     bracket = None
     if bounds:
-        bracket = _Bracket(snapshot, nodes, bounds, bounds_seed)
+        root_order = nodes[np.lexsort((nodes, -snapshot.degrees[nodes]))]
         t0 = time.perf_counter()
-        bracket.upper = diameter_upper_bound(snapshot, giant_mask, int(bracket.root_order[0]))
+        tree_bound = diameter_upper_bound(snapshot, giant_mask, int(root_order[0]))
         work.dist_tree = time.perf_counter() - t0
         work.dist_tree_bfs = 1
         work.dist_entries = int(snapshot.degrees[nodes].sum())  # each node's segment, once
+        bracket = _Bracket(nodes, root_order, bounds, bounds_seed, tree_bound)
 
     def run(head: np.ndarray, farthest: bool) -> BatchResult:
         """One batch of ``head`` and, while the estimator runs, samples."""
