@@ -33,7 +33,6 @@ from netreplay.distances import (
     BoundsOutcome,
     EstimatorConfig,
     diameter_bounds,
-    diameter_upper_bound,
     estimate_average_distance,
 )
 from netreplay.triangles import (

@@ -4,12 +4,11 @@ Exhaustive distance computation is off the table at measurement scale, so
 everything here leans on a small number of full BFS runs. The average
 distance is estimated by sampling sources uniformly from the giant component
 until the running mean settles. The diameter is bracketed from below by
-double-sweep eccentricities. From above, the first round takes the diameter
-of a BFS tree from the top hub, which contains all of the graph's nodes but
-only a subset of its links, so its diameter can only overestimate, and which
-is exact on a tree; later rounds take twice the eccentricity of the next hub
-(Magnien, Latapy & Habib, ACM JEA 2009). Repeating both with fresh starting
-points tightens the bracket.
+double-sweep eccentricities, and from above by twice the eccentricity of the
+next hub in degree order (Magnien, Latapy & Habib, ACM JEA 2009). A
+component with one link fewer than nodes is a tree, where the double sweep
+is exact and so sets both bounds. Repeating both with fresh starting points
+tightens the bracket.
 
 Sources are traversed up to 64 at a time by a bit-parallel BFS (one
 ``uint64`` word per node, one bit per source), following Then et al., "The
@@ -25,9 +24,7 @@ A batch over a component ends once every node of it has seen every source,
 so no level that finds nothing runs. Per level, one OR of the new words
 gives the eccentricities, and a byte histogram counts each source's new
 nodes when the batch carries samples. A source's farthest node is searched
-for only at its last level, which the next level's OR reveals. The BFS-tree
-bound runs one FIFO BFS with parents; a node on the deepest level ends a
-longest tree path, measured in one pass down the levels.
+for only at its last level, which the next level's OR reveals.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -100,14 +97,12 @@ class BatchResult(NamedTuple):
 
 @dataclass
 class DistanceWork:
-    """What one checkpoint's distance statistics cost: seconds in the
-    round-0 tree bound and in :func:`bfs_batch` calls, the number of each,
-    and the adjacency entries their levels gathered."""
+    """What one checkpoint's distance statistics cost: seconds in
+    :func:`bfs_batch` calls, their number, and the adjacency entries their
+    levels gathered."""
 
-    dist_tree: float = 0.0
     dist_batch: float = 0.0
     dist_batches: int = 0
-    dist_tree_bfs: int = 0
     dist_entries: int = 0
 
 
@@ -115,48 +110,6 @@ _WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
 _ROUNDS = _WORD // 2  # bracket rounds per wave: its far ends and its roots share a word
 _BYTE_BINS = 256 * np.arange(8, dtype=np.uint16)  # one range of 256 bins per byte of a word
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of byte value v
-
-
-def _bfs_levels(
-    offsets: np.ndarray, neighbors: np.ndarray, source: int
-) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Level-synchronous BFS equivalent to a FIFO queue with neighbors
-    visited in ascending order.
-
-    Returns (parent, levels): each reached node's FIFO parent (-1 at the
-    source and where unreached), and each level's nodes in discovery order.
-    A level gathers its frontier's neighbor segments in (frontier rank,
-    neighbor) order, so a node's first entry is the one a FIFO queue would
-    pop it from.
-    """
-    n = offsets.size - 1
-    seen = np.zeros(n, dtype=bool)
-    parent = np.full(n, -1, dtype=np.intp)
-    first = np.full(n, np.iinfo(np.int64).max, dtype=np.int64)  # each node's first entry
-    seen[source] = True
-    frontier = np.array([source], dtype=np.int64)
-    levels = [frontier]
-    while True:
-        starts = offsets[frontier]
-        counts = offsets[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        ends = np.cumsum(counts)
-        entries = np.arange(total, dtype=np.int64) + np.repeat(starts - ends + counts, counts)
-        # numpy casts int32 fancy indices on every use
-        nbrs = neighbors[entries].astype(np.intp, copy=False)
-        pos = np.flatnonzero(~seen[nbrs])
-        if pos.size == 0:
-            break
-        cand = nbrs[pos]
-        np.minimum.at(first, cand, pos)
-        keep = first[cand] == pos
-        parent[cand[keep]] = np.repeat(frontier, counts)[pos[keep]]
-        frontier = cand[keep]
-        seen[frontier] = True
-        levels.append(frontier)
-    return parent, levels
 
 
 def _first_holders(far: np.ndarray, hit: np.ndarray, words: np.ndarray, bits) -> None:
@@ -185,7 +138,9 @@ def bfs_batch(
 
     With ``component_size``, the size of a connected component holding every
     source, the call ends once that many nodes have seen every source, in
-    place of the level that finds no new node. The results are the same.
+    place of the level that finds no new node. The results are the same. If
+    the sources run out of new nodes first, the nodes they share are fewer
+    than ``component_size``, and the call raises ValueError.
     """
     sources = np.asarray(sources, dtype=np.int64)
     k = sources.size
@@ -194,7 +149,7 @@ def bfs_batch(
     n = snapshot.n
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"source out of range [0, {n})")
-    neighbors = snapshot.neighbor_index
+    neighbors = snapshot.neighbors
     linked = snapshot.linked
     segment_starts = snapshot.segment_starts
     bit_of = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
@@ -236,6 +191,8 @@ def bfs_batch(
             new = (histogram @ _BYTE_BITS).ravel()[:k]
             sums += level * new
             reached += new
+    if component_size is not None and saturated != component_size:
+        raise ValueError("giant mask is not the component of its sources")
     if farthest and last is not None:
         _first_holders(far, *last)  # no source gains past the final level
     return BatchResult(
@@ -246,12 +203,13 @@ def bfs_batch(
 def _component_nodes(snapshot: Snapshot, giant_mask: np.ndarray) -> np.ndarray:
     """The mask's nodes, after checking that no adjacency entry of one of
     them leads outside the mask. A batch's early stop counts saturated nodes
-    against the mask's size, so it relies on that."""
+    against the mask's size, so it relies on that; the batch itself rejects
+    a closed mask that its sources do not cover."""
     nodes = np.flatnonzero(giant_mask)
     if nodes.size < 2:
         raise ValueError("giant component must have at least 2 nodes")
     owned = np.repeat(giant_mask, snapshot.degrees)  # the entries of the mask's nodes
-    if np.any(owned & ~giant_mask[snapshot.neighbor_index]):
+    if np.any(owned & ~giant_mask[snapshot.neighbors]):
         raise ValueError("giant mask is not the component of its sources")
     return nodes
 
@@ -260,17 +218,15 @@ class _Estimator:
     """The average-distance rule, fed one source's distance sum at a time."""
 
     def __init__(self, size: int, config: EstimatorConfig, seed):
-        self.size = size  # the component's, which every source must reach
+        self.size = size  # the component's, which every source reaches
         self.config = config
         self.rng = np.random.default_rng(seed)
         self.samples: list[float] = []
         self.means: list[float] = []
         self.done = False
 
-    def consume(self, sums: np.ndarray, reached: np.ndarray) -> None:
+    def consume(self, sums: np.ndarray) -> None:
         size = self.size
-        if np.any(reached != size):
-            raise ValueError("giant mask is not the component of its sources")
         i_min, epsilon = self.config.i_min, self.config.epsilon
         for total in sums.tolist():
             self.samples.append(total / size)
@@ -286,37 +242,35 @@ class _Estimator:
 class _Bracket:
     """The diameter bracket's rounds: round t's sweep raises the lower
     bound, and twice the eccentricity of the hub at t in degree-descending
-    order (wrapping around) lowers the upper bound, which round 0 takes from
-    the top hub's BFS tree instead."""
+    order (wrapping around) lowers the upper bound. On a tree the sweep is
+    exact, so it lowers the upper bound too."""
 
     def __init__(
-        self, nodes: np.ndarray, root_order: np.ndarray, config: BoundConfig, seed, tree_bound: int
+        self, nodes: np.ndarray, root_order: np.ndarray, config: BoundConfig, seed, tree: bool
     ):
         self.nodes = nodes
         self.root_order = root_order
         self.config = config
         self.rng = np.random.default_rng(seed)
+        self.tree = tree
         self.lower = 0
-        self.upper = tree_bound
+        self.upper = math.inf  # until round 0
         self.lowers: list[int] = []
         self.uppers: list[int] = []
         self.done = False
 
     def wave(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next wave's sweep starts, one per round, and the roots of its
-        rounds past round 0."""
+        """The next wave's sweep starts and roots, one of each per round."""
         t = len(self.uppers)
         rounds = min(_ROUNDS, self.config.iteration_cap - t)
         starts = self.nodes[self.rng.integers(self.nodes.size, size=rounds)]
-        roots = self.root_order[np.arange(max(t, 1), t + rounds) % self.root_order.size]
+        roots = self.root_order[np.arange(t, t + rounds) % self.root_order.size]
         return starts, roots
 
     def consume(self, sweeps: np.ndarray, root_ecc: np.ndarray) -> None:
-        uppers = (2 * root_ecc).tolist()
-        if not self.uppers:
-            uppers.insert(0, self.upper)
+        uppers = sweeps if self.tree else 2 * root_ecc
         config = self.config
-        for lower, upper in zip(sweeps.tolist(), uppers, strict=True):
+        for lower, upper in zip(sweeps.tolist(), uppers.tolist(), strict=True):
             self.lower = max(self.lower, lower)
             self.upper = min(self.upper, upper)
             self.lowers.append(self.lower)
@@ -357,20 +311,20 @@ def distance_statistics(
     wave's sweep starts, then the far ends they found and the wave's roots.
     Full waves keep the bracket at 2 * ceil(rounds / 32) batches, whatever
     round its rule stops at. Estimator samples fill each batch's free bits
-    while the rule runs, then go 64 to a batch.
+    while the rule runs (32 in a full wave's two batches), then go 64 to a
+    batch.
     """
     nodes = _component_nodes(snapshot, giant_mask)
     work = DistanceWork()
     sampler = _Estimator(nodes.size, estimator, estimator_seed) if estimator else None
     bracket = None
     if bounds:
-        root_order = nodes[np.lexsort((nodes, -snapshot.degrees[nodes]))]
-        t0 = time.perf_counter()
-        tree_bound = diameter_upper_bound(snapshot, giant_mask, int(root_order[0]))
-        work.dist_tree = time.perf_counter() - t0
-        work.dist_tree_bfs = 1
-        work.dist_entries = int(snapshot.degrees[nodes].sum())  # each node's segment, once
-        bracket = _Bracket(nodes, root_order, bounds, bounds_seed, tree_bound)
+        degrees = snapshot.degrees[nodes]
+        root_order = nodes[np.lexsort((nodes, -degrees))]
+        # a connected mask is a tree when it has one link fewer than nodes;
+        # every batch rejects a mask its sources do not cover
+        tree = int(degrees.sum()) == 2 * (nodes.size - 1)
+        bracket = _Bracket(nodes, root_order, bounds, bounds_seed, tree)
 
     def run(head: np.ndarray, farthest: bool) -> BatchResult:
         """One batch of ``head`` and, while the estimator runs, samples."""
@@ -389,7 +343,7 @@ def distance_statistics(
         work.dist_batches += 1
         work.dist_entries += batch.entries
         if samples.size:
-            sampler.consume(batch.distance_sums[head.size :], batch.reached[head.size :])
+            sampler.consume(batch.distance_sums[head.size :])
         return batch
 
     while bracket and not bracket.done:
@@ -418,47 +372,10 @@ def estimate_average_distance(
     yields the same sources as as many single draws, and the rule consumes
     them in order, so the blocks change neither the estimate nor the count.
     ``giant_mask`` must be a connected component: a mask with a link to a
-    node outside it, or a source that reaches a different number of nodes
-    than the mask holds, is an error.
+    node outside it, or one that a batch's sources do not cover, is an
+    error.
     """
     return distance_statistics(snapshot, giant_mask, config, None, estimator_seed=seed)[0]
-
-
-def _tree_diameter(parent: np.ndarray, levels: list[np.ndarray]) -> int:
-    """Exact diameter of the tree given by ``parent`` and its ``levels``.
-
-    A node farthest from any node of a tree ends a longest path, so the
-    first node of the deepest level does. Its tree distance to a node at
-    level l is depth + l - 2b, where b is the level at which that node's
-    root path leaves its own; going down the levels once carries b.
-    """
-    depth = len(levels) - 1
-    branch = np.zeros(parent.size, dtype=np.int64)
-    v = int(levels[-1][0])
-    for level in range(depth, 0, -1):  # the end's root path leaves itself at its own level
-        branch[v] = level
-        v = parent[v]
-    diameter = depth
-    for level in range(1, depth + 1):
-        kids = levels[level]
-        # a node on the end's root path keeps its own level; any other takes its parent's
-        branch[kids] = b = np.maximum(branch[kids], branch[parent[kids]])
-        diameter = max(diameter, depth + level - 2 * int(b.min()))
-    return diameter
-
-
-def diameter_upper_bound(snapshot: Snapshot, giant_mask: np.ndarray, root: int) -> int:
-    """Exact diameter of the BFS tree rooted at ``root``.
-
-    The tree spans the giant component with a subset of its links, so every
-    graph distance is at most the tree distance and the tree diameter bounds
-    the graph diameter from above. The tree is the FIFO one (see
-    :func:`_bfs_levels`); its diameter comes from one root path.
-    """
-    if not giant_mask[root]:
-        raise ValueError(f"root {root} is outside the giant component")
-    parent, levels = _bfs_levels(snapshot.offsets, snapshot.neighbor_index, root)
-    return _tree_diameter(parent, levels)
 
 
 def diameter_bounds(
@@ -469,17 +386,19 @@ def diameter_bounds(
     Each round runs one double sweep from a random giant node (raising the
     lower bound) and bounds the diameter from above at the next root in
     degree-descending order, wrapping around (lowering the upper bound), so
-    the bracket can only tighten. Round 0 takes the root's BFS-tree diameter,
-    exact on a tree; round t >= 1 takes twice the root's eccentricity, since
-    every node lies within that many hops of every other through the root.
-    Stops after at least ``min_iterations`` rounds once upper - lower <
-    gap_target, or unconditionally at ``iteration_cap``. The sweep starts
-    come from ``numpy.random.default_rng(seed)``.
+    the bracket can only tighten. The upper bound is twice the root's
+    eccentricity, since every node lies within that many hops of every other
+    through the root. On a tree, where the mask's degrees sum to
+    2 * (size - 1), it is the round's double-sweep value instead, which is
+    exact there, so a tree's bracket closes in round 0. Stops after at least
+    ``min_iterations`` rounds once upper - lower < gap_target, or
+    unconditionally at ``iteration_cap``. The sweep starts come from
+    ``numpy.random.default_rng(seed)``.
 
     Rounds run in waves of up to 32: one batch BFS from the wave's drawn
     starts, then one from the farthest nodes they found and the wave's
     roots. Rounds read their results in order, so the bounds equal those of
-    one sweep and one root per round. The one FIFO tree BFS is round 0's.
+    one sweep and one root per round.
     ``giant_mask`` must be a component, as for
     :func:`estimate_average_distance`.
     """

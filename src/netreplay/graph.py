@@ -28,7 +28,7 @@ class Snapshot:
     ``neighbors[offsets[i]:offsets[i+1]]``, sorted ascending."""
 
     offsets: np.ndarray  # int64, length n + 1
-    neighbors: np.ndarray  # int32, length 2m
+    neighbors: np.ndarray  # intp, length 2m: numpy casts other fancy indices on every use
     n: int
     m: int
 
@@ -41,11 +41,6 @@ class Snapshot:
         return np.diff(self.offsets)
 
     # What traversals index with, derived once per snapshot on first use.
-    @functools.cached_property
-    def neighbor_index(self) -> np.ndarray:
-        """``neighbors`` as ``intp``; numpy casts other fancy indices on every use."""
-        return _frozen(self.neighbors.astype(np.intp))
-
     @functools.cached_property
     def linked(self) -> slice | np.ndarray:
         """The nodes with at least one neighbor, ascending, as an index: a
@@ -107,9 +102,8 @@ def finalize_snapshot(csr: ArrivalCSR, position: int, n: int) -> Snapshot:
     keep = csr.arrival < position
     # A segment's new start is the number of kept entries before its old one.
     offsets = np.searchsorted(np.flatnonzero(keep), csr.offsets[: n + 1])
-    return Snapshot(
-        offsets=offsets, neighbors=csr.neighbors[keep], n=n, m=int(offsets[-1]) // 2
-    )
+    neighbors = csr.neighbors[keep].astype(np.intp)
+    return Snapshot(offsets=offsets, neighbors=neighbors, n=n, m=int(offsets[-1]) // 2)
 
 
 def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:

@@ -72,9 +72,9 @@ SERIES = {
     ),
 }
 STAT_GROUPS = tuple(SERIES)
-_TIMING_PARTS = ("dist_tree", "dist_batch")  # timed inside "dist"
+_TIMING_PARTS = ("dist_batch",)  # timed inside "dist"
 _WORK_COUNTS = (  # counted, not timed
-    "dist_batches", "dist_tree_bfs", "dist_entries", "snapshots",
+    "dist_batches", "dist_entries", "snapshots",
     "tri_probes", "tri_searches", "tri_batches",
 )
 
@@ -235,7 +235,9 @@ def run_evolution(config: RunConfig) -> RunResult:
         pos = position
         degrees = degree[:n]
         components = components_of(label, n)
-        snapshot = finalize_snapshot(csr, position, n) if "dist" in groups else None
+        snapshot = None  # the previous checkpoint's goes before the next is built
+        if "dist" in groups:
+            snapshot = finalize_snapshot(csr, position, n)
         record = CheckpointRecord(
             index=ci,
             target_n=target,
@@ -296,8 +298,8 @@ def _measure(
     K-S distance of the degree tail to ``final_tail``, the final graph's, and
     appends the dense degree histogram to ``dists`` when distributions are
     dumped. The distance group records in ``timing`` its ``DistanceWork``:
-    the wall time of its tree bound and of its batches, their counts, and
-    the adjacency entries they gathered.
+    the wall time of its batches, their count, and the adjacency entries
+    they gathered.
     The triangle group reads row ``k`` (place in the plan) of the lazy
     ``tri_counts()``; at ``k == 0``, where the listing runs, it records the
     listing's probes, searches and batches."""
@@ -395,7 +397,7 @@ def _write_outputs(
             _write_csv(os.path.join(ddir, name), "degree,count,proportion,cumulative", rows)
     # "totals" keeps one key per timed step of the checkpoint loop, so its
     # values sum to the loop's timed part; parts of a step ("dist" holds its
-    # tree bound and its batches) are totalled apart in "part_totals", and work
+    # batches) are totalled apart in "part_totals", and work
     # counts in "work". "load" (the stream, parsed or from the cache) and
     # "write" (every output file but this one) lie outside the loop and
     # stand apart from all three, as does "load_work", how the parse ran.

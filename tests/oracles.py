@@ -10,7 +10,6 @@ sharing no code with the library.
 import gzip
 import math
 import zlib
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -237,33 +236,6 @@ def diameter_lower_bound(
     first = bfs(snapshot, start)
     second = bfs(snapshot, first.farthest)
     return second.farthest_dist, first.farthest
-
-
-def tree_diameter_brute(snapshot: Snapshot, root: int) -> int:
-    """Diameter of the BFS tree a FIFO queue grows from ``root``, visiting
-    each node's neighbors in ascending order: a queue BFS over the tree's
-    links from every tree node, keeping the largest hop count found."""
-    tree: dict[int, list[int]] = {root: []}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in snapshot.neighbors[snapshot.offsets[x] : snapshot.offsets[x + 1]].tolist():
-            if y not in tree:
-                tree[y] = [x]
-                tree[x].append(y)
-                queue.append(y)
-    diameter = 0
-    for source in tree:
-        hops = {source: 0}
-        queue = deque([source])
-        while queue:
-            x = queue.popleft()
-            for y in tree[x]:
-                if y not in hops:
-                    hops[y] = hops[x] + 1
-                    queue.append(y)
-        diameter = max(diameter, max(hops.values()))
-    return diameter
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from collections import deque
 
 import numpy as np
 import pytest
@@ -13,10 +12,8 @@ from netreplay import distances
 from netreplay.distances import (
     BoundConfig,
     EstimatorConfig,
-    _bfs_levels,
     bfs_batch,
     diameter_bounds,
-    diameter_upper_bound,
     distance_statistics,
     estimate_average_distance,
 )
@@ -37,7 +34,6 @@ from oracles import (
     components,
     diameter_lower_bound,
     mean_distance_from,
-    tree_diameter_brute,
 )
 
 
@@ -92,19 +88,6 @@ class TestBfs:
             want = bfs_dict(adjacency_dict(n, edges), src)
             for v in range(n):
                 assert got[v] == want.get(v, -1)
-
-
-def queue_bfs_tree(adj, root):
-    """FIFO queue BFS over ascending neighbor lists; returns {node: parent}."""
-    parent = {root: -1}
-    queue = deque([root])
-    while queue:
-        x = queue.popleft()
-        for y in adj[x]:
-            if y not in parent:
-                parent[y] = x
-                queue.append(y)
-    return parent
 
 
 class TestBfsBatch:
@@ -232,20 +215,6 @@ class TestBfsBatch:
         assert full.entries - stopped.entries == snap.neighbors.size
         assert stopped.entries == int(full.eccentricity.max()) * snap.neighbors.size
 
-    def test_fifo_parents_match_queue_bfs(self):
-        rng = np.random.default_rng(43)
-        for _ in range(25):
-            n = int(rng.integers(2, 60))
-            edges = random_edges(rng, n, 0.12)
-            snap = snapshot_from_edges(edges, n=n)
-            root = int(rng.integers(n))
-            parent, levels = _bfs_levels(snap.offsets, snap.neighbors, root)
-            want = queue_bfs_tree(adjacency_dict(n, edges), root)
-            assert {v: int(parent[v]) for v in np.flatnonzero(parent >= 0)} == {
-                v: p for v, p in want.items() if p >= 0
-            }
-            assert [int(v) for level in levels for v in level] == list(want)
-
 
 def estimate_one_source_at_a_time(snap, mask, cfg, seed):
     """The estimator's rule over one single draw and one oracle BFS per sample."""
@@ -263,15 +232,16 @@ def estimate_one_source_at_a_time(snap, mask, cfg, seed):
 
 def bounds_one_sweep_at_a_time(snap, mask, cfg, seed):
     """The bracket's rule over one single draw, one oracle double sweep and
-    one root per round: (lower history, upper history)."""
+    one root per round: (lower history, upper history). On a tree the upper
+    bound is the sweep's own value."""
     nodes = np.flatnonzero(mask)
     rng = np.random.default_rng(seed)
     roots = nodes[np.lexsort((nodes, -snap.degrees[nodes]))]
+    tree = int(snap.degrees[nodes].sum()) // 2 == nodes.size - 1  # the mask is connected
     lowers, uppers = [], []
     for t in range(cfg.iteration_cap):
         lower = diameter_lower_bound(snap, mask, int(nodes[rng.integers(nodes.size)]))[0]
-        root = int(roots[t % roots.size])
-        upper = diameter_upper_bound(snap, mask, root) if t == 0 else 2 * bfs(snap, root).farthest_dist
+        upper = lower if tree else 2 * bfs(snap, int(roots[t % roots.size])).farthest_dist
         lowers.append(max(lowers[-1], lower) if lowers else lower)
         uppers.append(min(uppers[-1], upper) if uppers else upper)
         if t + 1 >= cfg.min_iterations and uppers[-1] - lowers[-1] < cfg.gap_target:
@@ -313,8 +283,9 @@ class TestBlockDraws:
             assert estimate_average_distance(snap, mask, cfg, seed) == want
 
     def test_bounds_match_one_sweep_at_a_time(self):
-        # on the 8 x 8 grid the root order walks inward from (1, 1), so later
-        # roots' 2 * ecc fall below round 0's tree bound, 19, at rounds 8 and 14
+        # on the 8 x 8 grid the root order walks inward from (1, 1): the
+        # roots' 2 * ecc, 24 at round 0, falls to 22, 20, 18 and 16 at rounds
+        # 1, 2, 8 and 14
         grid = [(8 * i + j, 8 * i + j + 1) for i in range(8) for j in range(7)]
         grid += [(8 * i + j, 8 * i + j + 8) for i in range(7) for j in range(8)]
         # all 150 rounds run: five waves of 32 (the last cut to 22 by the
@@ -328,10 +299,10 @@ class TestBlockDraws:
             assert (out.lower_history, out.upper_history) == bounds_one_sweep_at_a_time(
                 snap, mask, cfg, 5
             )
-        assert out.upper_history[:15] == (19,) * 8 + (18,) * 6 + (16,)
+        assert out.upper_history[:15] == (24, 22) + (20,) * 6 + (18,) * 6 + (16,)
 
     def test_shared_batches_match_one_source_at_a_time(self):
-        # the estimator outlasts the 33 free bits of the bracket's first
+        # the estimator outlasts the 32 free bits of the bracket's first
         # wave, and the bracket needs a second wave: its rounds share
         # batches with samples until the estimator stops
         est_cfg = EstimatorConfig(i_min=40, epsilon=0.05)
@@ -346,8 +317,8 @@ class TestBlockDraws:
             assert (bounds.lower_history, bounds.upper_history) == bounds_one_sweep_at_a_time(
                 snap, mask, bound_cfg, seed + 10
             )
-            assert 33 < estimate[1] <= 65 and 32 < bounds.iterations <= 60
-            assert (work.dist_batches, work.dist_tree_bfs) == (4, 1)
+            assert 32 < estimate[1] <= 64 and 32 < bounds.iterations <= 60
+            assert work.dist_batches == 4
             # alone, each rule runs the same scheduler and reads the same values
             assert estimate_average_distance(snap, mask, est_cfg, seed) == estimate
             assert diameter_bounds(snap, mask, bound_cfg, seed + 10) == bounds
@@ -378,6 +349,30 @@ class TestBlockDraws:
                 estimate_average_distance(snap, mask, seed=seed)
             with pytest.raises(ValueError, match="not the component"):
                 diameter_bounds(snap, mask, seed=seed)
+
+    @pytest.mark.parametrize("extra", [[], [(11, 12)]], ids=["star", "unicyclic-star"])
+    def test_closed_mask_that_is_not_connected_rejected(self, extra):
+        # a 10-path beside a 6-node star: no link leaves the mask, yet no
+        # batch can cover it. With the star's one cycle the degrees sum to
+        # 2 * (size - 1), as a tree's do.
+        edges = path_edges(10) + [(10, leaf) for leaf in range(11, 16)] + extra
+        snap = snapshot_from_edges(edges)
+        mask = full_mask(16)
+        with pytest.raises(ValueError, match="not the component"):
+            bfs_batch(snap, [0], component_size=16)
+        for seed in range(5):
+            with pytest.raises(ValueError, match="not the component"):
+                diameter_bounds(snap, mask, seed=seed)
+            with pytest.raises(ValueError, match="not the component"):
+                estimate_average_distance(snap, mask, seed=seed)
+            with pytest.raises(ValueError, match="not the component"):
+                distance_statistics(snap, mask, estimator_seed=seed, bounds_seed=seed)
+
+    def test_lone_nodes_rejected(self):
+        # no link to check, and no level to run
+        snap = snapshot_from_edges([], n=2)
+        with pytest.raises(ValueError, match="not the component"):
+            distance_statistics(snap, full_mask(2))
 
 
 class TestMeanDistance:
@@ -529,35 +524,59 @@ class TestLowerBound:
             assert bound == true_diameter(n, edges)
 
 
+def round_zero(snap, seed=0):
+    """The bracket's bounds after its first round alone."""
+    out = diameter_bounds(snap, full_mask(snap.n), BoundConfig(min_iterations=1, iteration_cap=1), seed)
+    assert out.iterations == 1
+    return out.lower, out.upper
+
+
 class TestUpperBound:
-    def test_cycle_of_six_tree_bound(self):
-        # BFS tree from node 0 leaves out one cycle link; its diameter is 5
+    """Round 0 of the bracket: twice the top hub's eccentricity, or on a
+    tree the double sweep's exact value."""
+
+    def test_cycle_of_six_round_zero_bound(self):
+        # every node of the cycle has eccentricity 3
         snap = snapshot_from_edges(cycle_edges(6))
-        assert diameter_upper_bound(snap, full_mask(6), 0) == 5
+        assert round_zero(snap) == (3, 6)
 
     def test_exact_on_trees(self):
         rng = np.random.default_rng(29)
-        for _ in range(20):
+        for seed in range(20):
             n = int(rng.integers(2, 60))
             edges = [(int(rng.integers(v)), v) for v in range(1, n)]
+            diam = true_diameter(n, edges)
+            assert round_zero(snapshot_from_edges(edges, n=n), seed) == (diam, diam)
+
+    def test_tree_plus_one_link_is_not_a_tree(self):
+        # a 7-path with the triangle 0-1-2: the top hub, 2, has eccentricity
+        # 4, and the diameter is 5
+        snap = snapshot_from_edges(path_edges(7) + [(0, 2)])
+        assert round_zero(snap) == (5, 8)
+        rng = np.random.default_rng(31)
+        for seed in range(20):
+            n = int(rng.integers(3, 60))
+            tree = {(int(rng.integers(v)), v) for v in range(1, n)}
+            pool = [(i, j) for i in range(n) for j in range(i + 1, n) if (i, j) not in tree]
+            edges = sorted(tree) + [pool[rng.integers(len(pool))]]
             snap = snapshot_from_edges(edges, n=n)
-            root = int(rng.integers(n))
-            assert diameter_upper_bound(snap, full_mask(n), root) == true_diameter(
-                n, edges
-            )
+            hub = int(np.argmax(snap.degrees))  # the first of the largest degree
+            assert round_zero(snap, seed)[1] == 2 * bfs(snap, hub).farthest_dist
 
     def test_complete_graph(self):
+        # every node is a hub of eccentricity 1
         snap = snapshot_from_edges(complete_edges(5))
-        # BFS tree is a star around the root; its diameter is 2
-        assert diameter_upper_bound(snap, full_mask(5), 0) == 2
+        assert round_zero(snap) == (1, 2)
 
     def test_single_link(self):
         snap = snapshot_from_edges([(0, 1)])
-        assert diameter_upper_bound(snap, full_mask(2), 0) == 1
+        assert round_zero(snap) == (1, 1)
 
     def test_never_below_true_diameter_exhaustive(self):
+        # every connected graph on 5 nodes; five rounds take every node as a root
         nodes = range(5)
         pool = list(itertools.combinations(nodes, 2))
+        cfg = BoundConfig(min_iterations=5, iteration_cap=5)
         for bits in range(1 << len(pool)):
             edges = [pool[i] for i in range(len(pool)) if bits >> i & 1]
             if len(edges) < 4:
@@ -566,64 +585,31 @@ class TestUpperBound:
             if len(bfs_dict(adj, 0)) != 5:
                 continue
             snap = snapshot_from_edges(edges, n=5)
-            diam = true_diameter(5, edges)
-            for root in nodes:
-                assert diameter_upper_bound(snap, full_mask(5), root) >= diam
-
-    def test_root_outside_giant_rejected(self):
-        snap = snapshot_from_edges([(0, 1), (1, 2), (3, 4)])
-        mask = components(snap).giant_mask()
-        with pytest.raises(ValueError):
-            diameter_upper_bound(snap, mask, 3)
-
-    def test_matches_brute_force_tree_diameter(self):
-        rng = np.random.default_rng(53)
-        for _ in range(40):
-            # a random spanning tree plus G(n, p) links, from near-trees to dense graphs
-            n = int(rng.integers(2, 70))
-            tree = {(int(rng.integers(v)), v) for v in range(1, n)}
-            edges = tree | set(random_edges(rng, n, float(rng.uniform(0.0, 0.3))))
-            snap = snapshot_from_edges(sorted(edges), n=n)
-            for root in rng.choice(n, size=min(n, 4), replace=False).tolist():
-                assert diameter_upper_bound(snap, full_mask(n), root) == tree_diameter_brute(
-                    snap, root
-                )
+            out = diameter_bounds(snap, full_mask(5), cfg)
+            assert out.iterations == 5
+            assert out.upper >= true_diameter(5, edges)
 
     @pytest.mark.parametrize(
-        "edges, root, want",
+        "edges, seed, want",
         [
             ([(0, 1)], 1, 1),
             (path_edges(7), 0, 6),
             (path_edges(7), 3, 6),
             ([(0, i) for i in range(1, 7)], 0, 2),
             ([(0, i) for i in range(1, 7)], 4, 2),
-            # three arms of equal length: several deepest nodes
+            # three arms of equal length: several farthest nodes
             ([(0, 1), (1, 2), (2, 3), (0, 4), (4, 5), (5, 6), (0, 7), (7, 8), (8, 9)], 0, 6),
-            # both ends of the longest path lie below node 2, away from the root
+            # both ends of the longest path lie below node 2, away from the hub
             ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (2, 6), (6, 7), (7, 8)], 0, 6),
-            # one end (5) is the only deepest node, the other (8) is not deepest
+            # one end (5) is the only farthest node from the hub, the other (8) is not
             ([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (1, 6), (6, 7), (7, 8)], 0, 7),
         ],
     )
-    def test_small_trees_against_brute_force(self, edges, root, want):
+    def test_small_trees_against_brute_force(self, edges, seed, want):
+        # ``seed`` draws the round's sweep start
         snap = snapshot_from_edges(edges)
-        assert tree_diameter_brute(snap, root) == want
-        assert diameter_upper_bound(snap, full_mask(snap.n), root) == want
-
-    def test_height_diameter_equals_two_sweep_tree_diameter(self):
-        rng = np.random.default_rng(47)
-        for _ in range(40):
-            n = int(rng.integers(2, 70))
-            edges = connected_random_graph(int(rng.integers(10**6)), n, 0.1)
-            snap = snapshot_from_edges(edges, n=n)
-            root = int(rng.integers(n))
-            tree = queue_bfs_tree(adjacency_dict(n, edges), root)
-            links = [(p, v) for v, p in tree.items() if p >= 0]
-            adj = adjacency_dict(n, links)
-            sweep = bfs_dict(adj, root)
-            far = min(v for v, d in sweep.items() if d == max(sweep.values()))
-            want = max(bfs_dict(adj, far).values())
-            assert diameter_upper_bound(snap, full_mask(n), root) == want
+        assert true_diameter(snap.n, edges) == want
+        assert round_zero(snap, seed) == (want, want)
 
 
 class TestDiameterBounds:
@@ -668,7 +654,7 @@ class TestDiameterBounds:
 
     def test_cap_stops_iteration(self):
         # a long cycle keeps the bracket open: lower settles at the true
-        # diameter, tree upper bounds stay higher, so the cap must fire
+        # diameter, 15, and every root's 2 * ecc is 30, so the cap must fire
         snap = snapshot_from_edges(cycle_edges(30))
         out = diameter_bounds(
             snap,
@@ -725,14 +711,6 @@ def connected_graphs(draw):
 
 
 class TestBracketProperty:
-    @given(connected_graphs())
-    @settings(max_examples=60, deadline=None)
-    def test_tree_bound_equals_brute_force_from_every_root(self, case):
-        n, edges = case
-        snap = snapshot_from_edges(edges, n=n)
-        for root in range(n):
-            assert diameter_upper_bound(snap, full_mask(n), root) == tree_diameter_brute(snap, root)
-
     @given(connected_graphs(), st.integers(min_value=0, max_value=2**31))
     @settings(max_examples=60, deadline=None)
     def test_bounds_always_bracket_truth(self, case, seed):

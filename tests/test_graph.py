@@ -1,12 +1,10 @@
-"""Snapshot layout, prefix snapshots of one final CSR, membership queries, and
-the BFS kernel's gather of a frontier's neighbor segments."""
+"""Snapshot layout, prefix snapshots of one final CSR, and membership queries."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netreplay.distances import _bfs_levels
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 
 from oracles import degree, has_link, neighbors_of
@@ -48,7 +46,7 @@ class TestSnapshotLayout:
     def test_dtypes(self):
         s = snapshot_from_edges([(0, 1), (1, 2)])
         assert s.offsets.dtype == np.int64
-        assert s.neighbors.dtype == np.int32
+        assert s.neighbors.dtype == np.intp
         assert s.neighbors.size == 2 * s.m
 
     def test_arrays_frozen(self):
@@ -141,32 +139,6 @@ class TestHasLink:
             for v in range(n):
                 if u != v:
                     assert has_link(s, u, v) == dense[u, v]
-
-
-class TestFrontierNeighbors:
-    """The frontier gather inside the BFS kernel, seen through the levels
-    and FIFO parents it builds."""
-
-    def test_order_is_frontier_major_then_ascending(self):
-        # level 2 is [9, 3]; both link to 5 and 7, which 9 gathers first
-        s = snapshot_from_edges(
-            [(0, 1), (0, 2), (1, 9), (2, 3), (9, 5), (9, 7), (3, 5), (3, 7)]
-        )
-        parent, levels = _bfs_levels(s.offsets, s.neighbors, 0)
-        assert [level.tolist() for level in levels] == [[0], [1, 2], [9, 3], [5, 7]]
-        assert parent[[9, 3, 5, 7]].tolist() == [1, 2, 9, 9]
-
-    def test_empty_frontier(self):
-        s = snapshot_from_edges([(0, 1)], n=3)
-        parent, levels = _bfs_levels(s.offsets, s.neighbors, 2)
-        assert [level.tolist() for level in levels] == [[2]]
-        assert parent.tolist() == [-1, -1, -1]
-
-    def test_isolated_nodes_contribute_nothing(self):
-        s = snapshot_from_edges([(0, 1)], n=4)
-        parent, levels = _bfs_levels(s.offsets, s.neighbors, 0)
-        assert [level.tolist() for level in levels] == [[0], [1]]
-        assert parent.tolist() == [-1, 0, -1, -1]
 
 
 @st.composite

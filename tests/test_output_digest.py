@@ -21,7 +21,7 @@ from netreplay.cli import main
 from netreplay.distances import BoundConfig, EstimatorConfig
 from netreplay.pipeline import RunConfig, run_evolution
 
-PINNED = "8651a611742b2252499b72cedfbc5ac5d355fdb262be3680af4f0133dcef5cfb"
+PINNED = "797f4cc30564e4e40b9678705f6cc1e4681180d0832fd682f96d7e5748ecb691"
 # manifest.json without its machine-dependent keys, plus plots.gp
 PINNED_MANIFEST = "19f101272e3bd49702d35e2b6533945068b2f6f5dc6969265ba10dd61d3a50b0"
 MACHINE_KEYS = ("input", "versions")

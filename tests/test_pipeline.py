@@ -271,17 +271,15 @@ class TestOutputs:
         _, out = self.run_to_dir(tmp_path, "out")
         timings = json.loads((out / "timings.json").read_text())
         for record in timings["per_checkpoint"]:
-            assert record["dist_tree"] >= 0.0 and record["dist_batch"] >= 0.0
-            assert record["dist_tree"] + record["dist_batch"] <= record["dist"]
+            assert 0.0 <= record["dist_batch"] <= record["dist"]
         assert sorted(timings["totals"]) == ["conn", "deg", "dist", "replay", "tri"]
         # Load and write lie outside the checkpoint loop, so outside totals.
         for key in ("load", "write"):
             assert isinstance(timings[key], float) and timings[key] >= 0.0
-        assert sorted(timings["part_totals"]) == ["dist_batch", "dist_tree"]
-        for key in ("dist_tree", "dist_batch"):
-            assert timings["part_totals"][key] == pytest.approx(
-                sum(r[key] for r in timings["per_checkpoint"])
-            )
+        assert sorted(timings["part_totals"]) == ["dist_batch"]
+        assert timings["part_totals"]["dist_batch"] == pytest.approx(
+            sum(r["dist_batch"] for r in timings["per_checkpoint"])
+        )
 
     def test_load_work_counts_the_parse(self, tmp_path):
         def load_work(name):
@@ -297,15 +295,8 @@ class TestOutputs:
     def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):
         from netreplay import distances
 
-        calls = {"dist_batches": 0, "dist_tree_bfs": 0}
+        calls = {"dist_batches": 0}
         gathered = []
-
-        def counted(fn, key):
-            def wrapper(*args, **kwargs):
-                calls[key] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
 
         def batch(snapshot, sources, **flags):
             calls["dist_batches"] += 1
@@ -315,15 +306,9 @@ class TestOutputs:
             gathered.append(int(got.eccentricity.max()) * snapshot.neighbors.size)
             return got
 
-        def tree(snapshot, giant_mask, root):
-            # the FIFO tree gathers each giant node's segment once
-            gathered.append(int(snapshot.degrees[giant_mask].sum()))
-            return counted(diameter_upper_bound, "dist_tree_bfs")(snapshot, giant_mask, root)
-
-        bfs_batch, diameter_upper_bound = distances.bfs_batch, distances.diameter_upper_bound
+        bfs_batch = distances.bfs_batch
         monkeypatch.setattr(distances, "bfs_batch", batch)
-        monkeypatch.setattr(distances, "diameter_upper_bound", tree)
-        # above 33 samples a checkpoint's estimator needs more than its
+        # above 32 samples a checkpoint's estimator needs more than its
         # bracket's first wave; above 32 rounds the bracket needs a second
         cap = 130
         result, out = self.run_to_dir(
@@ -348,17 +333,17 @@ class TestOutputs:
 
         def scheduled(s, i):
             # waves of min(32, rounds left before the cap); a wave's first
-            # batch leaves 64 - r bits to samples, its second 64 - 2r, plus
-            # round 0's, which has no root; further samples go 64 a batch
+            # batch leaves 64 - r bits to samples, its second 64 - 2r;
+            # further samples go 64 a batch
             waves = [min(32, cap - t) for t in range(0, i, 32)]
-            slots = sum(128 - 3 * r for r in waves) + 1
+            slots = sum(128 - 3 * r for r in waves)
             return 2 * len(waves) + -(-max(0, s - slots) // 64)
 
         parent_schedule = [-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)]
         per_checkpoint = [scheduled(s, i) for s, i in zip(samples, iterations)]
         assert all(a <= b for a, b in zip(per_checkpoint, parent_schedule))
         assert sum(per_checkpoint) < sum(parent_schedule)
-        assert dist_work == {"dist_batches": sum(per_checkpoint), "dist_tree_bfs": len(iterations)}
+        assert dist_work == {"dist_batches": sum(per_checkpoint)}
         # With distances on, every checkpoint builds its snapshot.
         assert work.pop("snapshots") == len(result.checkpoints)
         # checked in TestTriangleWork
@@ -369,7 +354,6 @@ class TestOutputs:
         work = json.loads((out / "timings.json").read_text())["work"]
         assert work == {
             "dist_batches": 0,
-            "dist_tree_bfs": 0,
             "dist_entries": 0,
             "snapshots": 0,
             "tri_probes": 0,
