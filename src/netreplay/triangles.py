@@ -11,17 +11,29 @@ per key, each set when some key hashes to it, filters the probes first: a
 probe whose slot is unset cannot be a key, so only the rest are searched.
 A poor spread of the hash costs time, never a triangle.
 
+A link probes from whichever side offers fewer candidates: each of the lower
+end's lower-ranked neighbors w is looked up among the higher end's, or each
+of the higher end's neighbors ranked below the lower end (a prefix of its
+sorted list) among the lower end's. Both find each triangle at the same link,
+so the side moves the work, never a value. On preferential-attachment inputs
+this halves the probes. The second side's lookups land in other nodes' key
+segments, so on graphs whose keys outgrow the cache a search from it costs
+more; a side rule weighting that side by 1.5, 2 or 3 measured no faster at
+10^6 or 10^7 links (BENCH_tri-probes.json), so the rule is the plain count.
+
 Memory, beyond the adjacency: 32 bytes per forward link (one per link of
 the graph) for its key, lower end, arrival and running probe count, and
-the filter's 4 to 8 bytes per forward key; in a batch, at most two 8-byte
-arrays and one byte per probe while filtering and four 8-byte arrays and
-one byte per searched probe after, 33 bytes in all; and the (checkpoints +
-1) x n table of 8-byte per-node counts, which is the largest of these on
-large inputs. The budget of 2^18 probes was chosen from rotating benchmark
-runs of budgets 2^17 to 2^23 on the ``pa-tri`` workload
-(BENCH_tri-memory.json): run time did not move, and peak RSS fell from 88
-MB at 2^21 and up to 50 MB. There a batch is no larger than the listing's
-other arrays, and the next halving saved 4 MB more.
+the filter's 4 to 8 bytes per forward key; in a batch, 32 bytes per link it
+spans, 16 bytes per probe while the probes are built and 17 while they are
+filtered, then 33 per probe that passed; and the (checkpoints + 1) x n table
+of per-node counts, the largest of these on large inputs. A node's count is
+at most C(its degree, 2), so the table has 4-byte cells whenever C(max
+degree, 2) < 2^31, and 8-byte cells otherwise. The budget was chosen from
+rotating benchmark runs of budgets 2^17 to 2^23 on the ``pa-tri`` workload
+(BENCH_tri-memory.json): run time did not move, and peak RSS fell as the
+budget did. Probing from the cheaper side halves a link's probes, so the
+budget went from 2^18 to 2^17, which keeps a batch spanning about as many
+links as before and halves its probe-sized arrays (BENCH_tri-probes.json).
 
 A replay sample, a prefix of the stream, holds a triangle exactly when it
 holds its closing link, the latest of the three. So one listing of the final
@@ -42,16 +54,18 @@ import numpy as np
 from netreplay.degrees import BasicStats
 from netreplay.graph import ArrivalCSR
 
-_PROBE_BUDGET = 1 << 18  # per-batch intersection probes, caps peak memory
+_PROBE_BUDGET = 1 << 17  # per-batch intersection probes, caps peak memory
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, spreads the filter's slots
 
 
 class TriangleCounts(NamedTuple):
     """Row i of ``totals`` and ``per_node`` counts the triangles of the
-    first ``positions[i]`` links, in all and per final-graph node.
-    ``probes`` is the number of key lookups the listing made, ``searches``
-    the number of them that passed the hashed filter and were searched for,
-    and ``batches`` the number of batches they ran in."""
+    first ``positions[i]`` links, in all and per final-graph node;
+    ``per_node`` is ``int32`` when C(max degree, 2) < 2^31 bounds every
+    count, else ``int64``. ``probes`` is the number of key lookups the
+    listing made, each link's from its side with fewer candidates,
+    ``searches`` the number of them that passed the hashed filter and were
+    searched for, and ``batches`` the number of batches they ran in."""
 
     totals: np.ndarray
     per_node: np.ndarray
@@ -73,9 +87,14 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     (ascending) links, from one listing of the final graph."""
     n = csr.offsets.size - 1
     k = len(positions)
-    # Row i gets the corners first present at positions[i]; row k, the rest.
-    table = np.zeros((k + 1, n), dtype=np.int64)
     deg = np.diff(csr.offsets)
+    # A node's count is at most C(max degree, 2); row i gets the corners
+    # first present at positions[i], row k the rest.
+    d_max = int(deg.max()) if n else 0
+    dtype = np.int32 if d_max * (d_max - 1) // 2 < 1 << 31 else np.int64
+    table = np.zeros((k + 1, n), dtype=dtype)
+    cells = table.reshape(-1)  # a flat add.at runs far faster than a 2-D one
+    one = table.dtype.type(1)  # an untyped 1 makes add.at cast every call
     order = np.lexsort((np.arange(n), -deg))  # rank by degree desc, index asc
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
@@ -96,15 +115,22 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     f_dst = keys % n
     # Rank r's forward links are the keys in [r * n, (r + 1) * n).
     f_off = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    cum_probes = np.cumsum(np.diff(f_off)[f_dst])
+    n_edges = keys.size
+    # Link e = (a, b), rank b < a, closes a triangle with each w < b that
+    # both ends link to. It probes the shorter list of candidates: b's
+    # forward list, or the e - f_off[a] entries of a's before e, all below b.
+    cum_probes = np.arange(n_edges, dtype=np.int64)
+    cum_probes -= np.repeat(f_off[:-1], np.diff(f_off))
+    np.minimum(cum_probes, np.diff(f_off)[f_dst], out=cum_probes)
+    np.cumsum(cum_probes, out=cum_probes)
     # 4 to 8 slots per key, each set when some key hashes to it.
-    bits = keys.size.bit_length() + 2
+    bits = n_edges.bit_length() + 2
     occupied = np.zeros(1 << bits, dtype=bool)
     occupied[_slots(keys, bits)] = True
 
-    # A batch holds at most two probe-sized arrays and the filter's bytes,
-    # then four arrays the size of the probes that pass it.
-    n_edges = keys.size
+    # A batch holds four arrays the size of its links, at most two the size
+    # of its probes and the filter's bytes, then four the size of the probes
+    # that pass it.
     batches = searches = e0 = 0
     while e0 < n_edges:
         consumed = int(cum_probes[e0 - 1]) if e0 else 0
@@ -113,37 +139,46 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
         ends = cum_probes[e0:e1] - consumed
         cnt = np.diff(ends, prepend=0)
         dst = f_dst[e0:e1]
-        # Probe j of edge e reads forward entry j + shift[e]: the lower
-        # end's lower-ranked neighbors, w.
-        shift = f_off[dst] - (ends - cnt)
+        # A link looks up keys base + w for the w of forward entries start,
+        # start + 1, ...: b's list with base a * n, or a's own with base b * n.
+        start = f_off[dst]
+        base = keys[e0:e1] - dst
+        own = np.flatnonzero(cnt < f_off[dst + 1] - start)
+        start[own] = own + (e0 - cnt[own])
+        base[own] = dst[own] * n
+        # Probe j of link e reads forward entry j + shift[e].
+        shift = start - (ends - cnt)
+        del start, own
         flat = np.arange(ends[-1], dtype=np.int64)
         flat += np.repeat(shift, cnt)
         probe_keys = f_dst[flat]
         del flat
-        probe_keys += np.repeat(keys[e0:e1] - dst, cnt)  # the upper end's rank * n
+        probe_keys += np.repeat(base, cnt)
+        del base, cnt
         # Only a probe whose slot some key set can be a key.
         probe = np.flatnonzero(occupied[_slots(probe_keys, bits)])
         probe_keys = probe_keys[probe]
         searches += probe.size
-        # w's rank is below the lower end's, so each probe key is below its
-        # own edge's key, and pos stays inside keys.
+        # w ranks below both ends, so each probe key is below its own link's
+        # key, and pos stays inside keys.
         pos = np.searchsorted(keys, probe_keys)
         found = keys[pos] == probe_keys
         del probe_keys
-        matched = pos[found]  # forward entry of the link (upper end, w)
+        matched = pos[found]  # forward entry of the link from base's end to w
         del pos
         hits = probe[found]
         del probe, found
         edge = np.searchsorted(ends, hits, side="right")
-        hits += shift[edge]  # probe index -> forward entry (lower end, w)
+        hits += shift[edge]  # probe index -> the probed forward entry, to w
         edge += e0
         # Present from the first position past its closing link's arrival.
         closing = np.maximum(
             f_arrival[edge], np.maximum(f_arrival[matched], f_arrival[hits])
         )
-        row = np.searchsorted(positions, closing, side="right")
+        cell = np.searchsorted(positions, closing, side="right")
+        cell *= n
         for corner in (keys[edge] // n, f_dst[edge], f_dst[hits]):
-            np.add.at(table, (row, order[corner]), 1)
+            np.add.at(cells, cell + order[corner], one)
         batches += 1
         e0 = e1
 

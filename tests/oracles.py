@@ -89,6 +89,32 @@ def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
     return total, per_node
 
 
+def probe_sides(u, v, n) -> list[tuple[int, int, int]]:
+    """Per link, in the triangle listing's order, what each end offers as
+    third corners, recounted from the final graph. Nodes rank by degree
+    descending, then by index, and links are listed by the ranks of their
+    (worse, better) ends. A candidate ranks better than both ends: one of
+    the better end's neighbors that ranks better still, or one of the worse
+    end's neighbors that ranks better than the better end. Returns
+    (candidates from the better end, candidates from the worse end,
+    triangles closed) per link."""
+    adj = [set() for _ in range(n)]
+    for a, b in zip(u, v):
+        adj[a].add(b)
+        adj[b].add(a)
+    by_rank = sorted(range(n), key=lambda x: (-len(adj[x]), x))
+    rank = {x: r for r, x in enumerate(by_rank)}
+    links = sorted((max(rank[a], rank[b]), min(rank[a], rank[b])) for a, b in zip(u, v))
+    sides = []
+    for worse, better in links:
+        a, b = by_rank[worse], by_rank[better]
+        sides.append(tuple(
+            sum(rank[w] < better for w in candidates)
+            for candidates in (adj[b], adj[a], adj[a] & adj[b])
+        ))
+    return sides
+
+
 def degree(snapshot: Snapshot, v: int) -> int:
     if not 0 <= v < snapshot.n:
         raise IndexError(f"node {v} out of range [0, {snapshot.n})")

@@ -22,7 +22,7 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import basic_stats, components, count_triangles, ks_brute
+from oracles import basic_stats, components, count_triangles, ks_brute, probe_sides
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
 FAST_BND = BoundConfig(min_iterations=2, gap_target=2, iteration_cap=6)
@@ -397,20 +397,9 @@ class TestOutputs:
 
 
 def compact_forward_probes(u, v, n):
-    """The probes of each link in the triangle listing's order, recomputed
-    from the final graph's degrees. Nodes rank by degree descending, then
-    by index. A link costs one probe per neighbor of its better-ranked end
-    that ranks better still, and links are listed by the ranks of their
-    (worse, better) ends."""
-    adj = [set() for _ in range(n)]
-    for a, b in zip(u, v):
-        adj[a].add(b)
-        adj[b].add(a)
-    by_rank = sorted(range(n), key=lambda x: (-len(adj[x]), x))
-    rank = {x: r for r, x in enumerate(by_rank)}
-    better = [sum(rank[w] < rank[x] for w in adj[x]) for x in range(n)]
-    links = sorted((max(rank[a], rank[b]), min(rank[a], rank[b])) for a, b in zip(u, v))
-    return [better[by_rank[top]] for _, top in links]
+    """The probes of each link in the triangle listing's order: the fewer
+    of the two ends' candidate third corners."""
+    return [min(from_better, from_worse) for from_better, from_worse, _ in probe_sides(u, v, n)]
 
 
 def listing_passes(probes, budget):

@@ -21,7 +21,7 @@ from netreplay.triangles import (
 )
 
 from conftest import brute_triangles, random_edges
-from oracles import basic_stats, count_triangles
+from oracles import basic_stats, count_triangles, probe_sides
 
 
 def complete_edges(n):
@@ -318,13 +318,64 @@ class TestArrivalListing:
         assert_counts_match_oracle([edges[i] for i in order], 30, positions + [len(edges)])
 
 
+class TestProbeSides:
+    # gen_preferential(30, 3, seed=1), shuffled: 19 links close a triangle,
+    # 15 of them probing from the worse end and 4 from the better end.
+    n = 30
+
+    @pytest.fixture(scope="class")
+    def pairs(self):
+        _, u, v = gen_preferential(self.n, 3, seed=1)
+        order = np.random.default_rng(2).permutation(len(u))
+        return [(u[i], v[i]) for i in order]
+
+    def test_oracle_probes_from_each_side(self, pairs):
+        sides = probe_sides(*zip(*pairs), self.n)
+        closing = [(better, worse) for better, worse, closed in sides if closed]
+        assert any(worse < better for better, worse in closing)
+        assert any(better < worse for better, worse in closing)
+
+    @pytest.mark.parametrize("budget", [1, 3, 64])
+    @pytest.mark.parametrize("one_slot", [False, True])
+    def test_every_prefix_matches_brute_force(self, pairs, monkeypatch, budget, one_slot):
+        monkeypatch.setattr(triangles, "_PROBE_BUDGET", budget)
+        if one_slot:
+            monkeypatch.setattr(triangles, "_HASH_MULTIPLIER", 0)
+        u, v = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+        positions = np.arange(len(pairs) + 1)
+        counts = triangle_counts(arrival_csr(u, v, self.n), positions)
+        for p in positions:
+            total, per_node = brute_triangles(self.n, pairs[:p])
+            assert int(counts.totals[p]) == total
+            assert counts.per_node[p].tolist() == per_node
+        sides = probe_sides(*zip(*pairs), self.n)
+        assert counts.probes == sum(min(better, worse) for better, worse, _ in sides)
+        if one_slot:
+            assert counts.searches == counts.probes
+
+
+class TestTableWidth:
+    @pytest.mark.parametrize("leaves, dtype", [(65_536, np.int32), (65_537, np.int64)])
+    def test_cells_hold_the_largest_possible_count(self, leaves, dtype):
+        # A node's count is at most C(its degree, 2); the hub's is
+        # C(65,536, 2) = 2^31 - 32,768, which an int32 holds, or
+        # C(65,537, 2) = 2^31 + 32,768, which it does not.
+        hub = np.zeros(leaves, dtype=np.int64)
+        csr = arrival_csr(hub, np.arange(1, leaves + 1), leaves + 1)
+        counts = triangle_counts(csr, np.array([0, leaves]))
+        assert counts.per_node.dtype == dtype
+        assert counts.totals.tolist() == [0, 0]
+
+
 class TestProbeBatches:
     def test_traced_peak_bounded_per_probe_and_entry(self, monkeypatch):
-        # A batch holds about 25 bytes per probe and the listing about 24
-        # per adjacency entry, beside the per-checkpoint table; the bound
-        # leaves a margin on both. A batch ends at the first link that
-        # brings it to the budget, so it overshoots by less than one link's
-        # probes, at most the maximum degree.
+        # A batch holds at most 33 bytes per probe and 32 per link it spans;
+        # the listing holds 32 per link and the filter's 4 to 8, beside the
+        # per-checkpoint table. So at most 33 bytes per probe and 36 per
+        # adjacency entry, and the bound leaves a margin on both. A batch
+        # ends at the first link that brings it to the budget, so it
+        # overshoots by less than one link's probes, at most the maximum
+        # degree.
         budget = 1 << 14
         monkeypatch.setattr(triangles, "_PROBE_BUDGET", budget)
         n = 2000
@@ -339,5 +390,5 @@ class TestProbeBatches:
             tracemalloc.stop()
         assert counts.batches >= 5
         batch = budget + int(np.diff(csr.offsets).max())
-        table = (positions.size + 1) * n * 8
+        table = (positions.size + 1) * n * counts.per_node.itemsize
         assert peak < 40 * batch + 40 * csr.neighbors.size + table
