@@ -13,18 +13,23 @@ tightens the bracket.
 Sources are traversed up to 64 at a time by a bit-parallel BFS (one
 ``uint64`` word per node, one bit per source), following Then et al., "The
 More the Merrier: Efficient Multi-Source Graph Traversal" (VLDB 2014). One
-scheduler, :func:`distance_statistics`, packs a checkpoint's estimator
-samples and bracket rounds into shared batches: per wave of up to 32 rounds,
-one batch of sweep starts and one of the far ends they found plus the
-wave's hub roots, with samples in the free bits while the estimator's rule
-runs. The rules read results one source at a time in draw order, so every
-value equals that of one BFS per source.
+scheduler, :func:`distance_statistics`, packs the estimator samples and
+bracket rounds of one or more checkpoints into shared batches on one
+snapshot, each checkpoint in its own group of bits: per wave of bracket
+rounds, one batch of sweep starts and one of the far ends they found plus
+the wave's hub roots, with samples in the free bits while the estimator's
+rule runs. The replay pairs adjacent checkpoints on the later one's
+snapshot; the earlier one's group clears its bits from the words gathered
+over the later links' entries, so it sees only its own graph. The rules
+read results one source at a time in draw order, so every value equals that
+of one BFS per source on the checkpoint's own graph.
 
-A batch over a component ends once every node of it has seen every source,
-so no level that finds nothing runs. Per level, one OR of the new words
-gives the eccentricities, and a byte histogram counts each source's new
-nodes when the batch carries samples. A source's farthest node is searched
-for only at its last level, which the next level's OR reveals.
+A group over a component is done once every node of it has seen each of its
+sources, and a batch ends when every group is, so no level that finds
+nothing runs. Per level, one OR of the new words gives the eccentricities,
+and a byte histogram counts each source's new nodes when the batch carries
+samples. A source's farthest node is searched for only at its last level,
+which the next level's OR reveals.
 
 Distances are restricted to the giant component throughout; a node's mean
 distance includes the zero distance to itself.
@@ -95,9 +100,31 @@ class BatchResult(NamedTuple):
     entries: int  # adjacency entries gathered, over all levels
 
 
+class Group(NamedTuple):
+    """One checkpoint's run of a batch's sources: how many, the size of the
+    connected component that holds them (None: run until they find no new
+    node), and the snapshot's adjacency entries of links that arrived after
+    the checkpoint, which they must not cross (None: there are none)."""
+
+    width: int
+    component_size: Optional[int] = None
+    late: Optional[np.ndarray] = None
+
+
+class MaskError(ValueError):
+    """A giant mask that is not the component of its sources, or too small.
+    ``checkpoint`` is the place of the rejected checkpoint in what the call
+    was given: a group of :func:`bfs_batch`, an entry of
+    :func:`distance_statistics`."""
+
+    def __init__(self, message: str, checkpoint: int):
+        super().__init__(message)
+        self.checkpoint = checkpoint
+
+
 @dataclass
 class DistanceWork:
-    """What one checkpoint's distance statistics cost: seconds in
+    """What one call of :func:`distance_statistics` cost: seconds in
     :func:`bfs_batch` calls, their number, and the adjacency entries their
     levels gathered."""
 
@@ -107,7 +134,6 @@ class DistanceWork:
 
 
 _WORD = 64  # sources per bit-parallel BFS: one bit each in a uint64 word
-_ROUNDS = _WORD // 2  # bracket rounds per wave: its far ends and its roots share a word
 _BYTE_BINS = 256 * np.arange(8, dtype=np.uint16)  # one range of 256 bins per byte of a word
 _BYTE_BITS = np.arange(256)[:, None] >> np.arange(8) & 1  # row v: the 8 bits of byte value v
 
@@ -125,7 +151,7 @@ def _first_holders(far: np.ndarray, hit: np.ndarray, words: np.ndarray, bits) ->
 
 
 def bfs_batch(
-    snapshot: Snapshot, sources, *, counts=True, farthest=True, component_size=None
+    snapshot: Snapshot, sources, *, counts=True, farthest=True, component_size=None, groups=None
 ) -> BatchResult:
     """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
 
@@ -136,11 +162,17 @@ def bfs_batch(
     distances and their number; with ``farthest``, the farthest node at the
     eccentricity of smallest index. A field left out is None.
 
-    With ``component_size``, the size of a connected component holding every
-    source, the call ends once that many nodes have seen every source, in
-    place of the level that finds no new node. The results are the same. If
-    the sources run out of new nodes first, the nodes they share are fewer
-    than ``component_size``, and the call raises ValueError.
+    ``groups`` splits the sources, in order, into :class:`Group` runs; the
+    default is one group of them all with ``component_size``. A group's
+    sources traverse only the links of its own checkpoint: each level clears
+    its bits from the gathered words of its late entries. A group with a
+    component size is done once that many nodes have seen each of its
+    sources, one without once its sources find no new node, and the call
+    ends when every group is done, so a component's last level that finds
+    nothing never runs. The results are the same as without the sizes. If a
+    group's sources run out of new nodes first, the nodes they share are
+    fewer than its component size, and the call raises :class:`MaskError`
+    naming the group.
     """
     sources = np.asarray(sources, dtype=np.int64)
     k = sources.size
@@ -149,14 +181,23 @@ def bfs_batch(
     n = snapshot.n
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"source out of range [0, {n})")
+    if groups is None:
+        groups = (Group(k, component_size),)
+    widths = [group.width for group in groups]
+    if min(widths) < 1 or sum(widths) != k:
+        raise ValueError(f"groups of widths {widths} do not split {k} sources")
     neighbors = snapshot.neighbors
     linked = snapshot.linked
     segment_starts = snapshot.segment_starts
     bit_of = np.left_shift(np.uint64(1), np.arange(k, dtype=np.uint64))
-    full = np.bitwise_or.reduce(bit_of)
+    ends = np.cumsum(widths)
+    fulls = [np.bitwise_or.reduce(bit_of[end - width : end]) for end, width in zip(ends, widths)]
+    clears = [(~full, g.late) for full, g in zip(fulls, groups) if g.late is not None]
     seen = np.zeros(n, dtype=np.uint64)
     np.bitwise_or.at(seen, sources, bit_of)
-    saturated = np.count_nonzero(seen == full)  # nodes that have seen every source
+    # per group, the nodes that have seen each of its sources
+    saturated = [np.count_nonzero(seen & full == full) for full in fulls]
+    going = [s != g.component_size for s, g in zip(saturated, groups)]
     frontier = seen
     ecc = np.zeros(k, dtype=np.int64)
     sums = np.zeros(k, dtype=np.int64) if counts else None
@@ -167,8 +208,12 @@ def bfs_batch(
         bins = np.tile(_BYTE_BINS, n)  # byte j of a word goes to bins 256j to 256j + 255
     level = entries = 0
     last = None  # the latest level's (hit, words, gained)
-    while segment_starts.size and saturated != component_size:
-        reach[linked] = np.bitwise_or.reduceat(frontier[neighbors], segment_starts)
+    while segment_starts.size and any(going):
+        gathered = frontier[neighbors]
+        for clear, late in clears:
+            gathered[late] &= clear
+        reach[linked] = np.bitwise_or.reduceat(gathered, segment_starts)
+        del gathered
         entries += neighbors.size
         frontier = reach & ~seen
         hit = np.flatnonzero(frontier)
@@ -176,9 +221,14 @@ def bfs_batch(
             break
         level += 1
         seen |= frontier
-        saturated += np.count_nonzero(seen[hit] == full)
         words = frontier[hit].astype("<u8", copy=False)
         gained = np.bitwise_or.reduce(words)
+        held = seen[hit]
+        for g, full in enumerate(fulls):
+            if going[g]:
+                # nodes that gained one of the group's bits and now hold them all
+                saturated[g] += np.count_nonzero((held & full == full) & (words & full != 0))
+                going[g] = bool(gained & full) and saturated[g] != groups[g].component_size
         ecc[(gained & bit_of) != 0] = level  # sources that gained nodes
         if farthest and last is not None and last[2] & ~gained:
             _first_holders(far, *last[:2], last[2] & ~gained)  # sources whose last level it was
@@ -191,27 +241,14 @@ def bfs_batch(
             new = (histogram @ _BYTE_BITS).ravel()[:k]
             sums += level * new
             reached += new
-    if component_size is not None and saturated != component_size:
-        raise ValueError("giant mask is not the component of its sources")
+    for g, group in enumerate(groups):
+        if group.component_size is not None and saturated[g] != group.component_size:
+            raise MaskError("giant mask is not the component of its sources", g)
     if farthest and last is not None:
         _first_holders(far, *last)  # no source gains past the final level
     return BatchResult(
         distance_sums=sums, reached=reached, eccentricity=ecc, farthest=far, entries=entries
     )
-
-
-def _component_nodes(snapshot: Snapshot, giant_mask: np.ndarray) -> np.ndarray:
-    """The mask's nodes, after checking that no adjacency entry of one of
-    them leads outside the mask. A batch's early stop counts saturated nodes
-    against the mask's size, so it relies on that; the batch itself rejects
-    a closed mask that its sources do not cover."""
-    nodes = np.flatnonzero(giant_mask)
-    if nodes.size < 2:
-        raise ValueError("giant component must have at least 2 nodes")
-    owned = np.repeat(giant_mask, snapshot.degrees)  # the entries of the mask's nodes
-    if np.any(owned & ~giant_mask[snapshot.neighbors]):
-        raise ValueError("giant mask is not the component of its sources")
-    return nodes
 
 
 class _Estimator:
@@ -259,10 +296,13 @@ class _Bracket:
         self.uppers: list[int] = []
         self.done = False
 
-    def wave(self) -> tuple[np.ndarray, np.ndarray]:
-        """The next wave's sweep starts and roots, one of each per round."""
+    def wave(self, most: int) -> tuple[np.ndarray, np.ndarray]:
+        """The next wave's sweep starts and roots, one of each per round: at
+        most ``most`` rounds, and no more than the rule's minimum in the
+        first wave, since it never stops sooner."""
         t = len(self.uppers)
-        rounds = min(_ROUNDS, self.config.iteration_cap - t)
+        config = self.config
+        rounds = min(most, (config.min_iterations if t == 0 else config.iteration_cap) - t)
         starts = self.nodes[self.rng.integers(self.nodes.size, size=rounds)]
         roots = self.root_order[np.arange(t, t + rounds) % self.root_order.size]
         return starts, roots
@@ -292,69 +332,151 @@ class _Bracket:
         )
 
 
+class DistanceCheckpoint(NamedTuple):
+    """A checkpoint whose distances a snapshot's batches measure, with its
+    seeds. ``giant_mask`` may be shorter than the snapshot's n: the nodes
+    past it are outside. When the snapshot also holds links that arrived
+    after the checkpoint, ``late`` lists the snapshot's adjacency entries of
+    those links, ascending (see :class:`Group`); None means none."""
+
+    giant_mask: np.ndarray
+    estimator_seed: object = 0
+    bounds_seed: object = 0
+    late: Optional[np.ndarray] = None
+
+
+class _Rules:
+    """One checkpoint's stopping rules, and the group its batches run."""
+
+    def __init__(
+        self, snapshot: Snapshot, checkpoint: DistanceCheckpoint, index: int,
+        estimator: Optional[EstimatorConfig], bounds: Optional[BoundConfig],
+    ):
+        self.late = checkpoint.late
+        mask = np.zeros(snapshot.n, dtype=bool)
+        mask[: checkpoint.giant_mask.size] = checkpoint.giant_mask
+        nodes = self.nodes = np.flatnonzero(mask)
+        if nodes.size < 2:
+            raise MaskError("giant component must have at least 2 nodes", index)
+        # A batch's early stop counts saturated nodes against the mask's
+        # size, so no entry of the checkpoint's own may lead outside the
+        # mask; the batch itself rejects a closed mask its sources do not cover.
+        owned = np.repeat(mask, snapshot.degrees)
+        if self.late is not None:
+            owned[self.late] = False
+        if np.any(owned & ~mask[snapshot.neighbors]):
+            raise MaskError("giant mask is not the component of its sources", index)
+        self.sampler = (
+            _Estimator(nodes.size, estimator, checkpoint.estimator_seed) if estimator else None
+        )
+        self.bracket = None
+        if bounds:
+            degrees = snapshot.degrees
+            if self.late is not None:  # less the late entries each node owns
+                owners = np.searchsorted(snapshot.offsets, self.late, side="right") - 1
+                degrees -= np.bincount(owners, minlength=snapshot.n)
+            degrees = degrees[nodes]
+            root_order = nodes[np.lexsort((nodes, -degrees))]
+            # a connected mask is a tree when it has one link fewer than nodes;
+            # every batch rejects a mask its sources do not cover
+            tree = int(degrees.sum()) == 2 * (nodes.size - 1)
+            self.bracket = _Bracket(nodes, root_order, bounds, checkpoint.bounds_seed, tree)
+
+    @property
+    def sampling(self) -> bool:
+        return self.sampler is not None and not self.sampler.done
+
+    @property
+    def done(self) -> bool:
+        return not self.sampling and (self.bracket is None or self.bracket.done)
+
+    def outcome(self) -> tuple[Optional[tuple[float, int]], Optional[BoundsOutcome]]:
+        sampler, bracket = self.sampler, self.bracket
+        estimate = (sampler.means[-1], len(sampler.means)) if sampler else None
+        return estimate, bracket.outcome() if bracket else None
+
+
 def distance_statistics(
     snapshot: Snapshot,
-    giant_mask: np.ndarray,
+    checkpoints,
     estimator: Optional[EstimatorConfig] = EstimatorConfig(),
     bounds: Optional[BoundConfig] = BoundConfig(),
-    *,
-    estimator_seed=0,
-    bounds_seed=0,
-) -> tuple[Optional[tuple[float, int]], Optional[BoundsOutcome], DistanceWork]:
-    """The giant component's sampled average distance and diameter bracket,
-    through shared batches.
+) -> tuple[list[tuple[Optional[tuple[float, int]], Optional[BoundsOutcome]]], DistanceWork]:
+    """Each :class:`DistanceCheckpoint`'s sampled average distance and
+    diameter bracket over its giant component, through batches on one
+    snapshot that all the checkpoints share.
 
-    Returns ((estimate, samples), bounds, work), with None in place of a
-    statistic whose config is None; see :func:`estimate_average_distance`
-    and :func:`diameter_bounds` for each. The bracket runs in waves of
-    min(32, rounds left before the cap) rounds, two batches a wave: the
-    wave's sweep starts, then the far ends they found and the wave's roots.
-    Full waves keep the bracket at 2 * ceil(rounds / 32) batches, whatever
-    round its rule stops at. Estimator samples fill each batch's free bits
-    while the rule runs (32 in a full wave's two batches), then go 64 to a
-    batch.
+    Returns ([(estimate, samples), bounds) per checkpoint], work), with None
+    in place of a statistic whose config is None; see
+    :func:`estimate_average_distance` and :func:`diameter_bounds` for each.
+    Every batch gives each checkpoint still running a group of 64 / (their
+    number) bits, 32 for a pair: each checkpoint's results equal those of
+    batches of its own. A checkpoint's bracket runs in waves, two batches a
+    wave: the wave's sweep starts, then the far ends they found and the
+    wave's roots. Its first wave has min(min_iterations, half its bits)
+    rounds, as the rule never stops sooner, and each later wave min(half its
+    bits, rounds left before the cap). Estimator samples fill a group's free
+    bits while the rule runs, and once its bracket has stopped take all of
+    them. Raises :class:`MaskError` naming the checkpoint whose mask is
+    rejected, before any draw when the mask is not closed or too small.
     """
-    nodes = _component_nodes(snapshot, giant_mask)
+    rules = [_Rules(snapshot, c, i, estimator, bounds) for i, c in enumerate(checkpoints)]
     work = DistanceWork()
-    sampler = _Estimator(nodes.size, estimator, estimator_seed) if estimator else None
-    bracket = None
-    if bounds:
-        degrees = snapshot.degrees[nodes]
-        root_order = nodes[np.lexsort((nodes, -degrees))]
-        # a connected mask is a tree when it has one link fewer than nodes;
-        # every batch rejects a mask its sources do not cover
-        tree = int(degrees.sum()) == 2 * (nodes.size - 1)
-        bracket = _Bracket(nodes, root_order, bounds, bounds_seed, tree)
+    none = np.empty(0, dtype=np.int64)
 
-    def run(head: np.ndarray, farthest: bool) -> BatchResult:
-        """One batch of ``head`` and, while the estimator runs, samples."""
-        free = _WORD - head.size if sampler and not sampler.done else 0
-        # a block draw yields the same sources as that many single draws
-        samples = nodes[sampler.rng.integers(nodes.size, size=free)] if free else head[:0]
+    def run(heads, width: int, farthest: bool) -> list[tuple]:
+        """One batch of each checkpoint's head and, while its estimator runs,
+        samples in the rest of its ``width`` bits; each head's eccentricities
+        and, with ``farthest``, farthest nodes."""
+        parts = []
+        for rule, head in heads:
+            free = width - head.size if rule.sampling else 0
+            # a block draw yields the same sources as that many single draws
+            draws = rule.sampler.rng.integers(rule.nodes.size, size=free) if free else none
+            parts.append((head, rule.nodes[draws]))
+        members = [(r, h.size + s.size) for (r, _), (h, s) in zip(heads, parts) if h.size + s.size]
         t0 = time.perf_counter()
+        # Every checkpoint rides in the first batch, where a mask its sources
+        # do not cover fails, so the failed group's place is the checkpoint's.
         batch = bfs_batch(
             snapshot,
-            np.concatenate([head, samples]),
-            counts=samples.size > 0,
+            np.concatenate([sources for part in parts for sources in part]),
+            counts=any(samples.size for _, samples in parts),
             farthest=farthest,
-            component_size=nodes.size,
+            groups=[Group(size, r.nodes.size, r.late) for r, size in members],
         )
         work.dist_batch += time.perf_counter() - t0
         work.dist_batches += 1
         work.dist_entries += batch.entries
-        if samples.size:
-            sampler.consume(batch.distance_sums[head.size :])
-        return batch
+        results, start = [], 0
+        for (rule, _), (head, samples) in zip(heads, parts):
+            end = start + head.size
+            if samples.size:
+                rule.sampler.consume(batch.distance_sums[end : end + samples.size])
+            far = batch.farthest[start:end] if farthest else None
+            results.append((batch.eccentricity[start:end], far))
+            start = end + samples.size
+        return results
 
-    while bracket and not bracket.done:
-        starts, roots = bracket.wave()
-        ends = run(starts, farthest=True).farthest[: starts.size]
-        ecc = run(np.concatenate([ends, roots]), farthest=False).eccentricity
-        bracket.consume(ecc[: ends.size], ecc[ends.size : ends.size + roots.size])
-    while sampler and not sampler.done:
-        run(nodes[:0], farthest=False)
-    estimate = (sampler.means[-1], len(sampler.means)) if sampler else None
-    return estimate, bracket.outcome() if bracket else None, work
+    while live := [rule for rule in rules if not rule.done]:
+        width = _WORD // len(live)
+        waves = [
+            rule.bracket.wave(width // 2) if rule.bracket and not rule.bracket.done else None
+            for rule in live
+        ]
+        if not any(waves):
+            run([(rule, none) for rule in live], width, farthest=False)
+            continue
+        starts = [(rule, wave[0] if wave else none) for rule, wave in zip(live, waves)]
+        first = run(starts, width, True)
+        heads = [
+            (rule, np.concatenate([ends, wave[1]]) if wave else none)
+            for rule, wave, (_, ends) in zip(live, waves, first)
+        ]
+        for rule, wave, (ecc, _) in zip(live, waves, run(heads, width, False)):
+            if wave:
+                rule.bracket.consume(ecc[: wave[1].size], ecc[wave[1].size :])
+    return [rule.outcome() for rule in rules], work
 
 
 def estimate_average_distance(
@@ -375,7 +497,10 @@ def estimate_average_distance(
     node outside it, or one that a batch's sources do not cover, is an
     error.
     """
-    return distance_statistics(snapshot, giant_mask, config, None, estimator_seed=seed)[0]
+    [(estimate, _)], _ = distance_statistics(
+        snapshot, [DistanceCheckpoint(giant_mask, estimator_seed=seed)], config, None
+    )
+    return estimate
 
 
 def diameter_bounds(
@@ -402,4 +527,7 @@ def diameter_bounds(
     ``giant_mask`` must be a component, as for
     :func:`estimate_average_distance`.
     """
-    return distance_statistics(snapshot, giant_mask, None, config, bounds_seed=seed)[1]
+    [(_, outcome)], _ = distance_statistics(
+        snapshot, [DistanceCheckpoint(giant_mask, bounds_seed=seed)], None, config
+    )
+    return outcome

@@ -9,8 +9,9 @@ starts. So ``arrival_csr`` builds the final graph's CSR once, tagging each
 adjacency entry with the index of the link behind it, and
 ``finalize_snapshot`` derives the sample after ``p`` links by keeping the
 entries whose arrival is below ``p``. Each snapshot costs Theta(final m)
-time and Theta(m) memory, so the replay builds one only at a checkpoint
-that measures distances, the one group that traverses it.
+time and Theta(m) memory, so the replay builds one only when it measures
+distances, the one group that traverses it, and then one per pair of
+checkpoints: ``late_entries`` marks the entries the earlier one lacks.
 """
 
 from __future__ import annotations
@@ -104,6 +105,13 @@ def finalize_snapshot(csr: ArrivalCSR, position: int, n: int) -> Snapshot:
     offsets = np.searchsorted(np.flatnonzero(keep), csr.offsets[: n + 1])
     neighbors = csr.neighbors[keep].astype(np.intp)
     return Snapshot(offsets=offsets, neighbors=neighbors, n=n, m=int(offsets[-1]) // 2)
+
+
+def late_entries(csr: ArrivalCSR, position: int, since: int) -> np.ndarray:
+    """Where the entries of links ``since`` to ``position - 1`` lie in the
+    neighbors of ``finalize_snapshot(csr, position, n)``, ascending: what
+    the checkpoint after ``since`` links does not hold of that snapshot."""
+    return np.flatnonzero((csr.arrival >= since)[csr.arrival < position])
 
 
 def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:

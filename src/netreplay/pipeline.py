@@ -10,9 +10,15 @@ measures the degree tail against the final graph's, and the triangle group
 reads one listing of the final graph. Only the triangle and distance groups
 need the final graph's adjacency, built once with each entry tagged by its
 link's arrival, and only the distance group traverses a snapshot: the
-prefix mask of that adjacency, built at a checkpoint only when distances are
-on. ``SERIES`` names the series of each group, in the order ``_measure``
-returns their values.
+prefix mask of that adjacency, built only when distances are on. The
+distance group measures adjacent checkpoints in pairs, (0, 1), (2, 3), ...,
+plus a lone last one when their number is odd. A pair's batches run on the
+later checkpoint's snapshot, so the earlier one's is never built: the
+earlier checkpoint keeps its giant mask until then, and its sources and
+degrees leave out the entries of the links that arrived after it.
+Its rows still land in checkpoint order, and its seeds still derive from
+its own index. ``SERIES`` names the series of each group, in the order
+``_measure`` and ``_measure_distances`` return their values.
 Results come back as one EvolutionSeries per statistic and, when an output
 directory is configured, land on disk as CSV files plus a manifest, a
 gnuplot script, and a separate timing file.
@@ -37,8 +43,15 @@ import numpy as np
 
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import BasicStats, cumulative, ks_statistic, stats_from_counts
-from netreplay.distances import BoundConfig, DistanceWork, EstimatorConfig, distance_statistics
-from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot
+from netreplay.distances import (
+    BoundConfig,
+    DistanceCheckpoint,
+    DistanceWork,
+    EstimatorConfig,
+    MaskError,
+    distance_statistics,
+)
+from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot, late_entries
 from netreplay.ingest import (
     ArrivalStream,
     FormatOptions,
@@ -226,6 +239,10 @@ def run_evolution(config: RunConfig) -> RunResult:
         final_tail = cumulative(np.bincount(final_degrees))
     dists = [] if config.dump_distributions else None
     pos = 0
+    # The distance group runs on pairs of adjacent checkpoints, (0, 1),
+    # (2, 3), ..., and a lone last one, each pair on its later snapshot: the
+    # earlier checkpoint waits here with its record and giant mask.
+    waiting = []
 
     for k, (ci, target, position, n) in enumerate(plan):
         u, v = stream.u[pos:position], stream.v[pos:position]
@@ -235,8 +252,9 @@ def run_evolution(config: RunConfig) -> RunResult:
         pos = position
         degrees = degree[:n]
         components = components_of(label, n)
-        snapshot = None  # the previous checkpoint's goes before the next is built
-        if "dist" in groups:
+        snapshot = None  # the previous pair's goes before the next is built
+        pair_ends = "dist" in groups and (k % 2 == 1 or k == len(plan) - 1)
+        if pair_ends:
             snapshot = finalize_snapshot(csr, position, n)
         record = CheckpointRecord(
             index=ci,
@@ -249,6 +267,7 @@ def run_evolution(config: RunConfig) -> RunResult:
         timing = {"checkpoint": ci, "replay": _time.perf_counter() - t_replay}
         if snapshot is not None:
             timing["snapshots"] = 1
+        members = []  # the distance group's checkpoints measured here
         try:
             basic = None
             if n >= 2:
@@ -256,16 +275,26 @@ def run_evolution(config: RunConfig) -> RunResult:
             for group in groups:
                 t0 = _time.perf_counter()
                 names = SERIES[group]
-                row = _measure(
-                    group, config, ci, k, degrees, snapshot, basic, components, timing,
-                    tri_counts, final_tail, dists,
-                )
-                for name, value in zip(names, row or (None,) * len(names), strict=True):
-                    series[name].values.append(value)
+                if group == "dist":
+                    member = record, _distance_checkpoint(config, ci, components)
+                    members, waiting = ([*waiting, member], []) if pair_ends else ([], [member])
+                    rows, work = _measure_distances(config, csr, snapshot, members)
+                    timing.update(vars(work))
+                else:
+                    rows = [_measure(
+                        group, k, degrees, basic, components, timing, tri_counts, final_tail, dists
+                    )]
+                for row in rows:
+                    for name, value in zip(names, row or (None,) * len(names), strict=True):
+                        series[name].values.append(value)
                 timing[group] = _time.perf_counter() - t0
         except Exception as exc:
+            failed = record
+            if isinstance(exc, MaskError):  # it counts the pair's measured checkpoints
+                failed = [r for r, checkpoint in members if checkpoint is not None][exc.checkpoint]
             raise RuntimeError(
-                f"checkpoint {ci} (target n={target}, actual n={n}, m={position}): {exc}"
+                f"checkpoint {failed.index} (target n={failed.target_n}, actual n={failed.n}, "
+                f"m={failed.m}): {exc}"
             ) from exc
         records.append(record)
         checkpoint_timings.append(timing)
@@ -286,23 +315,17 @@ def run_evolution(config: RunConfig) -> RunResult:
 
 
 def _measure(
-    group: str, config: RunConfig, checkpoint_index: int, k: int, degrees: np.ndarray,
-    snapshot: Optional[Snapshot], basic: Optional[BasicStats], components: Components,
+    group: str, k: int, degrees: np.ndarray, basic: Optional[BasicStats], components: Components,
     timing: dict, tri_counts, final_tail: Optional[np.ndarray], dists: Optional[list],
-) -> Optional[tuple]:
-    """One checkpoint's values for ``group``, in ``SERIES`` order; None where
-    the whole group is undefined, as distances are while the giant component
-    has fewer than two nodes. ``degrees`` holds the checkpoint's n node
-    degrees, and ``snapshot`` its adjacency, built only for the distance
-    group. ``basic`` is None below two nodes. The degree group measures the
-    K-S distance of the degree tail to ``final_tail``, the final graph's, and
+) -> tuple:
+    """One checkpoint's values for ``group``, any group but the distances,
+    in ``SERIES`` order. ``degrees`` holds the checkpoint's n node degrees,
+    and ``basic`` is None below two nodes. The degree group measures the K-S
+    distance of the degree tail to ``final_tail``, the final graph's, and
     appends the dense degree histogram to ``dists`` when distributions are
-    dumped. The distance group records in ``timing`` its ``DistanceWork``:
-    the wall time of its batches, their count, and the adjacency entries
-    they gathered.
-    The triangle group reads row ``k`` (place in the plan) of the lazy
-    ``tri_counts()``; at ``k == 0``, where the listing runs, it records the
-    listing's probes, searches and batches."""
+    dumped. The triangle group reads row ``k`` (place in the plan) of the
+    lazy ``tri_counts()``; at ``k == 0``, where the listing runs, it records
+    in ``timing`` the listing's probes, searches and batches."""
     n = degrees.size
     if group == "conn":
         return components.count, components.giant_size / n
@@ -312,26 +335,53 @@ def _measure(
             dists.append(counts)
         head = (basic.average_degree, basic.density, basic.max_degree) if basic else (None,) * 3
         return (*head, ks_statistic(cumulative(counts), final_tail))
-    if group == "tri":
-        counts = tri_counts()
-        if k == 0:
-            timing["tri_probes"] = counts.probes
-            timing["tri_searches"] = counts.searches
-            timing["tri_batches"] = counts.batches
-        return analyze_triangles(degrees, basic, int(counts.totals[k]), counts.per_node[k, :n])
+    counts = tri_counts()
+    if k == 0:
+        timing["tri_probes"] = counts.probes
+        timing["tri_searches"] = counts.searches
+        timing["tri_batches"] = counts.batches
+    return analyze_triangles(degrees, basic, int(counts.totals[k]), counts.per_node[k, :n])
+
+
+def _distance_checkpoint(
+    config: RunConfig, checkpoint_index: int, components: Components
+) -> Optional[DistanceCheckpoint]:
+    """What the distance group measures of a checkpoint: its giant mask and
+    its seeds. None while the giant component has fewer than two nodes,
+    where distances are undefined."""
     if components.giant_size < 2:
-        timing.update(vars(DistanceWork()))
         return None
-    (estimate, samples), bounds, work = distance_statistics(
-        snapshot,
+    return DistanceCheckpoint(
         components.giant_mask(),
-        config.estimator,
-        config.bounds,
-        estimator_seed=checkpoint_estimator_seed(config.seed, checkpoint_index),
-        bounds_seed=checkpoint_bounds_seed(config.seed, checkpoint_index),
+        checkpoint_estimator_seed(config.seed, checkpoint_index),
+        checkpoint_bounds_seed(config.seed, checkpoint_index),
     )
-    timing.update(vars(work))
-    return estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
+
+
+def _measure_distances(
+    config: RunConfig, csr, snapshot: Optional[Snapshot], members: list
+) -> tuple[list[Optional[tuple]], DistanceWork]:
+    """The distance values of a pair of checkpoints, of a lone one, or of
+    none while a pair waits for its later member, in ``SERIES`` order and
+    checkpoint order: ``members`` holds each one's record and
+    :func:`_distance_checkpoint`, and ``snapshot`` is the last one's. A row
+    is None where distances are undefined. Also returns what the batches
+    cost: their wall time, count and adjacency entries gathered."""
+    checkpoints = [checkpoint for _, checkpoint in members]
+    if len(members) == 2 and checkpoints[0] is not None:
+        late = late_entries(csr, members[1][0].position, members[0][0].position)
+        checkpoints[0] = checkpoints[0]._replace(late=late)
+    measured = [checkpoint for checkpoint in checkpoints if checkpoint is not None]
+    outcomes, work = distance_statistics(snapshot, measured, config.estimator, config.bounds)
+    outcomes = iter(outcomes)
+    rows = []
+    for checkpoint in checkpoints:
+        row = None
+        if checkpoint is not None:
+            (estimate, samples), bounds = next(outcomes)
+            row = estimate, samples, bounds.lower, bounds.upper, bounds.iterations, bounds.converged
+        rows.append(row)
+    return rows, work
 
 
 def _build_manifest(config, stream, sizes, records, series) -> dict:

@@ -264,6 +264,36 @@ def diameter_lower_bound(
     return second.farthest_dist, first.farthest
 
 
+def scheduled_batches(members, least: int, cap: int) -> int:
+    """The batches ``distance_statistics`` runs for checkpoints sharing one
+    snapshot, from each measured member's (samples, rounds) and the
+    bracket's ``min_iterations`` (``least``) and ``iteration_cap``.
+
+    A member still running takes 64 / (members running) bits. Its bracket's
+    first wave has min(least, half its bits) rounds, later ones min(half its
+    bits, rounds left before the cap), two batches a wave; a wave's first
+    batch leaves its group width - r bits of samples, its second
+    width - 2r. With no bracket running, samples take whole groups, one
+    batch at a time.
+    """
+    left = [[s, i, 0] for s, i in members]  # samples to draw, rounds to run, rounds run
+    batches = 0
+    while live := [m for m in left if m[0] > 0 or m[2] < m[1]]:
+        width = 64 // len(live)
+        waves = [
+            min(width // 2, (least if t == 0 else cap) - t) if t < i else 0 for _, i, t in live
+        ]
+        heads = [(r, 2 * r) for r in waves] if any(waves) else [(0,)] * len(live)
+        for step in zip(*heads):
+            batches += 1
+            for member, head in zip(live, step):
+                if member[0] > 0:
+                    member[0] -= width - head
+        for member, r in zip(live, waves):
+            member[2] += r
+    return batches
+
+
 @dataclass(frozen=True)
 class RawEvent:
     """One trace line: a timestamped, possibly redundant link observation."""

@@ -11,13 +11,16 @@ from hypothesis import strategies as st
 from netreplay import distances
 from netreplay.distances import (
     BoundConfig,
+    DistanceCheckpoint,
     EstimatorConfig,
+    Group,
+    MaskError,
     bfs_batch,
     diameter_bounds,
     distance_statistics,
     estimate_average_distance,
 )
-from netreplay.graph import snapshot_from_edges
+from netreplay.graph import arrival_csr, finalize_snapshot, late_entries, snapshot_from_edges
 from netreplay.pipeline import checkpoint_bounds_seed, checkpoint_estimator_seed
 
 from conftest import (
@@ -34,6 +37,7 @@ from oracles import (
     components,
     diameter_lower_bound,
     mean_distance_from,
+    scheduled_batches,
 )
 
 
@@ -308,10 +312,11 @@ class TestBlockDraws:
         est_cfg = EstimatorConfig(i_min=40, epsilon=0.05)
         bound_cfg = BoundConfig(min_iterations=40, gap_target=1, iteration_cap=60)
         for seed in range(3):
-            snap = snapshot_from_edges(connected_random_graph(seed, 60, 0.05), n=60)
+            edges = connected_random_graph(seed, 60, 0.05)
+            snap = snapshot_from_edges(edges, n=60)
             mask = full_mask(60)
-            estimate, bounds, work = distance_statistics(
-                snap, mask, est_cfg, bound_cfg, estimator_seed=seed, bounds_seed=seed + 10
+            [(estimate, bounds)], work = distance_statistics(
+                snap, [DistanceCheckpoint(mask, seed, seed + 10)], est_cfg, bound_cfg
             )
             assert estimate == estimate_one_source_at_a_time(snap, mask, est_cfg, seed)
             assert (bounds.lower_history, bounds.upper_history) == bounds_one_sweep_at_a_time(
@@ -322,6 +327,34 @@ class TestBlockDraws:
             # alone, each rule runs the same scheduler and reads the same values
             assert estimate_average_distance(snap, mask, est_cfg, seed) == estimate
             assert diameter_bounds(snap, mask, bound_cfg, seed + 10) == bounds
+            # A pair: the checkpoint after the first 70 % of the links, in a
+            # random order, and this one share the full graph's batches, 32
+            # bits each, in waves of 16 rounds
+            order = np.random.default_rng(seed).permutation(len(edges))
+            edges = [edges[i] for i in order]
+            split = 7 * len(edges) // 10
+            earlier = snapshot_from_edges(edges[:split], n=60)
+            early_mask = components(earlier).giant_mask()
+            csr = arrival_csr(*np.array(edges).T, 60)
+            pair = [
+                DistanceCheckpoint(
+                    early_mask, seed + 1, seed + 11, late_entries(csr, len(edges), split)
+                ),
+                DistanceCheckpoint(mask, seed, seed + 10),
+            ]
+            both, work = distance_statistics(snap, pair, est_cfg, bound_cfg)
+            assert both[1] == (estimate, bounds)
+            early_estimate, early_bounds = both[0]
+            assert early_estimate == estimate_one_source_at_a_time(
+                earlier, early_mask, est_cfg, seed + 1
+            )
+            assert (
+                early_bounds.lower_history, early_bounds.upper_history
+            ) == bounds_one_sweep_at_a_time(earlier, early_mask, bound_cfg, seed + 11)
+            # a bracket of 40 to 60 rounds takes three or four waves of 16,
+            # and alone two of 32; samples (51 to 75) fill the gaps
+            members = [(e[1], b.iterations) for e, b in both]
+            assert work.dist_batches == scheduled_batches(members, 40, 60) == 8
 
     def test_estimator_rejects_mask_that_is_not_a_component(self):
         snap = snapshot_from_edges([(0, 1), (2, 3)])
@@ -366,13 +399,158 @@ class TestBlockDraws:
             with pytest.raises(ValueError, match="not the component"):
                 estimate_average_distance(snap, mask, seed=seed)
             with pytest.raises(ValueError, match="not the component"):
-                distance_statistics(snap, mask, estimator_seed=seed, bounds_seed=seed)
+                distance_statistics(snap, [DistanceCheckpoint(mask, seed, seed)])
 
     def test_lone_nodes_rejected(self):
         # no link to check, and no level to run
         snap = snapshot_from_edges([], n=2)
         with pytest.raises(ValueError, match="not the component"):
-            distance_statistics(snap, full_mask(2))
+            distance_statistics(snap, [DistanceCheckpoint(full_mask(2))])
+
+
+class TestPairedBatches:
+    """Two checkpoints in one batch on the later one's snapshot, each in its
+    own group of bits: every group's results must equal ``bfs_batch`` on
+    its own prefix's ``snapshot_from_edges``."""
+
+    FIELDS = ("distance_sums", "reached", "eccentricity", "farthest")
+
+    def paired(self, edges, split, n0, n1, sources, sizes=None):
+        """The batch of ``sources[0]`` on the first ``split`` links over
+        nodes [0, n0) and ``sources[1]`` on all of them over [0, n1), each
+        group sized by its sources' component (or by ``sizes``); and the
+        two prefixes' own snapshots."""
+        csr = arrival_csr(*np.array(edges, dtype=np.int64).reshape(-1, 2).T, n1)
+        later = finalize_snapshot(csr, len(edges), n1)
+        own = [snapshot_from_edges(edges[:split], n=n0), snapshot_from_edges(edges, n=n1)]
+        if sizes is None:
+            sizes = []
+            for snap, group in zip(own, sources):
+                labels = components(snap).component_id
+                sizes.append(int(np.count_nonzero(labels == labels[group[0]])))
+        late = late_entries(csr, len(edges), split)
+        groups = [Group(len(sources[0]), sizes[0], late), Group(len(sources[1]), sizes[1])]
+        return bfs_batch(later, np.concatenate(sources), groups=groups), own
+
+    def check(self, edges, split, n0, n1, sources):
+        got, own = self.paired(edges, split, n0, n1, sources)
+        start = 0
+        for snap, group in zip(own, sources):
+            want = bfs_batch(snap, group)
+            end = start + len(group)
+            for field in self.FIELDS:
+                assert getattr(got, field)[start:end].tolist() == getattr(want, field).tolist()
+            start = end
+
+    @given(
+        st.integers(min_value=2, max_value=50),
+        st.floats(min_value=0.0, max_value=0.3),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_groups_match_their_own_prefixes(self, n1, p, seed):
+        # links in a random order; the earlier prefix's n may exceed its
+        # endpoints (isolated nodes that link later), and nodes past it
+        # exist only in the later prefix. A group's sources come from the
+        # component of a random node of its own prefix, often a lone node.
+        rng = np.random.default_rng(seed)
+        edges = random_edges(rng, n1, p)
+        edges = [edges[i] for i in rng.permutation(len(edges))]
+        split = int(rng.integers(len(edges) + 1))
+        span = max((max(e) + 1 for e in edges[:split]), default=1)
+        n0 = int(rng.integers(span, n1 + 1))
+        sources = []
+        for n, prefix in ((n0, edges[:split]), (n1, edges)):
+            labels = components(snapshot_from_edges(prefix, n=n)).component_id
+            inside = np.flatnonzero(labels == labels[rng.integers(n)])
+            sources.append(inside[rng.integers(inside.size, size=int(rng.integers(1, 33)))])
+        self.check(edges, split, n0, n1, sources)
+
+    def test_earlier_giant_is_another_component(self):
+        # before the split: the 4-path 0..3 (the giant) and the link 4-5;
+        # after it, 4 and 5 grow into the 8-node giant through nodes 6 to 11,
+        # which the earlier checkpoint does not have
+        edges = path_edges(4) + [(4, 5), (4, 6), (6, 7), (7, 8), (8, 9), (5, 10), (10, 11)]
+        for early in ([0, 3, 1], [4, 5, 5]):
+            self.check(edges, 4, 6, 12, [np.array(early), np.array([4, 11, 9, 6])])
+
+    def test_earlier_member_without_links(self):
+        # the earlier checkpoint has no link, so its lone node's distances
+        # are undefined in the replay: the group stops before any level
+        edges = [(0, 1), (1, 2), (2, 0), (2, 3)]
+        self.check(edges, 0, 3, 4, [np.array([1]), np.array([3, 0])])
+        got, _ = self.paired(edges, 0, 3, 4, [np.array([1]), np.array([3, 0])])
+        assert got.eccentricity[0] == 0 and got.reached[0] == 1
+
+    def test_short_first_wave_leaves_room_for_samples(self):
+        # With min_iterations 10 a pair's first wave has 10 rounds, not 16,
+        # so each checkpoint's two batches carry 22 + 12 free bits: up to 34
+        # samples (at least 21 with i_min = 20) and 10 rounds fit.
+        est_cfg = EstimatorConfig(i_min=20)
+        fitted = 0
+        for seed in range(4):
+            edges = connected_random_graph(seed, 80, 0.06)
+            edges = [edges[i] for i in np.random.default_rng(seed).permutation(len(edges))]
+            split = 8 * len(edges) // 10
+            mask = components(snapshot_from_edges(edges[:split], n=80)).giant_mask()
+            later, _, pair = self.pair_checkpoints(edges, split, 80, 80, mask)
+            both, work = distance_statistics(later, pair, est_cfg)
+            members = [(e[1], b.iterations) for e, b in both]
+            assert work.dist_batches == scheduled_batches(members, 10, 100)
+            fits = all(s <= 34 and i == 10 for s, i in members)
+            assert (work.dist_batches == 2) == fits
+            fitted += fits
+        assert fitted >= 2
+
+    @pytest.mark.parametrize("group", [0, 1])
+    def test_mask_not_covered_names_its_group(self, group):
+        # a group sized as the 4-path and the link 4-5 together runs out of
+        # nodes: the earlier one before 3-4 links them, the later one when
+        # they never link
+        if group == 0:
+            edges, split, n0 = path_edges(4) + [(4, 5), (3, 4)], 4, 6
+        else:
+            edges, split, n0 = path_edges(4) + [(4, 5)], 3, 4
+        sizes = [n0, 6]
+        with pytest.raises(MaskError, match="not the component") as raised:
+            self.paired(edges, split, n0, 6, [np.array([0]), np.array([0])], sizes)
+        assert raised.value.checkpoint == group
+
+    def pair_checkpoints(self, edges, split, n0, n1, early_mask):
+        csr = arrival_csr(*np.array(edges, dtype=np.int64).T, n1)
+        later = finalize_snapshot(csr, len(edges), n1)
+        earlier = snapshot_from_edges(edges[:split], n=n0)
+        late = late_entries(csr, len(edges), split)
+        pair = [
+            DistanceCheckpoint(early_mask, 1, 2, late),
+            DistanceCheckpoint(components(later).giant_mask(), 3, 4),
+        ]
+        return later, earlier, pair
+
+    def test_mask_closed_only_in_its_own_graph_accepted(self):
+        # the later link 3-4 leaves the earlier giant, the 4-path: it is
+        # the earlier checkpoint's late entry, not a way out of its mask
+        edges = path_edges(4) + [(4, 5), (3, 4)]
+        mask = np.array([True] * 4 + [False] * 2)
+        later, earlier, pair = self.pair_checkpoints(edges, 4, 6, 6, mask)
+        [early, _], _ = distance_statistics(later, pair)
+        assert early == (
+            estimate_average_distance(earlier, mask, seed=1),
+            diameter_bounds(earlier, mask, seed=2),
+        )
+
+    def test_mask_not_closed_rejected_before_any_batch(self, monkeypatch):
+        # node 3 of the 4-path is left out of the earlier mask
+        edges = path_edges(4) + [(4, 5), (3, 4)]
+        mask = np.array([True] * 3 + [False] * 3)
+        later, _, pair = self.pair_checkpoints(edges, 4, 6, 6, mask)
+        monkeypatch.setattr(distances, "bfs_batch", None)  # no batch may run
+        with pytest.raises(MaskError, match="not the component") as raised:
+            distance_statistics(later, pair)
+        assert raised.value.checkpoint == 0
+        with pytest.raises(MaskError, match="at least 2 nodes") as raised:
+            distance_statistics(later, [pair[1], pair[0]._replace(giant_mask=mask[:1])])
+        assert raised.value.checkpoint == 1
 
 
 class TestMeanDistance:

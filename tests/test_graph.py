@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
+from netreplay.graph import arrival_csr, finalize_snapshot, late_entries, snapshot_from_edges
 
 from oracles import degree, has_link, neighbors_of
 
@@ -112,6 +112,24 @@ class TestPrefixSnapshots:
             fresh = snapshot_from_edges(edges[:p], n=40)
             assert snap.offsets.tolist() == fresh.offsets.tolist()
             assert snap.neighbors.tolist() == fresh.neighbors.tolist()
+
+    def test_late_entries_hold_the_links_between_two_positions(self):
+        rng = np.random.default_rng(11)
+        for _ in range(30):
+            n = int(rng.integers(2, 30))
+            pairs = {tuple(sorted(map(int, rng.integers(0, n, size=2)))) for _ in range(3 * n)}
+            edges = [e for e in pairs if e[0] != e[1]]
+            edges = [edges[i] for i in rng.permutation(len(edges))]
+            csr = csr_of(edges, n)
+            position = int(rng.integers(len(edges) + 1))
+            since = int(rng.integers(position + 1))
+            snap = finalize_snapshot(csr, position, n)
+            late = late_entries(csr, position, since)
+            owners = np.repeat(np.arange(n), snap.degrees)
+            got = sorted(zip(owners[late].tolist(), snap.neighbors[late].tolist()))
+            want = sorted(edges[since:position] + [(b, a) for a, b in edges[since:position]])
+            assert got == want
+            assert np.all(np.diff(late) > 0)
 
     def test_large_segment_keeps_all_neighbors(self):
         s = snapshot_from_edges([(0, v) for v in range(39, 0, -1)])

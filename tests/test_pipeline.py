@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from netreplay import ingest, pipeline, triangles
 from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
-from netreplay.generate import gen_complete, gen_preferential, write_stream
+from netreplay.generate import gen_complete, gen_gnp, gen_preferential, write_stream
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 from netreplay.ingest import FormatOptions, StreamFormatError, checkpoint_plan, checkpoint_sizes
 from netreplay.pipeline import (
@@ -22,7 +22,14 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import basic_stats, components, count_triangles, ks_brute, probe_sides
+from oracles import (
+    basic_stats,
+    components,
+    count_triangles,
+    ks_brute,
+    probe_sides,
+    scheduled_batches,
+)
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
 FAST_BND = BoundConfig(min_iterations=2, gap_target=2, iteration_cap=6)
@@ -293,6 +300,12 @@ class TestOutputs:
         assert load_work("cached") == {}
 
     def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):
+        self.check_work_counts(tmp_path, monkeypatch, nominal=10)
+
+    def test_work_counts_with_a_lone_last_checkpoint(self, tmp_path, monkeypatch):
+        self.check_work_counts(tmp_path, monkeypatch, nominal=9)
+
+    def check_work_counts(self, tmp_path, monkeypatch, nominal):
         from netreplay import distances
 
         calls = {"dist_batches": 0}
@@ -300,52 +313,61 @@ class TestOutputs:
 
         def batch(snapshot, sources, **flags):
             calls["dist_batches"] += 1
-            # every level of a batch gathers the whole adjacency array, and
-            # the last level reaches the sources' farthest nodes
+            # every level of a batch gathers the whole adjacency array of the
+            # pair's snapshot, and the last level reaches the farthest node
+            # of any source in any group
             got = bfs_batch(snapshot, sources, **flags)
             gathered.append(int(got.eccentricity.max()) * snapshot.neighbors.size)
             return got
 
         bfs_batch = distances.bfs_batch
         monkeypatch.setattr(distances, "bfs_batch", batch)
-        # above 32 samples a checkpoint's estimator needs more than its
-        # bracket's first wave; above 32 rounds the bracket needs a second
-        cap = 130
-        result, out = self.run_to_dir(
-            tmp_path,
-            "outw",
+        # above 16 rounds a paired bracket needs a second wave, above 32 a
+        # lone one; above 32 samples an estimator outlasts its group's bits
+        # in a paired wave
+        cap, least = 130, 65
+        path = tmp_path / "s.txt"
+        write_stream(str(path), gen_preferential(100, 2, seed=8))
+        out = tmp_path / "outw"
+        result = run_evolution(quick_config(
+            path,
+            nominal_checkpoints=nominal,
+            out_dir=str(out),
             estimator=EstimatorConfig(i_min=70, epsilon=0.01),
-            bounds=BoundConfig(min_iterations=65, gap_target=1, iteration_cap=cap),
-        )
+            bounds=BoundConfig(min_iterations=least, gap_target=1, iteration_cap=cap),
+        ))
 
         def column(name):
             rows = (out / f"{name}.csv").read_text().splitlines()[1:]
-            return [int(row.rsplit(",", 1)[1]) for row in rows if not row.endswith(",")]
+            return [None if row.endswith(",") else int(row.rsplit(",", 1)[1]) for row in rows]
 
         samples = column("average_distance_samples")
         iterations = column("diameter_iterations")
-        assert len(samples) == len(iterations) > 1
-        assert max(samples) > 64 and max(iterations) > 64
-        work = json.loads((out / "timings.json").read_text())["work"]
+        count = len(result.checkpoints)
+        assert len(samples) == len(iterations) == count == nominal
+        assert max(s for s in samples if s) > 64 and max(i for i in iterations if i) > 64
+        timings = json.loads((out / "timings.json").read_text())
+        work = timings["work"]
         assert work.pop("dist_entries") == sum(gathered)
         dist_work = {key: work.pop(key) for key in calls}
         assert dist_work == calls
 
-        def scheduled(s, i):
-            # waves of min(32, rounds left before the cap); a wave's first
-            # batch leaves 64 - r bits to samples, its second 64 - 2r;
-            # further samples go 64 a batch
-            waves = [min(32, cap - t) for t in range(0, i, 32)]
-            slots = sum(128 - 3 * r for r in waves)
-            return 2 * len(waves) + -(-max(0, s - slots) // 64)
-
-        parent_schedule = [-(-s // 64) + 2 * -(-i // 32) for s, i in zip(samples, iterations)]
-        per_checkpoint = [scheduled(s, i) for s, i in zip(samples, iterations)]
-        assert all(a <= b for a, b in zip(per_checkpoint, parent_schedule))
-        assert sum(per_checkpoint) < sum(parent_schedule)
-        assert dist_work == {"dist_batches": sum(per_checkpoint)}
-        # With distances on, every checkpoint builds its snapshot.
-        assert work.pop("snapshots") == len(result.checkpoints)
+        measured = [(s, i) for s, i in zip(samples, iterations) if s is not None]
+        alone = sum(scheduled_batches([member], least, cap) for member in measured)
+        pairs = [
+            [(s, i) for s, i in zip(samples[k : k + 2], iterations[k : k + 2]) if s is not None]
+            for k in range(0, count, 2)
+        ]
+        per_pair = [scheduled_batches(pair, least, cap) for pair in pairs]
+        assert sum(per_pair) < alone
+        assert dist_work == {"dist_batches": sum(per_pair)}
+        # a pair's batches are recorded on its later checkpoint, and the
+        # earlier one carries 0
+        recorded = [record["dist_batches"] for record in timings["per_checkpoint"]]
+        assert [recorded[min(k + 1, count - 1)] for k in range(0, count, 2)] == per_pair
+        assert [recorded[k] for k in range(0, count - 1, 2)] == [0] * (count // 2)
+        # With distances on, each pair or lone checkpoint builds one snapshot.
+        assert work.pop("snapshots") == len(pairs)
         # checked in TestTriangleWork
         assert sorted(work) == ["tri_batches", "tri_probes", "tri_searches"]
 
@@ -438,7 +460,7 @@ class TestAdjacencyOnlyWhereRead:
     def test_running_degrees_match_snapshot_at_every_checkpoint(self, lines, checkpoints):
         seen = []
 
-        def measure(group, config, checkpoint_index, k, degrees, *rest):
+        def measure(group, k, degrees, *rest):
             seen.append(degrees.copy())
 
         with tempfile.TemporaryDirectory() as tmp:
@@ -475,6 +497,71 @@ class TestAdjacencyOnlyWhereRead:
         assert {k: s.values for k, s in got.series.items()} == {
             k: s.values for k, s in want.series.items()
         }
+
+
+class TestDistancePairs:
+    """The distance group runs adjacent checkpoints in pairs on the later
+    one's snapshot; every value must still be the checkpoint's own."""
+
+    @given(trace_lines(), st.integers(1, 12), st.integers(0, 3))
+    @settings(max_examples=60, deadline=None)
+    def test_every_checkpoint_matches_its_own_snapshot(self, lines, checkpoints, seed):
+        # odd counts end on a lone checkpoint; early checkpoints may have no
+        # link, or a giant of one node, beside a partner that measures
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "s.txt")
+            write_lines(path, lines)
+            cfg = quick_config(
+                path, nominal_checkpoints=checkpoints, seed=seed, stats=frozenset({"dist"})
+            )
+            result = run_evolution(cfg)
+            stream = pipeline.load_stream(cfg)
+        for k, r in enumerate(result.checkpoints):
+            edges = list(zip(stream.u[: r.position].tolist(), stream.v[: r.position].tolist()))
+            snap = snapshot_from_edges(edges, n=r.n)
+            mask = components(snap).giant_mask()
+            want = (None,) * 6
+            if np.count_nonzero(mask) >= 2:
+                est = estimate_average_distance(
+                    snap, mask, FAST_EST, checkpoint_estimator_seed(seed, r.index)
+                )
+                out = diameter_bounds(snap, mask, FAST_BND, checkpoint_bounds_seed(seed, r.index))
+                want = (*est, out.lower, out.upper, out.iterations, out.converged)
+            got = tuple(result.series[name].values[k] for name in pipeline.SERIES["dist"])
+            assert got == want
+
+    @pytest.mark.parametrize("corrupt", ["not-closed", "not-connected"])
+    def test_rejected_earlier_mask_names_its_checkpoint(self, tmp_path, monkeypatch, corrupt):
+        # the first earlier member of a pair whose graph has two components
+        # and a giant of three nodes or more gets a bad mask: one giant node
+        # left out (the check before any batch), or a second component let
+        # in (the pair's first batch)
+        path = tmp_path / "s.txt"
+        write_stream(str(path), gen_gnp(80, 0.03, seed=3))
+        build = pipeline._distance_checkpoint
+        calls, corrupted = [], []
+
+        def corrupting(config, index, components):
+            checkpoint = build(config, index, components)
+            calls.append(index)
+            if corrupted or len(calls) % 2 == 0 or len(calls) > 7:
+                return checkpoint
+            if components.count < 2 or components.giant_size < 3:
+                return checkpoint
+            mask = checkpoint.giant_mask
+            if corrupt == "not-closed":
+                mask[np.flatnonzero(mask)[0]] = False
+            else:
+                mask |= components.label == components.label[~mask][0]
+            corrupted.append(index)
+            return checkpoint
+
+        monkeypatch.setattr(pipeline, "_distance_checkpoint", corrupting)
+        with pytest.raises(RuntimeError, match="not the component") as raised:
+            run_evolution(quick_config(path, nominal_checkpoints=10, stats=frozenset({"dist"})))
+        assert corrupted
+        assert str(raised.value).startswith(f"checkpoint {corrupted[0]} (")
+        assert calls[-1] > corrupted[0]  # raised while the later member ran
 
 
 class TestTriangleWork:
