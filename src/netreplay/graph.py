@@ -70,13 +70,13 @@ class ArrivalCSR(NamedTuple):
 
     offsets: np.ndarray  # int64, length final_n + 1
     neighbors: np.ndarray  # int32, length 2m, sorted within each segment
-    arrival: np.ndarray  # int64, length 2m
+    arrival: np.ndarray  # int32, length 2m
 
 
 def arrival_csr(u: np.ndarray, v: np.ndarray, final_n: int) -> ArrivalCSR:
     """Tag both directions of link i = (u[i], v[i]) with arrival i and sort
-    them by (node, neighbor). Callers guarantee distinct links, no loops and
-    endpoints in [0, final_n)."""
+    them by (node, neighbor). Callers guarantee fewer than 2^31 distinct
+    links, no loops and endpoints in [0, final_n)."""
     m = len(u)
     src = np.concatenate((u, v)).astype(np.int64, copy=False)
     dst = np.concatenate((v, u)).astype(np.int32, copy=False)
@@ -90,7 +90,7 @@ def arrival_csr(u: np.ndarray, v: np.ndarray, final_n: int) -> ArrivalCSR:
     neighbors = dst[order]
     del dst
     np.subtract(order, m, out=order, where=order >= m)  # entry index -> link index
-    return ArrivalCSR(offsets, neighbors, order)
+    return ArrivalCSR(offsets, neighbors, order.astype(np.int32))
 
 
 def finalize_snapshot(csr: ArrivalCSR, position: int, n: int) -> Snapshot:
@@ -111,7 +111,7 @@ def late_entries(csr: ArrivalCSR, position: int, since: int) -> np.ndarray:
     """Where the entries of links ``since`` to ``position - 1`` lie in the
     neighbors of ``finalize_snapshot(csr, position, n)``, ascending: what
     the checkpoint after ``since`` links does not hold of that snapshot."""
-    return np.flatnonzero((csr.arrival >= since)[csr.arrival < position])
+    return np.flatnonzero(csr.arrival[csr.arrival < position] >= since)
 
 
 def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:

@@ -75,6 +75,7 @@ _CACHE_HEADER = "<2Q3q"  # final_n, final_m, then the cache_key fields
 _COLUMN_DTYPES = (np.dtype("<i4"), np.dtype("<i4"), np.dtype("<u8"), np.dtype("<i8"))
 
 _MAX_NODE = 2**31 - 1
+_MAX_LINKS = 2**31 - 1  # a link's index is an int32 arrival in graph.arrival_csr
 
 _BLOCK_BYTES = 1 << 18  # read at a time; a block is cut after its last whole line
 _QUEUE_CHUNKS = 2  # blocks the reader thread may run ahead of the parser
@@ -146,7 +147,7 @@ def normalize(
     decreasing timestamp, or bytes that are not UTF-8. Input that cannot be
     read on (truncated or corrupt gzip) raises StreamFormatError naming the
     last line read whole, once the lines before it have been checked. More
-    than 2^31 - 1 nodes raise ValueError.
+    than 2^31 - 1 nodes or links raise ValueError.
 
     A link survives only on its first observation in either direction. A
     loop (a, a) is dropped as a link but still discovers node a. Every
@@ -470,6 +471,8 @@ class _BlockNormalizer:
         if final_n > _MAX_NODE:
             raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
         m = self.events
+        if m > _MAX_LINKS:
+            raise ValueError(f"too many links for 32-bit arrivals: {m}")
         for column, size in zip(self.columns, (m, m, m, m + 1)):
             column.resize(size, refcheck=False)
         u, v, time, prefix = self.columns
@@ -628,7 +631,8 @@ def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
     The columns are returned as read-only views of the file's bytes; nothing
     is rebuilt. Since they are trusted as stored, the invariants of
     :class:`ArrivalStream` are checked instead. Raises ValueError on another
-    magic, a key mismatch, a payload of the wrong size or a broken invariant.
+    magic, a key mismatch, more than 2^31 - 1 links, a payload of the wrong
+    size or a broken invariant.
     """
     with open(path, "rb") as f:
         if f.read(len(CACHE_MAGIC)) != CACHE_MAGIC:
@@ -639,6 +643,8 @@ def load_cache(path: str, key: tuple[int, int, int]) -> ArrivalStream:
         final_n, final_m, *written_for = struct.unpack(_CACHE_HEADER, header)
         if tuple(written_for) != tuple(key):
             raise ValueError(f"cache written for another input or format: {path}")
+        if final_m > _MAX_LINKS:
+            raise ValueError(f"too many links for 32-bit arrivals: {final_m} in {path}")
         payload = f.read()
     lengths = (final_m, final_m, final_m, final_m + 1)
     if len(payload) != sum(k * dtype.itemsize for k, dtype in zip(lengths, _COLUMN_DTYPES)):

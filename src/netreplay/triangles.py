@@ -21,19 +21,23 @@ segments, so on graphs whose keys outgrow the cache a search from it costs
 more; a side rule weighting that side by 1.5, 2 or 3 measured no faster at
 10^6 or 10^7 links (BENCH_tri-probes.json), so the rule is the plain count.
 
-Memory, beyond the adjacency: 32 bytes per forward link (one per link of
-the graph) for its key, lower end, arrival and running probe count, and
-the filter's 4 to 8 bytes per forward key; in a batch, 32 bytes per link it
-spans, 16 bytes per probe while the probes are built and 17 while they are
-filtered, then 33 per probe that passed; and the (checkpoints + 1) x n table
-of per-node counts, the largest of these on large inputs. A node's count is
-at most C(its degree, 2), so the table has 4-byte cells whenever C(max
-degree, 2) < 2^31, and 8-byte cells otherwise. The budget was chosen from
-rotating benchmark runs of budgets 2^17 to 2^23 on the ``pa-tri`` workload
-(BENCH_tri-memory.json): run time did not move, and peak RSS fell as the
-budget did. Probing from the cheaper side halves a link's probes, so the
-budget went from 2^18 to 2^17, which keeps a batch spanning about as many
-links as before and halves its probe-sized arrays (BENCH_tri-probes.json).
+Ranks, nodes, arrivals and forward-entry indices are ``int32``, as node
+and link counts are below 2^31. A key, rank * n + rank, outgrows that past
+46,341 nodes, so keys and every product forming one are ``int64``.
+
+Memory, beyond the adjacency: 24 bytes per forward link (one per link of
+the graph) for its key (8), lower end (4), arrival (4) and running probe
+count (8), and the filter's 4 to 8 bytes per forward key; in a batch, up to
+36 bytes per link it spans, 16 bytes per probe while the probes are built
+and 17 while they are filtered, then 33 per probe that passed; and the
+(checkpoints + 1) x n table of per-node counts, the largest of these on
+large inputs. A node's count is at most C(its degree, 2), so the table has
+4-byte cells whenever C(max degree, 2) < 2^31, and 8-byte cells otherwise.
+The budget, 2^16 probes, comes from rotating benchmark runs on the
+``pa-tri`` workload: run time did not move from 2^17 to 2^23 while peak RSS
+fell as the budget did (BENCH_tri-memory.json, with probes from one side;
+the cheaper side halves them, BENCH_tri-probes.json), and 2^16 lowered the
+peak again (BENCH_tri-bytes.json).
 
 A replay sample, a prefix of the stream, holds a triangle exactly when it
 holds its closing link, the latest of the three. So one listing of the final
@@ -54,7 +58,7 @@ import numpy as np
 from netreplay.degrees import BasicStats
 from netreplay.graph import ArrivalCSR
 
-_PROBE_BUDGET = 1 << 17  # per-batch intersection probes, caps peak memory
+_PROBE_BUDGET = 1 << 16  # per-batch intersection probes, caps peak memory
 _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, spreads the filter's slots
 
 
@@ -96,14 +100,14 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     cells = table.reshape(-1)  # a flat add.at runs far faster than a 2-D one
     one = table.dtype.type(1)  # an untyped 1 makes add.at cast every call
     order = np.lexsort((np.arange(n), -deg))  # rank by degree desc, index asc
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    rank = np.empty(n, dtype=np.int32)
+    rank[order] = np.arange(n, dtype=np.int32)
 
     # Each link once, from its higher rank, sorted by (higher, lower) rank.
     r_src = np.repeat(rank, deg)
     r_dst = rank[csr.neighbors]
     forward = np.flatnonzero(r_dst < r_src)
-    keys = r_src[forward]
+    keys = r_src[forward].astype(np.int64)  # widened before the product
     del r_src
     keys *= n
     keys += r_dst[forward]
@@ -112,10 +116,10 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     keys = keys[by_key]
     f_arrival = csr.arrival[forward[by_key]]
     del forward, by_key
-    f_dst = keys % n
+    n_edges = keys.size
+    f_dst = np.remainder(keys, n, out=np.empty(n_edges, np.int32))
     # Rank r's forward links are the keys in [r * n, (r + 1) * n).
     f_off = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    n_edges = keys.size
     # Link e = (a, b), rank b < a, closes a triangle with each w < b that
     # both ends link to. It probes the shorter list of candidates: b's
     # forward list, or the e - f_off[a] entries of a's before e, all below b.
@@ -145,16 +149,16 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
         base = keys[e0:e1] - dst
         own = np.flatnonzero(cnt < f_off[dst + 1] - start)
         start[own] = own + (e0 - cnt[own])
-        base[own] = dst[own] * n
-        # Probe j of link e reads forward entry j + shift[e].
-        shift = start - (ends - cnt)
+        base[own] = dst[own].astype(np.int64) * n
+        # Probe j of link e reads forward entry j + shift[e]; both fit int32.
+        shift = (start - (ends - cnt)).astype(np.int32)
         del start, own
-        flat = np.arange(ends[-1], dtype=np.int64)
+        flat = np.arange(ends[-1], dtype=np.int32)
         flat += np.repeat(shift, cnt)
-        probe_keys = f_dst[flat]
-        del flat
-        probe_keys += np.repeat(base, cnt)
+        probe_keys = np.repeat(base, cnt)
         del base, cnt
+        probe_keys += f_dst[flat]
+        del flat
         # Only a probe whose slot some key set can be a key.
         probe = np.flatnonzero(occupied[_slots(probe_keys, bits)])
         probe_keys = probe_keys[probe]

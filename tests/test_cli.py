@@ -10,6 +10,7 @@ import sys
 import pytest
 
 import netreplay
+from netreplay import ingest
 from netreplay.cli import _build_parser, _gen_params, main
 from netreplay.generate import MODELS
 
@@ -187,6 +188,16 @@ class TestAnalyze:
         assert code == 0
         assert chosen.is_dir()
         assert not (tmp_path / "ignored").exists()
+
+    def test_too_many_links_exits_one(self, tmp_path, capsys, monkeypatch):
+        trace = tmp_path / "trace.txt"
+        trace.write_text("0 a b\n1 b c\n2 c a\n")
+        monkeypatch.setattr(ingest, "_MAX_LINKS", 2)
+        out = tmp_path / "o"
+        code, _, stderr = run_cli(["analyze", str(trace), "--out", str(out)], capsys)
+        assert code == 1
+        assert stderr == "netreplay: error: too many links for 32-bit arrivals: 3\n"
+        assert not out.exists()
 
     def test_no_cache_flag(self, tmp_path, capsys):
         trace = self.make_stream(tmp_path, capsys)

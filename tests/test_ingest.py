@@ -590,6 +590,15 @@ class TestNormalize:
         assert s.final_n == 2 and s.final_m == 0
         assert s.n_events == 0
 
+    def test_links_beyond_the_cap_rejected(self, monkeypatch):
+        # The cap keeps each link's index an int32 arrival; a duplicate and a
+        # loop are not links, so they do not count toward it.
+        monkeypatch.setattr(ingest, "_MAX_LINKS", 2)
+        events = [RawEvent(0, "a", "b"), RawEvent(1, "b", "a"), RawEvent(2, "c", "c")]
+        assert read_events(events + [RawEvent(3, "b", "c")]).final_m == 2
+        with pytest.raises(ValueError, match=r"^too many links for 32-bit arrivals: 3$"):
+            read_events(events + [RawEvent(3, "b", "c"), RawEvent(4, "c", "a")])
+
     def test_dedup_against_independent_scan(self):
         # 10_000 events, ~20% duplicates, ~5% loops
         rng = np.random.default_rng(42)
@@ -897,12 +906,15 @@ HEADER_BYTES = 8 + 5 * 8  # magic, final_n, final_m, the three key fields
 
 def edited_sidecar(tmp_path, stream, field, index, value):
     """Save ``stream``, overwrite entry ``index`` of one stored field
-    (``final_n`` or a column) with ``value``, and return the sidecar's path."""
+    (``final_n``, ``final_m`` or a column) with ``value``, and return the
+    sidecar's path."""
     path = str(tmp_path / "edited.arrivals")
     ingest.save_cache(stream, path, KEY)
     data = bytearray(Path(path).read_bytes())
     m = stream.final_m
-    views = {"final_n": np.frombuffer(data, "<u8", 1, 8)}
+    views = {
+        "final_n": np.frombuffer(data, "<u8", 1, 8), "final_m": np.frombuffer(data, "<u8", 1, 16)
+    }
     offset = HEADER_BYTES
     for name, dtype, k in [
         ("u", "<i4", m), ("v", "<i4", m), ("time", "<u8", m), ("prefix", "<i8", m + 1)
@@ -1006,6 +1018,11 @@ class TestCacheFormat:
     def test_broken_invariant_rejected(self, tmp_path, field, index, value, message):
         path = edited_sidecar(tmp_path, read_events(SMALL), field, index, value)
         with pytest.raises(ValueError, match=message):
+            ingest.load_cache(path, KEY)
+
+    def test_link_count_beyond_int32_rejected(self, tmp_path):
+        path = edited_sidecar(tmp_path, read_events(SMALL), "final_m", 0, 2**31)
+        with pytest.raises(ValueError, match="too many links for 32-bit arrivals: 2147483648 "):
             ingest.load_cache(path, KEY)
 
     def test_node_count_beyond_int32_rejected_without_links(self, tmp_path):

@@ -318,6 +318,33 @@ class TestArrivalListing:
         assert_counts_match_oracle([edges[i] for i in order], 30, positions + [len(edges)])
 
 
+class TestWideKeys:
+    def test_keys_past_int32_match_brute_force_at_every_prefix(self):
+        # Ranks, nodes and arrivals are int32, but a key is rank * n + rank:
+        # past 46,341 nodes it outgrows int32, and so does every product
+        # that forms one. Every node has degree 4, so nodes rank by index.
+        # The low nodes form a ring with chords three apart, which closes no
+        # triangle. The high nodes form a ring with chords two apart, whose
+        # triangles are the 300 (j, j + 1, j + 2); its links (j + 1, j) and
+        # (j + 2, j) probe from their own end, which offers fewer candidates.
+        rng = np.random.default_rng(21)
+        n, high = 50_000, 300
+        ring = n - high
+        assert ring * n > 2**31
+        low, top = np.arange(ring), np.arange(high)
+        links = np.concatenate(
+            [np.stack([low, (low + s) % ring], axis=1) for s in (1, 3)]
+            + [np.stack([top, (top + s) % high], axis=1) + ring for s in (1, 2)]
+        )
+        links = links[rng.permutation(len(links))]
+        flip = rng.random(len(links)) < 0.5
+        links[flip] = links[flip, ::-1]
+        assert arrival_csr(links[:, 0], links[:, 1], n).arrival.dtype == np.int32
+        positions = np.linspace(0, len(links), 17).astype(np.int64)
+        counts = assert_counts_match_oracle(links.tolist(), n, positions)
+        assert int(counts.totals[-1]) == high
+
+
 class TestProbeSides:
     # gen_preferential(30, 3, seed=1), shuffled: 19 links close a triangle,
     # 15 of them probing from the worse end and 4 from the better end.
@@ -369,13 +396,14 @@ class TestTableWidth:
 
 class TestProbeBatches:
     def test_traced_peak_bounded_per_probe_and_entry(self, monkeypatch):
-        # A batch holds at most 33 bytes per probe and 32 per link it spans;
-        # the listing holds 32 per link and the filter's 4 to 8, beside the
-        # per-checkpoint table. So at most 33 bytes per probe and 36 per
-        # adjacency entry, and the bound leaves a margin on both. A batch
-        # ends at the first link that brings it to the budget, so it
-        # overshoots by less than one link's probes, at most the maximum
-        # degree.
+        # A batch holds at most 33 bytes per probe. Beside the per-checkpoint
+        # table, the listing holds 24 bytes per forward link, 12 per
+        # adjacency entry, and the filter 2 to 4 more; building it holds 18
+        # per entry. A batch's per-link arrays and the per-node arrays fit
+        # in the rest of 20 bytes per entry here, where a batch spans about
+        # a sixth of the links. A batch ends at the first link that brings
+        # it to the budget, so it overshoots by less than one link's probes,
+        # at most the maximum degree.
         budget = 1 << 14
         monkeypatch.setattr(triangles, "_PROBE_BUDGET", budget)
         n = 2000
@@ -391,4 +419,4 @@ class TestProbeBatches:
         assert counts.batches >= 5
         batch = budget + int(np.diff(csr.offsets).max())
         table = (positions.size + 1) * n * counts.per_node.itemsize
-        assert peak < 40 * batch + 40 * csr.neighbors.size + table
+        assert peak < 33 * batch + 20 * csr.neighbors.size + table
