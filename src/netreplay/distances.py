@@ -151,7 +151,7 @@ def _first_holders(far: np.ndarray, hit: np.ndarray, words: np.ndarray, bits) ->
 
 
 def bfs_batch(
-    snapshot: Snapshot, sources, *, counts=True, farthest=True, component_size=None, groups=None
+    snapshot: Snapshot, sources, *, counts=True, farthest=True, groups=None
 ) -> BatchResult:
     """BFS from up to 64 sources at once, one bit of a ``uint64`` per source.
 
@@ -163,7 +163,7 @@ def bfs_batch(
     eccentricity of smallest index. A field left out is None.
 
     ``groups`` splits the sources, in order, into :class:`Group` runs; the
-    default is one group of them all with ``component_size``. A group's
+    default is one group of them all, without a component size. A group's
     sources traverse only the links of its own checkpoint: each level clears
     its bits from the gathered words of its late entries. A group with a
     component size is done once that many nodes have seen each of its
@@ -182,7 +182,7 @@ def bfs_batch(
     if sources.min() < 0 or sources.max() >= n:
         raise IndexError(f"source out of range [0, {n})")
     if groups is None:
-        groups = (Group(k, component_size),)
+        groups = (Group(k),)
     widths = [group.width for group in groups]
     if min(widths) < 1 or sum(widths) != k:
         raise ValueError(f"groups of widths {widths} do not split {k} sources")
@@ -406,7 +406,7 @@ def distance_statistics(
     diameter bracket over its giant component, through batches on one
     snapshot that all the checkpoints share.
 
-    Returns ([(estimate, samples), bounds) per checkpoint], work), with None
+    Returns ([((estimate, samples), bounds) per checkpoint], work), with None
     in place of a statistic whose config is None; see
     :func:`estimate_average_distance` and :func:`diameter_bounds` for each.
     Every batch gives each checkpoint still running a group of 64 / (their

@@ -8,12 +8,11 @@ order of first appearance. The result is an :class:`ArrivalStream`, the
 canonical replay input for everything downstream.
 
 The trace is read in blocks of whole lines (``_BLOCK_BYTES``, cut after the
-last line end) by a reader thread that runs at most ``_QUEUE_CHUNKS`` blocks
-ahead of the parser, so reading and gunzip overlap with parsing. The fields
-of a block and each line's field count come from array operations over its
-code points. Its times come from the same code points by array arithmetic
-when every stamp is 1 to 19 ASCII digits, and from ``int`` otherwise. Its
-node ids come one of two ways, which give the same ids:
+last line end), each parsed before the next is read. The fields of a block
+and each line's field count come from array operations over its code
+points. Its times come from the same code points by array arithmetic when
+every stamp is 1 to 19 ASCII digits, and from ``int`` otherwise. Its node
+ids come one of two ways, which give the same ids:
 
 - the decimal path, for an ASCII block whose endpoint tokens are all
   canonical decimals (no leading zero unless the token is ``0``) below
@@ -30,11 +29,10 @@ the keys whose endpoints were both known before the block are searched for
 among the keys kept so far, which are held as sorted runs merged by size,
 like a binary counter, so no block copies them all. Beyond the stream's own
 arrays (filled in place in buffers that grow by doubling and are cut to
-size), working memory is the block and at most ``_QUEUE_CHUNKS`` queued
-chunks, the dictionary (one entry per node), ``id_of`` (4 bytes per value
-up to at most twice the largest decimal token seen, below the cap, so at
-most 64 MiB) and 8 bytes per kept link, plus a merge buffer of up to half
-of them.
+size), working memory is the block, the dictionary (one entry per node),
+``id_of`` (4 bytes per value up to at most twice the largest decimal token
+seen, below the cap, so at most 64 MiB) and 8 bytes per kept link, plus a
+merge buffer of up to half of them.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -53,11 +51,8 @@ from __future__ import annotations
 import contextlib
 import gzip
 import os
-import queue
 import struct
 import tempfile
-import threading
-import time as _time
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass
@@ -78,8 +73,6 @@ _MAX_NODE = 2**31 - 1
 _MAX_LINKS = 2**31 - 1  # a link's index is an int32 arrival in graph.arrival_csr
 
 _BLOCK_BYTES = 1 << 18  # read at a time; a block is cut after its last whole line
-_QUEUE_CHUNKS = 2  # blocks the reader thread may run ahead of the parser
-_PUT_WAIT_S = 0.05  # how often a reader waiting on a full queue looks for the stop flag
 _STAMP_DIGITS = 19  # stamps this long or shorter are read by array arithmetic: all < 2^64
 # Endpoint tokens that are canonical decimals below the cap are looked up in
 # an array indexed by value, not in the token dictionary.
@@ -154,23 +147,18 @@ def normalize(
     distinct endpoint token becomes the next free index the first time it
     is seen, a line's source before its destination.
 
-    A reader thread reads and cuts the blocks while this one parses them;
-    it is stopped and joined before this function returns or raises. If
-    ``work`` is given, it receives how the load ran: ``blocks`` parsed,
-    ``decimal_blocks`` among them, and ``reader_wait_s``, the seconds spent
-    waiting for the reader.
+    If ``work`` is given, it receives how the load ran: ``blocks`` parsed
+    and ``decimal_blocks`` among them.
     """
     blocks = _BlockNormalizer(options.no_time)
     opener = gzip.open if path.endswith(".gz") else open
-    with opener(path, "rb") as f, _ReadAhead(f) as reader:
-        for chunk, fault in reader:
+    with opener(path, "rb") as f:
+        for chunk, fault in _line_chunks(f):
             blocks.feed(chunk)
             if fault is not None:
                 raise StreamFormatError(f"unreadable input after line {blocks.lines}: {fault}")
     if work is not None:
-        work.update(
-            blocks=blocks.blocks, decimal_blocks=blocks.decimal_blocks, reader_wait_s=reader.wait_s
-        )
+        work.update(blocks=blocks.blocks, decimal_blocks=blocks.decimal_blocks)
     return blocks.stream()
 
 
@@ -214,69 +202,6 @@ def _line_chunks(f) -> Iterator[tuple[bytearray, Optional[Exception]]]:
             return
     if buf:
         yield buf + b"\n", None
-
-
-class _ReadAhead:
-    """Runs :func:`_line_chunks` over a file in a thread of its own, at most
-    ``_QUEUE_CHUNKS`` chunks ahead of the thread iterating over this object.
-    zlib releases the interpreter lock while it inflates, so gunzip overlaps
-    with parsing. An exception the reader meets is raised by the iteration,
-    after the chunks before it. Leaving the ``with`` block stops the reader
-    and joins it, so the file can be closed after it."""
-
-    def __init__(self, f):
-        self._queue: queue.Queue = queue.Queue(_QUEUE_CHUNKS)
-        self._stop = threading.Event()
-        self._thread = threading.Thread(
-            target=self._read, args=(f,), name="netreplay-reader", daemon=True
-        )
-        self.wait_s = 0.0  # spent iterating while the queue was empty
-
-    def __enter__(self) -> _ReadAhead:
-        self._thread.start()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._stop.set()
-        # An emptied queue takes the reader's next item at once, after which
-        # it sees the flag.
-        with contextlib.suppress(queue.Empty):
-            while True:
-                self._queue.get_nowait()
-        self._thread.join()
-
-    def __iter__(self) -> Iterator[tuple[bytearray, Optional[Exception]]]:
-        while True:
-            t0 = _time.perf_counter()
-            item = self._queue.get()
-            self.wait_s += _time.perf_counter() - t0
-            if item is None:
-                return
-            if isinstance(item, BaseException):
-                raise item
-            yield item
-
-    def _read(self, f) -> None:
-        end = None  # the end of the input, or the exception that ended the read
-        try:
-            for item in _line_chunks(f):
-                if not self._put(item):
-                    return
-        except BaseException as exc:  # raised again by the iterating thread
-            end = exc
-        self._put(end)
-
-    def _put(self, item) -> bool:
-        """Queue ``item``; False, without queueing it, once the stop flag is
-        set. A full queue is retried, so the flag is seen within
-        ``_PUT_WAIT_S``."""
-        while not self._stop.is_set():
-            try:
-                self._queue.put(item, timeout=_PUT_WAIT_S)
-                return True
-            except queue.Full:
-                pass
-        return False
 
 
 class _BlockNormalizer:

@@ -29,10 +29,12 @@ Memory, beyond the adjacency: 24 bytes per forward link (one per link of
 the graph) for its key (8), lower end (4), arrival (4) and running probe
 count (8), and the filter's 4 to 8 bytes per forward key; in a batch, up to
 36 bytes per link it spans, 16 bytes per probe while the probes are built
-and 17 while they are filtered, then 33 per probe that passed; and the
-(checkpoints + 1) x n table of per-node counts, the largest of these on
-large inputs. A node's count is at most C(its degree, 2), so the table has
-4-byte cells whenever C(max degree, 2) < 2^31, and 8-byte cells otherwise.
+and 17 while they are filtered, then 33 per probe that passed, and 68 per
+hit (a probe that found its key) while the hit's three corners are added,
+none of it kept into the next batch; and the (checkpoints + 1) x n table
+of per-node counts, the largest of these on large inputs. A node's count is
+at most C(its degree, 2), so the table has 4-byte cells whenever
+C(max degree, 2) < 2^31, and 8-byte cells otherwise.
 The budget, 2^16 probes, comes from rotating benchmark runs on the
 ``pa-tri`` workload: run time did not move from 2^17 to 2^23 while peak RSS
 fell as the budget did (BENCH_tri-memory.json, with probes from one side;
@@ -183,6 +185,7 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
         cell *= n
         for corner in (keys[edge] // n, f_dst[edge], f_dst[hits]):
             np.add.at(cells, cell + order[corner], one)
+        del matched, hits, edge, closing, cell, corner  # before the next batch's probes
         batches += 1
         e0 = e1
 

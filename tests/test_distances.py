@@ -212,7 +212,7 @@ class TestBfsBatch:
         inside = np.flatnonzero(labels == labels[rng.integers(n)])
         sources = inside[rng.integers(inside.size, size=k)]
         full = bfs_batch(snap, sources)
-        stopped = bfs_batch(snap, sources, component_size=inside.size)
+        stopped = bfs_batch(snap, sources, groups=[Group(k, inside.size)])
         for field in ("distance_sums", "reached", "eccentricity", "farthest"):
             assert getattr(stopped, field).tolist() == getattr(full, field).tolist()
         # the full run ends with one level that finds nothing; the stop skips it
@@ -374,7 +374,7 @@ class TestBlockDraws:
         # depend on which sources are drawn
         snap = snapshot_from_edges(path_edges(5))
         mask = np.array([True, True, True, False, False])
-        got = bfs_batch(snap, [0] * 64, component_size=3)
+        got = bfs_batch(snap, [0] * 64, groups=[Group(64, 3)])
         assert got.reached.tolist() == [3] * 64
         monkeypatch.setattr(distances, "bfs_batch", None)  # no batch may run
         for seed in range(5):
@@ -392,7 +392,7 @@ class TestBlockDraws:
         snap = snapshot_from_edges(edges)
         mask = full_mask(16)
         with pytest.raises(ValueError, match="not the component"):
-            bfs_batch(snap, [0], component_size=16)
+            bfs_batch(snap, [0], groups=[Group(1, 16)])
         for seed in range(5):
             with pytest.raises(ValueError, match="not the component"):
                 diameter_bounds(snap, mask, seed=seed)

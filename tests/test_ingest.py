@@ -2,10 +2,7 @@ import dataclasses
 import gzip
 import os
 import re
-import sys
 import tempfile
-import threading
-import time
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -372,7 +369,6 @@ class TestBlockReader:
             work = {}
             stream = ingest.normalize(path, work=work)
             assert 0 < work["decimal_blocks"] < work["blocks"]
-            assert work["reader_wait_s"] >= 0.0
             # The dictionary alone gives the same ids.
             monkeypatch.setattr(ingest, "_decimal_tokens", lambda *args: None)
             general = {}
@@ -387,7 +383,7 @@ class TestBlockReader:
         for path, decimal_blocks in ((decimal, "all"), (named, 0)):
             work = {}
             ingest.normalize(str(path), work=work)
-            assert set(work) == {"blocks", "decimal_blocks", "reader_wait_s"}
+            assert set(work) == {"blocks", "decimal_blocks"}
             assert work["blocks"] >= 2
             want = work["blocks"] if decimal_blocks == "all" else decimal_blocks
             assert work["decimal_blocks"] == want
@@ -440,40 +436,37 @@ class TestBlockReader:
         assert np.array_equal(ingest._whitespace(code), want)
 
 
-def normalize_and_count_threads(path, **opts):
-    """``ingest.normalize(path)``'s stream or StreamFormatError text, and
-    how many threads it left behind."""
-    before = threading.active_count()
+def normalize_or_message(path, **opts):
+    """``ingest.normalize(path)``'s stream, or its StreamFormatError text."""
     try:
-        got = ingest.normalize(str(path), FormatOptions(**opts))
+        return ingest.normalize(str(path), FormatOptions(**opts))
     except StreamFormatError as exc:
-        got = str(exc)
-    return got, threading.active_count() - before
+        return str(exc)
 
 
-class TestReaderThread:
-    def test_none_left_after_return(self, tmp_path):
+class TestReadFaults:
+    def test_gzipped_trace_read_to_the_end(self, tmp_path):
         path = tmp_path / "t.txt.gz"
         path.write_bytes(gzip.compress(numbered_trace()))
-        got, left = normalize_and_count_threads(path)
-        assert got.final_m > 0 and left == 0
+        got = normalize_or_message(path)
+        assert got.final_m > 0
+        assert_same_stream(got, oracle_read(str(path), FormatOptions()))
 
-    def test_none_left_after_bad_line_in_first_of_many_blocks(self, tmp_path, monkeypatch):
+    def test_bad_line_in_first_of_many_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
         path = tmp_path / "t.txt.gz"
         path.write_bytes(gzip.compress(b"0 a\n" + numbered_trace(50_000)))
         message = "malformed line 1: expected '<time> <src> <dst>'"
-        assert normalize_and_count_threads(path) == (message, 0)
+        assert normalize_or_message(path) == message
 
-    def test_none_left_after_truncated_gzip(self, tmp_path, monkeypatch):
+    def test_truncated_gzip_reported_after_its_lines(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
         path = tmp_path / "t.txt.gz"
         gz = gzip.compress(numbered_trace())
         path.write_bytes(gz[: len(gz) // 2])
-        got, left = normalize_and_count_threads(path)
-        assert got.startswith("unreadable input after line ") and left == 0
+        assert normalize_or_message(path).startswith("unreadable input after line ")
 
-    def test_none_left_after_interrupt(self, tmp_path, monkeypatch):
+    def test_interrupt_reaches_the_caller(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
         path = tmp_path / "t.txt"
         path.write_bytes(numbered_trace())
@@ -487,14 +480,12 @@ class TestReaderThread:
             feed(self, chunk)
 
         monkeypatch.setattr(ingest._BlockNormalizer, "feed", interrupted)
-        before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             ingest.normalize(str(path))
-        assert threading.active_count() == before
 
     def test_read_error_raised_after_earlier_chunks(self, tmp_path, monkeypatch):
-        # An error the reader meets reaches the caller once the chunks read
-        # before it were parsed, and ends the reader.
+        # An error met while reading reaches the caller once the chunks read
+        # before it were parsed.
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)
         path = tmp_path / "t.txt"
         path.write_bytes(numbered_trace())
@@ -513,50 +504,9 @@ class TestReaderThread:
         monkeypatch.setattr(
             ingest._BlockNormalizer, "feed", lambda self, chunk: fed.append(feed(self, chunk))
         )
-        before = threading.active_count()
         with pytest.raises(OSError, match="disk gone"):
             ingest.normalize(str(path))
-        assert len(fed) == 2 and threading.active_count() == before
-
-    def test_reader_runs_at_most_the_queue_ahead(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1024)
-        path = tmp_path / "t.txt"
-        path.write_bytes(numbered_trace(5000))
-        line_chunks = ingest._line_chunks
-        produced = []
-
-        def counted(f):
-            for item in line_chunks(f):
-                produced.append(1)
-                yield item
-
-        feed = ingest._BlockNormalizer.feed
-        ahead = []
-
-        def slow(self, chunk):
-            ahead.append(len(produced) - self.blocks - 1)
-            time.sleep(0.002)
-            feed(self, chunk)
-
-        monkeypatch.setattr(ingest, "_line_chunks", counted)
-        monkeypatch.setattr(ingest._BlockNormalizer, "feed", slow)
-        ingest.normalize(str(path))
-        # Queued chunks, plus one made and waiting for room.
-        assert len(ahead) > 20 and max(ahead) <= ingest._QUEUE_CHUNKS + 1
-        assert max(ahead) >= ingest._QUEUE_CHUNKS
-
-    def test_same_stream_under_frequent_thread_switches(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 512)
-        path = tmp_path / "t.txt.gz"
-        path.write_bytes(gzip.compress(numbered_trace(5000)))
-        want = oracle_read(str(path), FormatOptions())
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(3):
-                assert_same_stream(ingest.normalize(str(path)), want)
-        finally:
-            sys.setswitchinterval(interval)
+        assert len(fed) == 2
 
 
 class TestNormalize:

@@ -296,7 +296,6 @@ class TestOutputs:
         parsed = load_work("parsed")
         # A generated trace names its nodes 0, 1, 2, ...: one decimal block.
         assert (parsed["blocks"], parsed["decimal_blocks"]) == (1, 1)
-        assert parsed["reader_wait_s"] >= 0.0
         assert load_work("cached") == {}
 
     def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):

@@ -396,14 +396,16 @@ class TestTableWidth:
 
 class TestProbeBatches:
     def test_traced_peak_bounded_per_probe_and_entry(self, monkeypatch):
-        # A batch holds at most 33 bytes per probe. Beside the per-checkpoint
-        # table, the listing holds 24 bytes per forward link, 12 per
-        # adjacency entry, and the filter 2 to 4 more; building it holds 18
-        # per entry. A batch's per-link arrays and the per-node arrays fit
-        # in the rest of 20 bytes per entry here, where a batch spans about
-        # a sixth of the links. A batch ends at the first link that brings
-        # it to the budget, so it overshoots by less than one link's probes,
-        # at most the maximum degree.
+        # A batch holds at most 33 bytes per probe, and nothing of it is
+        # kept into the next. Beside the per-checkpoint table, the listing
+        # holds 24 bytes per forward link, 12 per adjacency entry, and the
+        # filter 2 to 4 more; building it holds 18 per entry. Here, where
+        # few probes pass the filter, a batch peaks at 17 bytes per probe
+        # while it filters them, and its per-link arrays (a batch spans
+        # about a sixth of the links) and the per-node arrays fit in the
+        # rest. A batch ends at the first link that brings it to the budget,
+        # so it overshoots by less than one link's probes, at most the
+        # maximum degree.
         budget = 1 << 14
         monkeypatch.setattr(triangles, "_PROBE_BUDGET", budget)
         n = 2000
@@ -419,4 +421,4 @@ class TestProbeBatches:
         assert counts.batches >= 5
         batch = budget + int(np.diff(csr.offsets).max())
         table = (positions.size + 1) * n * counts.per_node.itemsize
-        assert peak < 33 * batch + 20 * csr.neighbors.size + table
+        assert peak < 33 * batch + 16 * csr.neighbors.size + table
