@@ -4,10 +4,11 @@ A measurement of a large network (a web crawl, a peer-to-peer trace, a
 router-level exploration) arrives as a stream of timestamped links. The
 central question this package answers: as the measured sample grows, which
 statistics of the observed graph have already stabilized, and which are still
-drifting? The pipeline replays the stream to a series of growing prefixes,
-snapshots the graph at each one, and computes connectivity, degree, distance
-and triangle statistics per snapshot so their evolution can be plotted and
-judged.
+drifting? The pipeline replays the stream to a series of growing prefixes
+and computes connectivity, degree, distance and triangle statistics at each
+one, so their evolution can be plotted and judged. Only the distance group
+builds a snapshot of the graph: one per pair of adjacent checkpoints, of
+the later one's prefix, and one for a lone last checkpoint.
 """
 
 from netreplay.ingest import (
@@ -31,9 +32,9 @@ from netreplay.degrees import (
 from netreplay.distances import (
     BoundConfig,
     BoundsOutcome,
+    DistanceCheckpoint,
     EstimatorConfig,
-    diameter_bounds,
-    estimate_average_distance,
+    distance_statistics,
 )
 from netreplay.triangles import (
     analyze_triangles,

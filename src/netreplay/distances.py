@@ -49,8 +49,11 @@ from netreplay.graph import Snapshot
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Stopping rule: after ``i_min`` samples, stop as soon as the last
-    ``i_min`` successive running means each moved less than ``epsilon``."""
+    """Stopping rule of the average-distance estimator, which draws sources
+    uniformly at random with replacement from the giant component and keeps
+    the running mean of their mean distances: after ``i_min`` samples, stop
+    as soon as the last ``i_min`` successive running means each moved less
+    than ``epsilon``, so at least ``i_min + 1`` sources are sampled."""
 
     i_min: int = 10
     epsilon: float = 0.1
@@ -64,7 +67,14 @@ class EstimatorConfig:
 
 @dataclass(frozen=True)
 class BoundConfig:
-    """Iterate at least ``min_iterations`` times, stop once the bracket is
+    """Stopping rule of the diameter bracket. Each round runs one double
+    sweep from a random giant node, raising the lower bound, and lowers the
+    upper bound to twice the eccentricity of the next root in
+    degree-descending order, wrapping around: every node lies within that
+    many hops of every other through the root. On a tree, where the mask's
+    degrees sum to 2 * (size - 1), the round's double-sweep value is exact
+    and is the upper bound instead, so a tree's bracket closes in round 0.
+    Iterate at least ``min_iterations`` times, stop once the bracket is
     narrower than ``gap_target``, give up at ``iteration_cap``."""
 
     min_iterations: int = 10
@@ -350,7 +360,7 @@ class _Rules:
 
     def __init__(
         self, snapshot: Snapshot, checkpoint: DistanceCheckpoint, index: int,
-        estimator: Optional[EstimatorConfig], bounds: Optional[BoundConfig],
+        estimator: EstimatorConfig, bounds: BoundConfig,
     ):
         self.late = checkpoint.late
         mask = np.zeros(snapshot.n, dtype=bool)
@@ -366,59 +376,60 @@ class _Rules:
             owned[self.late] = False
         if np.any(owned & ~mask[snapshot.neighbors]):
             raise MaskError("giant mask is not the component of its sources", index)
-        self.sampler = (
-            _Estimator(nodes.size, estimator, checkpoint.estimator_seed) if estimator else None
-        )
-        self.bracket = None
-        if bounds:
-            degrees = snapshot.degrees
-            if self.late is not None:  # less the late entries each node owns
-                owners = np.searchsorted(snapshot.offsets, self.late, side="right") - 1
-                degrees -= np.bincount(owners, minlength=snapshot.n)
-            degrees = degrees[nodes]
-            root_order = nodes[np.lexsort((nodes, -degrees))]
-            # a connected mask is a tree when it has one link fewer than nodes;
-            # every batch rejects a mask its sources do not cover
-            tree = int(degrees.sum()) == 2 * (nodes.size - 1)
-            self.bracket = _Bracket(nodes, root_order, bounds, checkpoint.bounds_seed, tree)
-
-    @property
-    def sampling(self) -> bool:
-        return self.sampler is not None and not self.sampler.done
+        self.sampler = _Estimator(nodes.size, estimator, checkpoint.estimator_seed)
+        degrees = snapshot.degrees
+        if self.late is not None:  # less the late entries each node owns
+            owners = np.searchsorted(snapshot.offsets, self.late, side="right") - 1
+            degrees -= np.bincount(owners, minlength=snapshot.n)
+        degrees = degrees[nodes]
+        root_order = nodes[np.lexsort((nodes, -degrees))]
+        # a connected mask is a tree when it has one link fewer than nodes;
+        # every batch rejects a mask its sources do not cover
+        tree = int(degrees.sum()) == 2 * (nodes.size - 1)
+        self.bracket = _Bracket(nodes, root_order, bounds, checkpoint.bounds_seed, tree)
 
     @property
     def done(self) -> bool:
-        return not self.sampling and (self.bracket is None or self.bracket.done)
+        return self.sampler.done and self.bracket.done
 
-    def outcome(self) -> tuple[Optional[tuple[float, int]], Optional[BoundsOutcome]]:
-        sampler, bracket = self.sampler, self.bracket
-        estimate = (sampler.means[-1], len(sampler.means)) if sampler else None
-        return estimate, bracket.outcome() if bracket else None
+    def outcome(self) -> tuple[tuple[float, int], BoundsOutcome]:
+        means = self.sampler.means
+        return (means[-1], len(means)), self.bracket.outcome()
 
 
 def distance_statistics(
     snapshot: Snapshot,
     checkpoints,
-    estimator: Optional[EstimatorConfig] = EstimatorConfig(),
-    bounds: Optional[BoundConfig] = BoundConfig(),
-) -> tuple[list[tuple[Optional[tuple[float, int]], Optional[BoundsOutcome]]], DistanceWork]:
+    estimator: EstimatorConfig = EstimatorConfig(),
+    bounds: BoundConfig = BoundConfig(),
+) -> tuple[list[tuple[tuple[float, int], BoundsOutcome]], DistanceWork]:
     """Each :class:`DistanceCheckpoint`'s sampled average distance and
-    diameter bracket over its giant component, through batches on one
-    snapshot that all the checkpoints share.
+    diameter bracket over its giant component, under the stopping rules of
+    ``estimator`` and ``bounds``, through batches on one snapshot that all
+    the checkpoints share.
 
-    Returns ([((estimate, samples), bounds) per checkpoint], work), with None
-    in place of a statistic whose config is None; see
-    :func:`estimate_average_distance` and :func:`diameter_bounds` for each.
-    Every batch gives each checkpoint still running a group of 64 / (their
-    number) bits, 32 for a pair: each checkpoint's results equal those of
-    batches of its own. A checkpoint's bracket runs in waves, two batches a
-    wave: the wave's sweep starts, then the far ends they found and the
-    wave's roots. Its first wave has min(min_iterations, half its bits)
-    rounds, as the rule never stops sooner, and each later wave min(half its
-    bits, rounds left before the cap). Estimator samples fill a group's free
-    bits while the rule runs, and once its bracket has stopped take all of
-    them. Raises :class:`MaskError` naming the checkpoint whose mask is
-    rejected, before any draw when the mask is not closed or too small.
+    Returns ([((estimate, samples), bounds) per checkpoint], work). A
+    checkpoint's samples come from ``numpy.random.default_rng`` of its
+    ``estimator_seed`` and its sweep starts from that of its
+    ``bounds_seed``. Every batch gives each checkpoint still running a
+    group of 64 / (their number) bits, 32 for a pair. A checkpoint's bracket
+    runs in waves, two batches a wave: one BFS from the wave's sweep starts,
+    then one from the far ends they found and the wave's roots. Its first
+    wave has min(min_iterations, half its bits) rounds, as the rule never
+    stops sooner, and each later wave min(half its bits, rounds left before
+    the cap), so a lone checkpoint's waves have up to 32 rounds. Estimator
+    samples fill a group's free bits while the rule runs, and once its
+    bracket has stopped take all of them. A block draw yields the same
+    sources as as many single draws, and each rule reads its results in
+    draw order, so a checkpoint's values equal those of one BFS per sample
+    and one sweep and one root per round on its own graph, whatever shares
+    its batches, the other rule included.
+
+    Each ``giant_mask`` must be a connected component: a mask with a link to
+    a node outside it, one that a batch's sources do not cover, or one of
+    fewer than two nodes is rejected. Raises :class:`MaskError` naming the
+    checkpoint whose mask is rejected, before any draw when the mask is not
+    closed or too small.
     """
     rules = [_Rules(snapshot, c, i, estimator, bounds) for i, c in enumerate(checkpoints)]
     work = DistanceWork()
@@ -430,8 +441,7 @@ def distance_statistics(
         and, with ``farthest``, farthest nodes."""
         parts = []
         for rule, head in heads:
-            free = width - head.size if rule.sampling else 0
-            # a block draw yields the same sources as that many single draws
+            free = 0 if rule.sampler.done else width - head.size
             draws = rule.sampler.rng.integers(rule.nodes.size, size=free) if free else none
             parts.append((head, rule.nodes[draws]))
         members = [(r, h.size + s.size) for (r, _), (h, s) in zip(heads, parts) if h.size + s.size]
@@ -460,10 +470,7 @@ def distance_statistics(
 
     while live := [rule for rule in rules if not rule.done]:
         width = _WORD // len(live)
-        waves = [
-            rule.bracket.wave(width // 2) if rule.bracket and not rule.bracket.done else None
-            for rule in live
-        ]
+        waves = [None if rule.bracket.done else rule.bracket.wave(width // 2) for rule in live]
         if not any(waves):
             run([(rule, none) for rule in live], width, farthest=False)
             continue
@@ -477,57 +484,3 @@ def distance_statistics(
             if wave:
                 rule.bracket.consume(ecc[: wave[1].size], ecc[wave[1].size :])
     return [rule.outcome() for rule in rules], work
-
-
-def estimate_average_distance(
-    snapshot: Snapshot, giant_mask: np.ndarray, config: EstimatorConfig = EstimatorConfig(), seed=0
-) -> tuple[float, int]:
-    """Sampled average distance over the giant component.
-
-    Draws sources uniformly at random with replacement, maintains the running
-    mean of their mean distances, and stops once ``config.i_min`` successive
-    estimates in a row each changed by less than ``config.epsilon``. Returns
-    (estimate, number of sources sampled); the sample count is always at
-    least i_min + 1. The draws come from ``numpy.random.default_rng(seed)``.
-
-    Sources are drawn and traversed in blocks of up to 64; a block draw
-    yields the same sources as as many single draws, and the rule consumes
-    them in order, so the blocks change neither the estimate nor the count.
-    ``giant_mask`` must be a connected component: a mask with a link to a
-    node outside it, or one that a batch's sources do not cover, is an
-    error.
-    """
-    [(estimate, _)], _ = distance_statistics(
-        snapshot, [DistanceCheckpoint(giant_mask, estimator_seed=seed)], config, None
-    )
-    return estimate
-
-
-def diameter_bounds(
-    snapshot: Snapshot, giant_mask: np.ndarray, config: BoundConfig = BoundConfig(), seed=0
-) -> BoundsOutcome:
-    """Iterated sandwich of the giant component's diameter.
-
-    Each round runs one double sweep from a random giant node (raising the
-    lower bound) and bounds the diameter from above at the next root in
-    degree-descending order, wrapping around (lowering the upper bound), so
-    the bracket can only tighten. The upper bound is twice the root's
-    eccentricity, since every node lies within that many hops of every other
-    through the root. On a tree, where the mask's degrees sum to
-    2 * (size - 1), it is the round's double-sweep value instead, which is
-    exact there, so a tree's bracket closes in round 0. Stops after at least
-    ``min_iterations`` rounds once upper - lower < gap_target, or
-    unconditionally at ``iteration_cap``. The sweep starts come from
-    ``numpy.random.default_rng(seed)``.
-
-    Rounds run in waves of up to 32: one batch BFS from the wave's drawn
-    starts, then one from the farthest nodes they found and the wave's
-    roots. Rounds read their results in order, so the bounds equal those of
-    one sweep and one root per round.
-    ``giant_mask`` must be a component, as for
-    :func:`estimate_average_distance`.
-    """
-    [(_, outcome)], _ = distance_statistics(
-        snapshot, [DistanceCheckpoint(giant_mask, bounds_seed=seed)], None, config
-    )
-    return outcome

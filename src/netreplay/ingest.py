@@ -118,10 +118,6 @@ class ArrivalStream:
         for a in (self.u, self.v, self.time, self.node_count_prefix):
             a.setflags(write=False)
 
-    @property
-    def n_events(self) -> int:
-        return int(self.u.size)
-
 
 def normalize(
     path: str, options: FormatOptions = FormatOptions(), work: Optional[dict] = None
@@ -487,7 +483,7 @@ def checkpoint_plan(
     plan: list[tuple[int, int, int, int]] = []
     for index, (target, position) in enumerate(zip(sizes, positions.tolist())):
         if index == len(sizes) - 1:
-            position, n = stream.n_events, stream.final_n
+            position, n = stream.final_m, stream.final_n
         elif position == 0:
             n = target
         else:

@@ -1,10 +1,13 @@
 """Reference implementations the library no longer calls, kept as oracles,
-and brute-force checks written for the tests.
+brute-force checks written for the tests, and one-checkpoint shorthands for
+the distance scheduler.
 
 Each reference keeps the exact semantics it had in the library, so a test
 comparing a library path against it compares against the code the path
 replaced. A brute-force check (``ks_brute``) restates a definition directly,
-sharing no code with the library.
+sharing no code with the library. The shorthands
+(``estimate_average_distance``, ``diameter_bounds``) each make one call to
+``distance_statistics`` with both configs and return one of its values.
 """
 
 import gzip
@@ -16,6 +19,13 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from netreplay.degrees import BasicStats, stats_from_counts
+from netreplay.distances import (
+    BoundConfig,
+    BoundsOutcome,
+    DistanceCheckpoint,
+    EstimatorConfig,
+    distance_statistics,
+)
 from netreplay.ingest import _MAX_NODE, ArrivalStream, FormatOptions, StreamFormatError
 from netreplay.graph import Snapshot
 
@@ -262,6 +272,29 @@ def diameter_lower_bound(
     first = bfs(snapshot, start)
     second = bfs(snapshot, first.farthest)
     return second.farthest_dist, first.farthest
+
+
+def estimate_average_distance(
+    snapshot: Snapshot, giant_mask: np.ndarray, config: EstimatorConfig = EstimatorConfig(), seed=0
+) -> tuple[float, int]:
+    """(estimate, samples) of the giant component's sampled average
+    distance, with ``seed`` as the estimator's seed; the default bracket
+    runs beside it."""
+    [(estimate, _)], _ = distance_statistics(
+        snapshot, [DistanceCheckpoint(giant_mask, estimator_seed=seed)], config, BoundConfig()
+    )
+    return estimate
+
+
+def diameter_bounds(
+    snapshot: Snapshot, giant_mask: np.ndarray, config: BoundConfig = BoundConfig(), seed=0
+) -> BoundsOutcome:
+    """The giant component's diameter bracket, with ``seed`` as the
+    bracket's seed; the default estimator runs beside it."""
+    [(_, outcome)], _ = distance_statistics(
+        snapshot, [DistanceCheckpoint(giant_mask, bounds_seed=seed)], EstimatorConfig(), config
+    )
+    return outcome
 
 
 def scheduled_batches(members, least: int, cap: int) -> int:

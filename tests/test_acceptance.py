@@ -27,9 +27,9 @@ from conftest import (
 from netreplay.degrees import cumulative, ks_statistic, powerlaw_fit, stats_from_counts
 from netreplay.distances import (
     BoundConfig,
+    DistanceCheckpoint,
     EstimatorConfig,
-    diameter_bounds,
-    estimate_average_distance,
+    distance_statistics,
 )
 from netreplay.generate import (
     gen_complete,
@@ -49,7 +49,15 @@ from netreplay.pipeline import (
     run_evolution,
 )
 from netreplay.triangles import analyze_triangles
-from oracles import average_distance_exact, bfs, components, count_triangles, ks_brute
+from oracles import (
+    average_distance_exact,
+    bfs,
+    components,
+    count_triangles,
+    diameter_bounds,
+    estimate_average_distance,
+    ks_brute,
+)
 
 
 def _report(num, desc, ok, detail=""):
@@ -354,7 +362,7 @@ def test_checkpoints_match_fresh_recomputation(tmp_path):
     run_s = time.perf_counter() - t0
 
     stream = load_stream(cfg)
-    events = stream.n_events
+    events = stream.final_m
     mismatches = []
     fresh_degrees = []
 
@@ -395,21 +403,16 @@ def test_checkpoints_match_fresh_recomputation(tmp_path):
             mismatches.append(f"ckpt {r.index}: max_degree")
         fresh_degrees.append(snap.degrees)
 
-        mask = summ.giant_mask()
-        est, samples = estimate_average_distance(
-            snap,
-            mask,
-            cfg.estimator,
+        checkpoint = DistanceCheckpoint(
+            summ.giant_mask(),
             checkpoint_estimator_seed(cfg.seed, r.index),
+            checkpoint_bounds_seed(cfg.seed, r.index),
+        )
+        [((est, samples), out)], _ = distance_statistics(
+            snap, [checkpoint], cfg.estimator, cfg.bounds
         )
         if est != val("average_distance", k) or samples != val("average_distance_samples", k):
             mismatches.append(f"ckpt {r.index}: estimator")
-        out = diameter_bounds(
-            snap,
-            mask,
-            cfg.bounds,
-            checkpoint_bounds_seed(cfg.seed, r.index),
-        )
         if (
             out.lower != val("diameter_lower", k)
             or out.upper != val("diameter_upper", k)

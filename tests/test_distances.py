@@ -16,9 +16,7 @@ from netreplay.distances import (
     Group,
     MaskError,
     bfs_batch,
-    diameter_bounds,
     distance_statistics,
-    estimate_average_distance,
 )
 from netreplay.graph import arrival_csr, finalize_snapshot, late_entries, snapshot_from_edges
 from netreplay.pipeline import checkpoint_bounds_seed, checkpoint_estimator_seed
@@ -35,7 +33,9 @@ from oracles import (
     average_distance_exact,
     bfs,
     components,
+    diameter_bounds,
     diameter_lower_bound,
+    estimate_average_distance,
     mean_distance_from,
     scheduled_batches,
 )
@@ -324,9 +324,17 @@ class TestBlockDraws:
             )
             assert 32 < estimate[1] <= 64 and 32 < bounds.iterations <= 60
             assert work.dist_batches == 4
-            # alone, each rule runs the same scheduler and reads the same values
-            assert estimate_average_distance(snap, mask, est_cfg, seed) == estimate
-            assert diameter_bounds(snap, mask, bound_cfg, seed + 10) == bounds
+            # each rule's values do not depend on the other rule's config,
+            # though the schedule does: a one-round bracket takes 2 batches
+            checkpoint = DistanceCheckpoint(mask, seed, seed + 10)
+            short = BoundConfig(min_iterations=1, iteration_cap=1)
+            [(other_estimate, _)], short_work = distance_statistics(
+                snap, [checkpoint], est_cfg, short
+            )
+            assert other_estimate == estimate and short_work.dist_batches == 2
+            lax = EstimatorConfig(i_min=1, epsilon=10.0)
+            [(_, other_bounds)], _ = distance_statistics(snap, [checkpoint], lax, bound_cfg)
+            assert other_bounds == bounds
             # A pair: the checkpoint after the first 70 % of the links, in a
             # random order, and this one share the full graph's batches, 32
             # bits each, in waves of 16 rounds

@@ -11,7 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest, pipeline, triangles
-from netreplay.distances import BoundConfig, EstimatorConfig, diameter_bounds, estimate_average_distance
+from netreplay.distances import (
+    BoundConfig,
+    DistanceCheckpoint,
+    EstimatorConfig,
+    distance_statistics,
+)
 from netreplay.generate import gen_complete, gen_gnp, gen_preferential, write_stream
 from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
 from netreplay.ingest import FormatOptions, StreamFormatError, checkpoint_plan, checkpoint_sizes
@@ -211,15 +216,14 @@ class TestPrefixConsistency:
             tri = analyze_triangles(snap.degrees, stats, *count_triangles(snap))
             for name, value in zip(pipeline.SERIES["tri"], tri, strict=True):
                 assert result.series[name].values[idx] == value
-            mask = summ.giant_mask()
-            est, samples = estimate_average_distance(
-                snap, mask, FAST_EST, checkpoint_estimator_seed(cfg.seed, r.index)
+            checkpoint = DistanceCheckpoint(
+                summ.giant_mask(),
+                checkpoint_estimator_seed(cfg.seed, r.index),
+                checkpoint_bounds_seed(cfg.seed, r.index),
             )
+            [((est, samples), out)], _ = distance_statistics(snap, [checkpoint], FAST_EST, FAST_BND)
             assert result.series["average_distance"].values[idx] == est
             assert result.series["average_distance_samples"].values[idx] == samples
-            out = diameter_bounds(
-                snap, mask, FAST_BND, checkpoint_bounds_seed(cfg.seed, r.index)
-            )
             assert result.series["diameter_lower"].values[idx] == out.lower
             assert result.series["diameter_upper"].values[idx] == out.upper
 
@@ -521,10 +525,12 @@ class TestDistancePairs:
             mask = components(snap).giant_mask()
             want = (None,) * 6
             if np.count_nonzero(mask) >= 2:
-                est = estimate_average_distance(
-                    snap, mask, FAST_EST, checkpoint_estimator_seed(seed, r.index)
+                checkpoint = DistanceCheckpoint(
+                    mask,
+                    checkpoint_estimator_seed(seed, r.index),
+                    checkpoint_bounds_seed(seed, r.index),
                 )
-                out = diameter_bounds(snap, mask, FAST_BND, checkpoint_bounds_seed(seed, r.index))
+                [(est, out)], _ = distance_statistics(snap, [checkpoint], FAST_EST, FAST_BND)
                 want = (*est, out.lower, out.upper, out.iterations, out.converged)
             got = tuple(result.series[name].values[k] for name in pipeline.SERIES["dist"])
             assert got == want
