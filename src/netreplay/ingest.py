@@ -12,27 +12,37 @@ last line end), each parsed before the next is read. The fields of a block
 and each line's field count come from array operations over its code
 points. Its times come from the same code points by array arithmetic when
 every stamp is 1 to 19 ASCII digits, and from ``int`` otherwise. Its node
-ids come one of two ways, which give the same ids:
+ids come one of three ways, which give the same ids:
 
 - the decimal path, for an ASCII block whose endpoint tokens are all
   canonical decimals (no leading zero unless the token is ``0``) below
   ``_DECIMAL_CAP``: the tokens' values index ``id_of``, an ``int32`` array
   of node ids, without a split or a dictionary lookup per token;
+- the id cache, for any other ASCII block whose times were read by
+  arithmetic and whose endpoint tokens are each at most ``_PACKED_BYTES``
+  (15) bytes, every IPv4 dotted quad among them: each token is packed into
+  two 64-bit words (its bytes, zero-padded, and its length) by one gather,
+  and the words are looked up by a multiplicative hash in a direct-mapped
+  table of packed tokens and their ids. A hit needs both words equal, so a
+  collision costs a lookup, never a wrong id;
 - the general path, for every other block: the block is split once and
   each token looked up in one dictionary kept across blocks.
 
-The dictionary holds every token. ``id_of`` caches its ids of canonical
-decimal tokens, so the decimal path looks a token up in the dictionary only
-the first time it meets it, and a new token takes the next id whichever
-path meets it first. New links come from ``np.unique`` on packed pair keys. Only
+The dictionary holds every token, and it alone gives out ids. ``id_of``
+and the id cache cache its ids: the decimal path looks a token up in the
+dictionary only the first time it meets it, and the id cache once per
+block for each token missing from its slot, in order of first appearance,
+so a new token takes the next id whichever path meets it first. New links
+come from ``np.unique`` on packed pair keys. Only
 the keys whose endpoints were both known before the block are searched for
 among the keys kept so far, which are held as sorted runs merged by size,
 like a binary counter, so no block copies them all. Beyond the stream's own
-arrays (filled in place in buffers that grow by doubling and are cut to
-size), working memory is the block, the dictionary (one entry per node),
-``id_of`` (4 bytes per value up to at most twice the largest decimal token
-seen, below the cap, so at most 64 MiB) and 8 bytes per kept link, plus a
-merge buffer of up to half of them.
+arrays (filled in place in buffers that grow by a quarter at a time and
+are cut to size), working memory is the block, the dictionary (one entry
+per node), ``id_of`` (4 bytes per value up to at most twice the largest
+decimal token seen, below the cap, so at most 64 MiB), the id cache (20
+bytes per slot: 1024 slots, grown to two to four per node as blocks take
+it) and 8 bytes per kept link, plus a merge buffer of up to half of them.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -61,6 +71,7 @@ from operator import itemgetter
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 CACHE_MAGIC = b"NRSTRM04"
 
@@ -78,6 +89,15 @@ _STAMP_DIGITS = 19  # stamps this long or shorter are read by array arithmetic: 
 # an array indexed by value, not in the token dictionary.
 _DECIMAL_CAP = 1 << 24
 _CAP_DIGITS = len(str(_DECIMAL_CAP - 1))
+# Endpoint tokens this long or shorter (every IPv4 dotted quad) are packed
+# into two 64-bit words and looked up in the id cache, not in the dictionary.
+_PACKED_BYTES = 15
+# Per token length: the bits of each packed word that hold its bytes, and
+# the length itself in the last byte.
+_LOW_BITS = np.array([(1 << 8 * min(k, 8)) - 1 for k in range(16)], np.uint64)
+_HIGH_BITS = np.array([(1 << 8 * max(k - 8, 0)) - 1 for k in range(16)], np.uint64)
+_LENGTH_BYTE = np.array([k << 56 for k in range(16)], np.uint64)
+_HASH_MULTIPLIER = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2^64 / golden ratio
 # str.isspace of each code point up to U+3000, the last that is whitespace;
 # every later code point reads the final False entry.
 _WHITESPACE = np.array([chr(c).isspace() for c in range(0x3001)] + [False])
@@ -143,8 +163,10 @@ def normalize(
     distinct endpoint token becomes the next free index the first time it
     is seen, a line's source before its destination.
 
-    If ``work`` is given, it receives how the load ran: ``blocks`` parsed
-    and ``decimal_blocks`` among them.
+    If ``work`` is given, it receives how the load ran: ``blocks`` parsed,
+    ``decimal_blocks`` and ``id_cache_blocks`` among them (those whose node
+    ids came from ``id_of`` or from the id cache; see the module docstring),
+    and ``token_lookups``, the lookups in the token dictionary on every path.
     """
     blocks = _BlockNormalizer(options.no_time)
     opener = gzip.open if path.endswith(".gz") else open
@@ -154,7 +176,12 @@ def normalize(
             if fault is not None:
                 raise StreamFormatError(f"unreadable input after line {blocks.lines}: {fault}")
     if work is not None:
-        work.update(blocks=blocks.blocks, decimal_blocks=blocks.decimal_blocks)
+        work.update(
+            blocks=blocks.blocks,
+            decimal_blocks=blocks.decimal_blocks,
+            id_cache_blocks=blocks.id_cache_blocks,
+            token_lookups=blocks.token_lookups,
+        )
     return blocks.stream()
 
 
@@ -209,21 +236,33 @@ class _BlockNormalizer:
         self.rows = 0  # data lines among them
         self.blocks = 0  # non-empty chunks fed
         self.decimal_blocks = 0  # those whose node ids came from id_of
+        self.id_cache_blocks = 0  # those whose node ids came from the id cache
+        self.token_lookups = 0  # lookups in the index, on every path
         self.last_time = np.zeros(1, np.uint64)
         self.index: dict[str, int] = defaultdict(count().__next__)  # token -> node id
         # id_of[value] is the node id of the decimal token str(value), or -1
         # while the decimal path has not met it: a cache of the index for
         # canonical decimal tokens below _DECIMAL_CAP, grown by doubling.
         self.id_of = np.full(0, -1, np.int32)
+        # The id cache, a cache of the index for tokens of at most
+        # _PACKED_BYTES bytes: a direct-mapped table whose slot i holds one
+        # token, packed as the two words cache_words[:, i] (see
+        # _packed_tokens; zero while the slot is empty, which no token packs
+        # to), and its node id cache_ids[i]. A token whose slot holds
+        # another is looked up in the index and may take the slot. The
+        # table grows by doubling to keep two to four slots per index entry.
+        self.cache_words = np.zeros((2, 1 << 10), np.uint64)
+        self.cache_ids = np.zeros(1 << 10, np.int32)
         # The packed keys of the links kept so far, as sorted runs one after
         # another in one buffer: run i is kept[runs[i] : runs[i + 1]]. Each
         # run is more than twice the size of the next, so there are at most
         # log2(m) + 1 of them.
         self.kept = np.empty(1 << 12, np.int64)
         self.runs = [0]
-        # The kept events' columns, grown in place by doubling and cut to
+        # The kept events' columns, grown in place by a quarter and cut to
         # size at the end: per-block pieces joined at the end, or copies,
-        # leave freed holes that stay resident in the heap.
+        # leave freed holes that stay resident in the heap, and doubling
+        # leaves up to half of each column spare.
         self.columns = [np.empty(1 << 12, dtype) for dtype in _COLUMN_DTYPES]
         self.events = 0
 
@@ -274,11 +313,13 @@ class _BlockNormalizer:
             times = np.arange(self.rows, self.rows + rows.size, dtype=np.uint64)
         else:
             times = _decimal_values(code, starts[head], stops[head], _STAMP_DIGITS)
-        values = None  # the endpoint tokens' values, on the decimal path
+        values = words = None  # the endpoint tokens' values or packed words
         if text is None and times is not None:
             ends = (head[:, None] + np.arange(width - 2, width)).ravel()
             values = _decimal_tokens(code, starts[ends], stops[ends])
-        if values is None:
+            if values is None:
+                words = _packed_tokens(code, starts[ends], stops[ends])
+        if values is None and words is None:
             if text is None:
                 text = chunk.decode("ascii")
             tokens = text.split()
@@ -303,11 +344,14 @@ class _BlockNormalizer:
         if times.size:
             self.last_time = times[-1:]
         before = len(self.index)
-        if values is None:
-            ids = self._token_ids(tokens)
-        else:
+        if values is not None:
             ids = self._decimal_ids(values)
             self.decimal_blocks += 1
+        elif words is not None:
+            ids = self._cached_ids(words)
+            self.id_cache_blocks += 1
+        else:
+            ids = self._token_ids(tokens)
         self._add_events(ids, before, times)
 
     def _token_ids(self, tokens: list[str]) -> np.ndarray:
@@ -315,6 +359,7 @@ class _BlockNormalizer:
         appearance."""
         if not tokens:
             return np.zeros(0, np.int64)
+        self.token_lookups += len(tokens)
         # A token missing from the index gets the next id on lookup. Sources
         # and destinations come in pairs, so itemgetter returns a tuple.
         return np.fromiter(itemgetter(*tokens)(self.index), np.int64, len(tokens))
@@ -329,11 +374,53 @@ class _BlockNormalizer:
         if new.size:
             fresh, at = np.unique(values[new], return_index=True)
             fresh = fresh[np.argsort(at)]
+            self.token_lookups += fresh.size
             self.id_of[fresh] = np.fromiter(
                 map(self.index.__getitem__, map(str, fresh.tolist())), np.int32, fresh.size
             )
             ids[new] = self.id_of[values[new]]
         return ids.astype(np.int64)
+
+    def _cached_ids(self, words: np.ndarray) -> np.ndarray:
+        """The node ids of the tokens packed in the rows of ``words``. Tokens
+        missing from the id cache are looked up in the index, each once (see
+        _first_rows), in order of first appearance, so a new token takes the
+        next id there, and cached."""
+        self._grow_id_cache()
+        slots = _slots(words, self.cache_ids.size)
+        low, high = self.cache_words
+        ids = self.cache_ids[slots]
+        miss = np.flatnonzero((low[slots] != words[:, 0]) | (high[slots] != words[:, 1]))
+        if miss.size:
+            first, group = _first_rows(words[miss])
+            fresh = miss[first]
+            self.token_lookups += fresh.size
+            found = np.fromiter(
+                map(self.index.__getitem__, _unpacked(words[fresh])), np.int32, fresh.size
+            )
+            ids[miss] = found[group]
+            # One token per slot: of those meeting in one, the first.
+            slot, put = np.unique(slots[fresh], return_index=True)
+            low[slot], high[slot] = words[fresh[put]].T
+            self.cache_ids[slot] = found[put]
+        return ids.astype(np.int64)
+
+    def _grow_id_cache(self) -> None:
+        """Double the id cache until it has two slots per index entry. Each
+        cached token moves to its slot in the larger table; a token's new
+        slot starts with the bits of its old one, so no two meet."""
+        size = self.cache_ids.size
+        if size >= 2 * len(self.index):
+            return
+        while size < 2 * len(self.index):
+            size *= 2
+        held = np.flatnonzero(self.cache_words[1])  # a token's length byte is never 0
+        words, ids = self.cache_words[:, held].T, self.cache_ids[held]
+        self.cache_words = np.zeros((2, size), np.uint64)
+        self.cache_ids = np.zeros(size, np.int32)
+        slots = _slots(words, size)
+        self.cache_words[:, slots] = words.T
+        self.cache_ids[slots] = ids
 
     def _grow_id_of(self, largest: int) -> None:
         size = self.id_of.size
@@ -364,7 +451,7 @@ class _BlockNormalizer:
         keep = links[np.sort(at_first[new])]
         done, self.events = self.events, self.events + keep.size
         if self.events > self.columns[0].size:
-            size = max(self.events, 2 * self.columns[0].size)
+            size = max(self.events, self.columns[0].size * 5 // 4)
             for column in self.columns:
                 column.resize(size, refcheck=False)  # no view of a column is ever kept
         for column, values in zip(self.columns, (u, v, times, seen)):
@@ -378,7 +465,7 @@ class _BlockNormalizer:
         runs = self.runs
         end = runs[-1] + keys.size
         if end > self.kept.size:
-            self.kept.resize(max(end, 2 * self.kept.size), refcheck=False)
+            self.kept.resize(max(end, self.kept.size * 5 // 4), refcheck=False)
         self.kept[runs[-1] : end] = keys
         runs.append(end)
         while len(runs) > 2 and runs[-2] - runs[-3] <= 2 * (runs[-1] - runs[-2]):
@@ -444,6 +531,69 @@ def _decimal_tokens(
     if values is None or np.any(values >= _DECIMAL_CAP):
         return None
     return values.astype(np.intp)
+
+
+def _packed_tokens(
+    code: np.ndarray, starts: np.ndarray, stops: np.ndarray
+) -> Optional[np.ndarray]:
+    """The fields ``code[starts[i] : stops[i]]`` of the ``uint8`` array
+    ``code`` as rows of two ``uint64`` words: the field's bytes, zero-padded,
+    and its length in the last byte. None if a field is longer than
+    ``_PACKED_BYTES``. Two fields pack alike only if they are equal."""
+    lengths = stops - starts
+    if lengths.max(initial=0) > _PACKED_BYTES:
+        return None
+    padded = np.concatenate((code, np.zeros(16, np.uint8)))
+    words = sliding_window_view(padded, 16)[starts].view("<u8")
+    words[:, 0] &= _LOW_BITS[lengths]
+    words[:, 1] &= _HIGH_BITS[lengths]
+    words[:, 1] |= _LENGTH_BYTE[lengths]
+    return words
+
+
+def _unpacked(words: np.ndarray) -> list[str]:
+    """The ASCII tokens that :func:`_packed_tokens` packed into the rows of
+    ``words``. Their padding and length bytes become spaces, which no token
+    holds, so one split gives them all."""
+    raw = words.view(np.uint8)
+    raw = np.where(np.arange(16, dtype=np.uint8) < raw[:, 15:], raw, np.uint8(ord(" ")))
+    return raw.tobytes().decode("ascii").split()
+
+
+def _mixed(words: np.ndarray) -> np.ndarray:
+    """A multiplicative hash of both words of each packed token ``words``."""
+    mixed = words[:, 0] * _HASH_MULTIPLIER
+    mixed ^= words[:, 1]
+    mixed *= _HASH_MULTIPLIER
+    return mixed
+
+
+def _slots(words: np.ndarray, size: int) -> np.ndarray:
+    """The id cache slots, below the power of two ``size``, of the packed
+    tokens ``words``: the top bits of their hash."""
+    return (_mixed(words) >> np.uint64(65 - size.bit_length())).astype(np.intp)
+
+
+def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Groups of equal rows of a packed token array ``rows``: the first
+    position of each group, in increasing order, and each row's group.
+
+    Rows are sorted by hash, so equal rows sort together and each distinct
+    row makes one group. Only where distinct rows hash alike can they
+    interleave and a row make more than one group; the first of them still
+    holds its first position, so a row's first group comes where it first
+    appears."""
+    order = np.argsort(_mixed(rows))
+    low, high = rows[order, 0], rows[order, 1]
+    head = np.ones(order.size, bool)
+    head[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+    firsts = np.minimum.reduceat(order, np.flatnonzero(head))
+    rank = np.argsort(firsts)
+    index = np.empty(rank.size, np.intp)
+    index[rank] = np.arange(rank.size)
+    group = np.empty(order.size, np.intp)
+    group[order] = index[np.cumsum(head) - 1]
+    return firsts[rank], group
 
 
 def _parse_times(stamps: list[str]) -> tuple[np.ndarray, Optional[str]]:

@@ -19,13 +19,14 @@ from oracles import RawEvent, normalize, open_event_file, parse_event_stream
 KEY = (0, 123, 456)  # a cache_key as if from a real input file
 
 
-def read_bytes(data, name="trace.txt", **opts):
-    """Write ``data`` to a fresh file called ``name`` and read it back."""
+def read_bytes(data, name="trace.txt", work=None, **opts):
+    """Write ``data`` to a fresh file called ``name`` and read it back,
+    filling ``work`` with the load's counts if it is given."""
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, name)
         with open(path, "wb") as f:
             f.write(data)
-        return ingest.normalize(path, FormatOptions(**opts))
+        return ingest.normalize(path, FormatOptions(**opts), work)
 
 
 def read_events(events):
@@ -321,7 +322,73 @@ EDGE_TRACES = [
      False),
     ("stamp-20-digits-decreasing", b"00000000000000000005 1 2\n4 2 3\n", False),
     ("stamp-leading-zeros", b"007 1 2\n7 2 3\n0008 3 1\n", False),
+    # Short tokens of other blocks: packed and looked up in the id cache
+    # where a block's times are read by arithmetic, through the dictionary
+    # elsewhere, with the same node ids.
+    ("quad-prefixes", b"0 10.0.0.1 10.0.0.10\n1 10.0.0.10 10.0.0.100\n2 10.0.0.100 10.0.0.1\n"
+     b"3 10.0.0.1 10.0.0.10\n", False),
+    ("tokens-of-15-and-16-bytes", b"0 255.255.255.255 255.255.255.2550\n1 10.0.0.1 255.255.255.255\n"
+     b"2 255.255.255.2550 10.0.0.1\n3 255.255.255.255 255.255.255.25\n", False),
+    ("nul-suffix-is-another-node", b"0 a a\x00\n1 a\x00 a\x00\x00\n2 a\x00\x00 a\n3 a\x00 a\n", False),
+    ("zero-padded-quads", b"0 10.0.0.01 10.0.0.1\n1 10.0.0.1 010.0.0.1\n2 10.00.0.1 10.0.0.01\n"
+     b"3 010.0.0.1 10.0.0.1\n", False),
+    ("decimals-and-quads", b"0 1 10.0.0.1\n1 10.0.0.1 2\n2 2 1\n3 10.0.0.2 10\n4 10 10.0.0.1\n", False),
+    ("quads-with-an-odd-stamp", b"0 10.0.0.1 10.0.0.2\n+1 10.0.0.2 10.0.0.3\n1 10.0.0.3 10.0.0.1\n",
+     False),
+    ("quads-no-time", b"10.0.0.1 10.0.0.2\n10.0.0.2 a\n1 10.0.0.1\n", True),
 ]
+
+
+QUADS = st.sampled_from(
+    ["10.0.0.1", "10.0.0.10", "10.0.0.100", "10.0.0.01", "010.0.0.1", "1.2.3.4",
+     "192.168.100.200", "255.255.255.255", "a", "a\x00", "0", "7"]
+)
+ADDRESS_RUNS = {
+    "quad": QUADS,
+    "decimal": st.integers(0, 30).map(str),
+    "name": st.sampled_from(["host-a.example.org", "host-b.example.org", "192.168.100.2000"]),
+}
+
+
+@st.composite
+def address_traces(draw):
+    """Trace bytes and a no_time flag: runs of lines whose endpoints are
+    dotted quads (prefixes of each other, zero-padded, 15 bytes long), plain
+    decimals or names of more than 15 bytes, so that small blocks take each
+    way to node ids and meet tokens another way has numbered."""
+    no_time = draw(st.booleans())
+    time = 0
+    lines = []
+    runs = st.tuples(st.sampled_from(sorted(ADDRESS_RUNS)), st.integers(1, 12))
+    for kind, count in draw(st.lists(runs, max_size=12)):
+        for _ in range(count):
+            fields = [draw(ADDRESS_RUNS[kind]), draw(ADDRESS_RUNS[kind])]
+            if not no_time:
+                time += draw(st.integers(0, 1))
+                fields.insert(0, str(time))
+            lines.append(" ".join(fields) + "\n")
+    return "".join(lines).encode(), no_time
+
+
+def address_trace(lines=30_000):
+    """A trace over 3000 dotted quads in 10/8, with runs of decimal lines
+    long enough to fill blocks and now and then a zero-padded quad or a
+    name of more than 15 bytes."""
+    rng = np.random.default_rng(12)
+    addr = rng.choice(1 << 24, size=3000, replace=False).tolist()
+    quads = [f"10.{a >> 16}.{a >> 8 & 255}.{a & 255}" for a in addr]
+    out = []
+    for i, (a, b) in enumerate(rng.integers(0, 3000, size=(lines, 2)).tolist()):
+        if i // 2000 % 4 == 3:
+            a, b = str(a), str(b)
+        else:
+            a, b = quads[a], quads[b]
+            if i % 2900 == 5:
+                b = f"host-{b}.example.net"
+            elif i % 3700 == 9:
+                b = "0" + b
+        out.append(f"{i // 3} {a} {b}\n")
+    return "".join(out).encode()
 
 
 class TestBlockReader:
@@ -371,22 +438,86 @@ class TestBlockReader:
             assert 0 < work["decimal_blocks"] < work["blocks"]
             # The dictionary alone gives the same ids.
             monkeypatch.setattr(ingest, "_decimal_tokens", lambda *args: None)
+            monkeypatch.setattr(ingest, "_packed_tokens", lambda *args: None)
             general = {}
             assert_same_stream(ingest.normalize(path, work=general), stream)
-            assert general["decimal_blocks"] == 0 and general["blocks"] == work["blocks"]
+            assert general["decimal_blocks"] == general["id_cache_blocks"] == 0
+            assert general["blocks"] == work["blocks"]
+
+    @given(address_traces(), st.sampled_from([16, 64, 256]), st.sampled_from([None, 0]))
+    @settings(max_examples=200, deadline=None)
+    def test_address_traces_match_reference(self, trace, block, multiplier):
+        # A multiplier of 0 puts every token in one id cache slot.
+        with mock.patch.object(
+            ingest, "_HASH_MULTIPLIER", ingest._HASH_MULTIPLIER if multiplier is None
+            else np.uint64(multiplier)
+        ):
+            assert_reads_like_oracle(*trace, block)
+
+    def test_dotted_quad_blocks_match_reference(self, monkeypatch):
+        data = address_trace()
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
+        assert_reads_like_oracle(data, False)
+        work, alone = {}, {}
+        stream = read_bytes(data, work=work)
+        assert 0 < work["id_cache_blocks"]
+        assert 0 < work["decimal_blocks"]
+        assert work["id_cache_blocks"] + work["decimal_blocks"] < work["blocks"]
+        # The dictionary alone gives the same ids, with more lookups.
+        monkeypatch.setattr(ingest, "_packed_tokens", lambda *args: None)
+        assert_same_stream(read_bytes(data, work=alone), stream)
+        assert alone["id_cache_blocks"] == 0
+        assert alone["decimal_blocks"] == work["decimal_blocks"]
+        assert alone["token_lookups"] > work["token_lookups"]
+
+    @pytest.mark.parametrize("multiplier", [0, 1, 3])
+    def test_weak_hash_gives_the_same_stream(self, monkeypatch, multiplier):
+        # 0 puts every token in one slot; 1 and 3 hash by a few high bytes.
+        data = address_trace(12_000)
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
+        work, weak_work = {}, {}
+        stream = read_bytes(data, work=work)
+        monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(multiplier))
+        assert_same_stream(read_bytes(data, work=weak_work), stream)
+        assert weak_work["id_cache_blocks"] == work["id_cache_blocks"] > 0
+        assert weak_work["token_lookups"] > work["token_lookups"]
+
+    def test_packed_tokens_are_equal_only_for_equal_fields(self):
+        fields = ["10.0.0.1", "10.0.0.10", "10.0.0.01", "a", "a\x00", "a\x00\x00", "\x00",
+                  "255.255.255.255", "12345678", "123456780"]
+        text = " ".join(fields) + "\n"
+        code = np.frombuffer(text.encode(), np.uint8)
+        stops = np.cumsum([len(f) + 1 for f in fields]) - 1
+        starts = stops - [len(f) for f in fields]
+        words = ingest._packed_tokens(code, starts, stops)
+        assert len({tuple(w) for w in words.tolist()}) == len(fields)
+        assert ingest._unpacked(words) == fields
+        assert ingest._packed_tokens(code, starts[:1], starts[:1] + 16) is None
 
     def test_load_counts(self, tmp_path):
+        lines = 40_000
+        trace = numbered_trace(lines)
         decimal = tmp_path / "decimal.txt.gz"
-        decimal.write_bytes(gzip.compress(numbered_trace(40_000).replace(b" n", b" ")))
-        named = tmp_path / "named.txt"
-        named.write_bytes(numbered_trace())
-        for path, decimal_blocks in ((decimal, "all"), (named, 0)):
+        decimal.write_bytes(gzip.compress(trace.replace(b" n", b" ")))
+        named = tmp_path / "named.txt"  # tokens n0 to n100: the id cache
+        named.write_bytes(trace)
+        long = tmp_path / "long.txt"  # 16-byte tokens: the dictionary alone
+        long.write_bytes(trace.replace(b" n", b" host-name-0000-"))
+        for path, way in ((decimal, "decimal_blocks"), (named, "id_cache_blocks"), (long, None)):
             work = {}
-            ingest.normalize(str(path), work=work)
-            assert set(work) == {"blocks", "decimal_blocks"}
+            stream = ingest.normalize(str(path), work=work)
+            assert set(work) == {"blocks", "decimal_blocks", "id_cache_blocks", "token_lookups"}
             assert work["blocks"] >= 2
-            want = work["blocks"] if decimal_blocks == "all" else decimal_blocks
-            assert work["decimal_blocks"] == want
+            for key in ("decimal_blocks", "id_cache_blocks"):
+                assert work[key] == (work["blocks"] if key == way else 0)
+            lookups = work["token_lookups"]
+            if way == "decimal_blocks":
+                assert lookups == stream.final_n
+            elif way == "id_cache_blocks":
+                # Each block looks each token up at most once.
+                assert stream.final_n <= lookups <= stream.final_n * work["blocks"]
+            else:
+                assert lookups == 2 * lines
 
     @given(
         st.lists(st.text("0123456789", min_size=1, max_size=21), min_size=1, max_size=40),

@@ -298,8 +298,11 @@ class TestOutputs:
             return json.loads((out / "timings.json").read_text())["load_work"]
 
         parsed = load_work("parsed")
-        # A generated trace names its nodes 0, 1, 2, ...: one decimal block.
-        assert (parsed["blocks"], parsed["decimal_blocks"]) == (1, 1)
+        # A generated trace names its nodes 0, 1, 2, ...: one decimal block,
+        # which looks each of the 100 nodes up in the dictionary once.
+        assert parsed == {
+            "blocks": 1, "decimal_blocks": 1, "id_cache_blocks": 0, "token_lookups": 100
+        }
         assert load_work("cached") == {}
 
     def test_work_counts_match_distance_series(self, tmp_path, monkeypatch):
