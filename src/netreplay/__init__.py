@@ -13,7 +13,6 @@ the later one's prefix, and one for a lone last checkpoint.
 
 from netreplay.ingest import (
     ArrivalStream,
-    FormatOptions,
     StreamFormatError,
     checkpoint_plan,
     checkpoint_sizes,
@@ -21,7 +20,7 @@ from netreplay.ingest import (
     normalize,
     save_cache,
 )
-from netreplay.graph import Snapshot, snapshot_from_edges
+from netreplay.graph import Snapshot
 from netreplay.connectivity import Components, components_of, merge_links
 from netreplay.degrees import (
     BasicStats,

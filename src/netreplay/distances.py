@@ -214,8 +214,6 @@ def bfs_batch(
     reached = np.ones(k, dtype=np.int64) if counts else None
     far = sources.copy() if farthest else None
     reach = np.zeros(n, dtype=np.uint64)
-    if counts:
-        bins = np.tile(_BYTE_BINS, n)  # byte j of a word goes to bins 256j to 256j + 255
     level = entries = 0
     last = None  # the latest level's (hit, words, gained)
     while segment_starts.size and any(going):
@@ -246,8 +244,8 @@ def bfs_batch(
         if counts:
             # bit b of byte j is source 8j + b: histogram each byte position's
             # values, then read the bits of each value off _BYTE_BITS
-            octets = words.view(np.uint8) + bins[: 8 * hit.size]
-            histogram = np.bincount(octets, minlength=8 * 256).reshape(8, 256)
+            octets = words.view(np.uint8).reshape(-1, 8) + _BYTE_BINS
+            histogram = np.bincount(octets.ravel(), minlength=8 * 256).reshape(8, 256)
             new = (histogram @ _BYTE_BITS).ravel()[:k]
             sums += level * new
             reached += new
@@ -371,18 +369,19 @@ class _Rules:
         # A batch's early stop counts saturated nodes against the mask's
         # size, so no entry of the checkpoint's own may lead outside the
         # mask; the batch itself rejects a closed mask its sources do not cover.
-        owned = np.repeat(mask, snapshot.degrees)
+        degrees = snapshot.degrees
+        owned = np.repeat(mask, degrees)
         if self.late is not None:
             owned[self.late] = False
         if np.any(owned & ~mask[snapshot.neighbors]):
             raise MaskError("giant mask is not the component of its sources", index)
         self.sampler = _Estimator(nodes.size, estimator, checkpoint.estimator_seed)
-        degrees = snapshot.degrees
-        if self.late is not None:  # less the late entries each node owns
-            owners = np.searchsorted(snapshot.offsets, self.late, side="right") - 1
-            degrees -= np.bincount(owners, minlength=snapshot.n)
+        if self.late is not None:
+            # A late link's two entries each name the other's owner, so a
+            # node owns as many late entries as name it.
+            degrees -= np.bincount(snapshot.neighbors[self.late], minlength=snapshot.n)
         degrees = degrees[nodes]
-        root_order = nodes[np.lexsort((nodes, -degrees))]
+        root_order = nodes[np.argsort(-degrees, kind="stable")]
         # a connected mask is a tree when it has one link fewer than nodes;
         # every batch rejects a mask its sources do not cover
         tree = int(degrees.sum()) == 2 * (nodes.size - 1)

@@ -113,19 +113,3 @@ def late_entries(csr: ArrivalCSR, position: int, since: int) -> np.ndarray:
     the checkpoint after ``since`` links does not hold of that snapshot."""
     return np.flatnonzero(csr.arrival[csr.arrival < position] >= since)
 
-
-def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:
-    """Build a snapshot directly from an iterable of distinct (u, v) pairs."""
-    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    u, v = pairs[:, 0], pairs[:, 1]
-    if np.any(u == v):
-        raise ValueError(f"loop at node {int(u[u == v][0])} is not a link")
-    if np.any(pairs < 0):
-        raise ValueError("negative node index in links")
-    span = int(pairs.max()) + 1 if pairs.size else 0
-    if n is None:
-        n = span
-    elif n < span:
-        raise ValueError(f"n={n} smaller than largest endpoint range {span}")
-    return finalize_snapshot(arrival_csr(u, v, n), len(pairs), n)
-

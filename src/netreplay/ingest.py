@@ -1,6 +1,8 @@
 """Measurement-stream ingestion, normalization and checkpoint scheduling.
 
-Raw traces arrive as text lines ``<time> <src> <dst>`` sorted by time.
+Raw traces arrive as text lines ``<time> <src> <dst>`` sorted by time, or
+as ``<src> <dst>`` lines when :func:`normalize` is called with ``no_time``,
+the one layout switch, which numbers them 0, 1, 2, ... as their times.
 :func:`normalize` validates a trace and normalizes it: it keeps only the
 first discovery of each undirected link, turns loops into bare node
 discoveries, and maps opaque endpoint tokens to dense integer indices in
@@ -108,13 +110,6 @@ class StreamFormatError(ValueError):
 
 
 @dataclass(frozen=True)
-class FormatOptions:
-    """Parse-time switches for nonstandard trace layouts."""
-
-    no_time: bool = False  # lines are `<src> <dst>`; synthesize 0,1,2,...
-
-
-@dataclass(frozen=True)
 class ArrivalStream:
     """Normalized link arrivals plus enough bookkeeping to replay them.
 
@@ -139,18 +134,16 @@ class ArrivalStream:
             a.setflags(write=False)
 
 
-def normalize(
-    path: str, options: FormatOptions = FormatOptions(), work: Optional[dict] = None
-) -> ArrivalStream:
+def normalize(path: str, no_time: bool = False, work: Optional[dict] = None) -> ArrivalStream:
     """Read, validate and normalize the trace at ``path`` (gzipped if it
     ends in ``.gz``), one block of whole lines at a time.
 
     Lines end at ``\\n``, ``\\r\\n`` or a lone ``\\r``. Fields are separated by
     runs of the characters ``str.isspace`` accepts. Blank lines and lines
     whose first field starts with ``#`` are skipped. Every other line holds
-    ``<time> <src> <dst>`` (``<src> <dst>`` under ``options.no_time``, whose
-    times are then 0, 1, 2, ... over those lines), with ``int(time)`` in
-    [0, 2^64) and never below the previous line's time. The first offending
+    ``<time> <src> <dst>`` (``<src> <dst>`` when ``no_time`` is true, and
+    the times are then 0, 1, 2, ... over those lines), with ``int(time)``
+    in [0, 2^64) and never below the previous line's time. The first offending
     line in file order raises StreamFormatError with its 1-based number,
     whatever its fault: the wrong number of fields, a bad, out-of-range or
     decreasing timestamp, or bytes that are not UTF-8. Input that cannot be
@@ -168,7 +161,7 @@ def normalize(
     ids came from ``id_of`` or from the id cache; see the module docstring),
     and ``token_lookups``, the lookups in the token dictionary on every path.
     """
-    blocks = _BlockNormalizer(options.no_time)
+    blocks = _BlockNormalizer(no_time)
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rb") as f:
         for chunk, fault in _line_chunks(f):
@@ -660,12 +653,12 @@ def checkpoint_sizes(final_n: int, nominal_count: int = 100) -> tuple[int, ...]:
     return tuple((2 * i * final_n + count) // (2 * count) for i in range(1, count + 1))
 
 
-def cache_key(path: str, options: FormatOptions) -> tuple[int, int, int]:
+def cache_key(path: str, no_time: bool) -> tuple[int, int, int]:
     """What a sidecar must have been written for to stand in for a fresh
-    parse of ``path``: the format switch, the input's size in bytes and its
+    parse of ``path``: ``no_time``, the input's size in bytes and its
     modification time in nanoseconds."""
     st = os.stat(path)
-    return int(options.no_time), st.st_size, st.st_mtime_ns
+    return int(no_time), st.st_size, st.st_mtime_ns
 
 
 def save_cache(stream: ArrivalStream, path: str, key: tuple[int, int, int]) -> None:

@@ -54,7 +54,6 @@ from netreplay.distances import (
 from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot, late_entries
 from netreplay.ingest import (
     ArrivalStream,
-    FormatOptions,
     cache_key,
     checkpoint_plan,
     checkpoint_sizes,
@@ -105,7 +104,7 @@ class RunConfig:
     out_dir: Optional[str] = None
     dump_distributions: bool = False
     use_cache: bool = True
-    format_options: FormatOptions = FormatOptions()
+    no_time: bool = False  # lines are `<src> <dst>`, numbered 0, 1, 2, ... as their times
 
     def __post_init__(self):
         groups = frozenset(self.stats)
@@ -176,7 +175,7 @@ def load_stream(config: RunConfig, work: Optional[dict] = None) -> ArrivalStream
 
     The sidecar lives next to the input with an ``.arrivals`` suffix and is
     only trusted when it was written for the input's current size and
-    modification time under the same format options. Failures to write it
+    modification time with the same ``no_time``. Failures to write it
     are silently ignored; failures to read it fall back to a fresh parse.
     ``work``, if given, receives :func:`normalize`'s counts when the input
     is parsed, and is left as it is when the sidecar serves.
@@ -184,13 +183,13 @@ def load_stream(config: RunConfig, work: Optional[dict] = None) -> ArrivalStream
     path = config.input_path
     cache_path = path + ".arrivals"
     if config.use_cache:
-        key = cache_key(path, config.format_options)
+        key = cache_key(path, config.no_time)
         if os.path.exists(cache_path):
             try:
                 return load_cache(cache_path, key)
             except (OSError, ValueError):
                 pass
-    stream = normalize(path, config.format_options, work)
+    stream = normalize(path, config.no_time, work)
     if config.use_cache:
         try:
             save_cache(stream, cache_path, key)

@@ -21,9 +21,11 @@ segments, so on graphs whose keys outgrow the cache a search from it costs
 more; a side rule weighting that side by 1.5, 2 or 3 measured no faster at
 10^6 or 10^7 links (BENCH_tri-probes.json), so the rule is the plain count.
 
-Ranks, nodes, arrivals and forward-entry indices are ``int32``, as node
-and link counts are below 2^31. A key, rank * n + rank, outgrows that past
-46,341 nodes, so keys and every product forming one are ``int64``.
+Ranks, nodes, arrivals, forward-entry indices and per-node counts are
+``int32``, as node and link counts are below 2^31 and a node's count, the
+number of links among its neighbors, is at most m. A key, rank * n + rank,
+outgrows that past 46,341 nodes, so keys and every product forming one are
+``int64``.
 
 Memory, beyond the adjacency: 24 bytes per forward link (one per link of
 the graph) for its key (8), lower end (4), arrival (4) and running probe
@@ -32,9 +34,7 @@ count (8), and the filter's 4 to 8 bytes per forward key; in a batch, up to
 and 17 while they are filtered, then 33 per probe that passed, and 68 per
 hit (a probe that found its key) while the hit's three corners are added,
 none of it kept into the next batch; and the (checkpoints + 1) x n table
-of per-node counts, the largest of these on large inputs. A node's count is
-at most C(its degree, 2), so the table has 4-byte cells whenever
-C(max degree, 2) < 2^31, and 8-byte cells otherwise.
+of per-node counts, 4 bytes a cell, the largest of these on large inputs.
 The budget, 2^16 probes, comes from rotating benchmark runs on the
 ``pa-tri`` workload: run time did not move from 2^17 to 2^23 while peak RSS
 fell as the budget did (BENCH_tri-memory.json, with probes from one side;
@@ -67,11 +67,12 @@ _HASH_MULTIPLIER = 0x9E3779B97F4A7C15  # 2^64 / golden ratio, spreads the filter
 class TriangleCounts(NamedTuple):
     """Row i of ``totals`` and ``per_node`` counts the triangles of the
     first ``positions[i]`` links, in all and per final-graph node;
-    ``per_node`` is ``int32`` when C(max degree, 2) < 2^31 bounds every
-    count, else ``int64``. ``probes`` is the number of key lookups the
-    listing made, each link's from its side with fewer candidates,
-    ``searches`` the number of them that passed the hashed filter and were
-    searched for, and ``batches`` the number of batches they ran in."""
+    ``per_node`` is ``int32``, as a node's count, the links among its
+    neighbors, is at most m < 2^31. ``probes`` is the number of key
+    lookups the listing made, each link's from its side with fewer
+    candidates, ``searches`` the number of them that passed the hashed
+    filter and were searched for, and ``batches`` the number of batches
+    they ran in."""
 
     totals: np.ndarray
     per_node: np.ndarray
@@ -94,14 +95,11 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     n = csr.offsets.size - 1
     k = len(positions)
     deg = np.diff(csr.offsets)
-    # A node's count is at most C(max degree, 2); row i gets the corners
-    # first present at positions[i], row k the rest.
-    d_max = int(deg.max()) if n else 0
-    dtype = np.int32 if d_max * (d_max - 1) // 2 < 1 << 31 else np.int64
-    table = np.zeros((k + 1, n), dtype=dtype)
+    # Row i gets the corners first present at positions[i], row k the rest.
+    table = np.zeros((k + 1, n), dtype=np.int32)
     cells = table.reshape(-1)  # a flat add.at runs far faster than a 2-D one
-    one = table.dtype.type(1)  # an untyped 1 makes add.at cast every call
-    order = np.lexsort((np.arange(n), -deg))  # rank by degree desc, index asc
+    one = np.int32(1)  # an untyped 1 makes add.at cast every call
+    order = np.argsort(-deg, kind="stable")  # rank by degree desc, index asc
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
 

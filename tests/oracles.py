@@ -1,6 +1,7 @@
 """Reference implementations the library no longer calls, kept as oracles,
-brute-force checks written for the tests, and one-checkpoint shorthands for
-the distance scheduler.
+brute-force checks written for the tests, one-checkpoint shorthands for
+the distance scheduler, and ``snapshot_from_edges``, which builds a test's
+snapshot from a list of links through the library's own CSR builder.
 
 Each reference keeps the exact semantics it had in the library, so a test
 comparing a library path against it compares against the code the path
@@ -26,10 +27,26 @@ from netreplay.distances import (
     EstimatorConfig,
     distance_statistics,
 )
-from netreplay.ingest import _MAX_NODE, ArrivalStream, FormatOptions, StreamFormatError
-from netreplay.graph import Snapshot
+from netreplay.ingest import _MAX_NODE, ArrivalStream, StreamFormatError
+from netreplay.graph import Snapshot, arrival_csr, finalize_snapshot
 
 _PROBE_BUDGET = 1 << 23  # per-batch intersection probes, caps peak memory
+
+
+def snapshot_from_edges(edges, n: int | None = None) -> Snapshot:
+    """Build a snapshot directly from an iterable of distinct (u, v) pairs."""
+    pairs = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
+    u, v = pairs[:, 0], pairs[:, 1]
+    if np.any(u == v):
+        raise ValueError(f"loop at node {int(u[u == v][0])} is not a link")
+    if np.any(pairs < 0):
+        raise ValueError("negative node index in links")
+    span = int(pairs.max()) + 1 if pairs.size else 0
+    if n is None:
+        n = span
+    elif n < span:
+        raise ValueError(f"n={n} smaller than largest endpoint range {span}")
+    return finalize_snapshot(arrival_csr(u, v, n), len(pairs), n)
 
 
 def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
@@ -99,11 +116,11 @@ def count_triangles(snapshot: Snapshot) -> tuple[int, np.ndarray]:
     return total, per_node
 
 
-def probe_sides(u, v, n) -> list[tuple[int, int, int]]:
+def probe_sides(u, v, n, by_rank=None) -> list[tuple[int, int, int]]:
     """Per link, in the triangle listing's order, what each end offers as
-    third corners, recounted from the final graph. Nodes rank by degree
-    descending, then by index, and links are listed by the ranks of their
-    (worse, better) ends. A candidate ranks better than both ends: one of
+    third corners, recounted from the final graph. Nodes rank as listed in
+    ``by_rank``, by default by degree descending, then by index, and links
+    are listed by the ranks of their (worse, better) ends. A candidate ranks better than both ends: one of
     the better end's neighbors that ranks better still, or one of the worse
     end's neighbors that ranks better than the better end. Returns
     (candidates from the better end, candidates from the worse end,
@@ -112,7 +129,8 @@ def probe_sides(u, v, n) -> list[tuple[int, int, int]]:
     for a, b in zip(u, v):
         adj[a].add(b)
         adj[b].add(a)
-    by_rank = sorted(range(n), key=lambda x: (-len(adj[x]), x))
+    if by_rank is None:
+        by_rank = sorted(range(n), key=lambda x: (-len(adj[x]), x))
     rank = {x: r for r, x in enumerate(by_rank)}
     links = sorted((max(rank[a], rank[b]), min(rank[a], rank[b])) for a, b in zip(u, v))
     sides = []
@@ -348,9 +366,7 @@ def open_event_file(path: str):
     return open(path, "r", encoding="utf-8", errors="surrogateescape")
 
 
-def parse_event_stream(
-    reader: Iterable[str], options: FormatOptions = FormatOptions()
-) -> Iterator[RawEvent]:
+def parse_event_stream(reader: Iterable[str], no_time: bool = False) -> Iterator[RawEvent]:
     """Parse trace lines into events, validating order as we go.
 
     Blank lines and lines starting with ``#`` are skipped. Malformed lines
@@ -376,7 +392,7 @@ def parse_event_stream(
             if not stripped or stripped.startswith("#"):
                 continue
             parts = stripped.split()
-            if options.no_time:
+            if no_time:
                 if len(parts) != 2:
                     raise StreamFormatError(f"malformed line {lineno}: expected '<src> <dst>'")
                 t = synthetic

@@ -39,7 +39,7 @@ from netreplay.generate import (
     gen_two_phase,
     write_stream,
 )
-from netreplay.graph import Snapshot, snapshot_from_edges
+from netreplay.graph import Snapshot
 from netreplay.pipeline import (
     SERIES,
     RunConfig,
@@ -57,6 +57,7 @@ from oracles import (
     diameter_bounds,
     estimate_average_distance,
     ks_brute,
+    snapshot_from_edges,
 )
 
 

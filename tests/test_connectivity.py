@@ -6,10 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from netreplay.connectivity import components_of, merge_links
-from netreplay.graph import snapshot_from_edges
 
 from conftest import UnionFindOracle
-from oracles import components
+from oracles import components, snapshot_from_edges
 
 
 def groups_from_labels(labels):

@@ -9,9 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from netreplay.degrees import cumulative, ks_statistic, powerlaw_fit, stats_from_counts
-from netreplay.graph import snapshot_from_edges
 
-from oracles import basic_stats, ks_brute
+from oracles import basic_stats, ks_brute, snapshot_from_edges
 
 
 def dist_from_counts(mapping):

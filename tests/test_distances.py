@@ -18,7 +18,8 @@ from netreplay.distances import (
     bfs_batch,
     distance_statistics,
 )
-from netreplay.graph import arrival_csr, finalize_snapshot, late_entries, snapshot_from_edges
+from netreplay.generate import gen_two_phase
+from netreplay.graph import arrival_csr, finalize_snapshot, late_entries
 from netreplay.pipeline import checkpoint_bounds_seed, checkpoint_estimator_seed
 
 from conftest import (
@@ -38,6 +39,7 @@ from oracles import (
     estimate_average_distance,
     mean_distance_from,
     scheduled_batches,
+    snapshot_from_edges,
 )
 
 
@@ -560,6 +562,29 @@ class TestPairedBatches:
             distance_statistics(later, [pair[1], pair[0]._replace(giant_mask=mask[:1])])
         assert raised.value.checkpoint == 1
 
+    def test_late_links_between_earlier_nodes(self):
+        # phase 2 of the two-phase model links nodes already present, so the
+        # later snapshot raises degrees of the earlier checkpoint's own nodes:
+        # its root order, bracket and estimate are still its own graph's
+        _, u, v = gen_two_phase(40, 2, 20, 3, seed=5)
+        edges = list(zip(u, v))
+        split = len(edges) - 40
+        n0, n1 = max(map(max, edges[:split])) + 1, max(map(max, edges)) + 1
+        assert sum(max(link) < n0 for link in edges[split:]) >= 20
+        mask = components(snapshot_from_edges(edges[:split], n=n0)).giant_mask()
+        later, earlier, pair = self.pair_checkpoints(edges, split, n0, n1, mask)
+        own = DistanceCheckpoint(mask, 1, 2)
+        configs = (EstimatorConfig(), BoundConfig())
+        shared = distances._Rules(later, pair[0], 0, *configs).bracket
+        alone = distances._Rules(earlier, own, 0, *configs).bracket
+        assert shared.root_order.tolist() == alone.root_order.tolist()
+        assert shared.tree == alone.tree
+        nodes = np.flatnonzero(mask)
+        uncorrected = nodes[np.lexsort((nodes, -later.degrees[nodes]))]
+        assert uncorrected.tolist() != alone.root_order.tolist()
+        [early, _], _ = distance_statistics(later, pair)
+        assert [early] == distance_statistics(earlier, [own])[0]
+
 
 class TestMeanDistance:
     def test_path_center(self):
@@ -748,6 +773,17 @@ class TestUpperBound:
             snap = snapshot_from_edges(edges, n=n)
             hub = int(np.argmax(snap.degrees))  # the first of the largest degree
             assert round_zero(snap, seed)[1] == 2 * bfs(snap, hub).farthest_dist
+
+    def test_degree_ties_root_order_by_index(self):
+        # a cycle with a chord (i, i + 2) at every fourth node: 30 nodes of
+        # degree 2 and 30 of degree 3, of which the lower index comes first
+        n = 60
+        snap = snapshot_from_edges(cycle_edges(n) + [(i, i + 2) for i in range(0, n, 4)])
+        rules = distances._Rules(
+            snap, DistanceCheckpoint(full_mask(n)), 0, EstimatorConfig(), BoundConfig()
+        )
+        want = np.lexsort((np.arange(n), -snap.degrees))
+        assert rules.bracket.root_order.tolist() == want.tolist()
 
     def test_complete_graph(self):
         # every node is a hub of eccentricity 1

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from netreplay.graph import arrival_csr, finalize_snapshot, late_entries, snapshot_from_edges
+from netreplay.graph import arrival_csr, finalize_snapshot, late_entries
 
-from oracles import degree, has_link, neighbors_of
+from oracles import degree, has_link, neighbors_of, snapshot_from_edges
 
 
 def segments(snap):

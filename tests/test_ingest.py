@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest
-from netreplay.ingest import ArrivalStream, FormatOptions, StreamFormatError
+from netreplay.ingest import ArrivalStream, StreamFormatError
 from oracles import RawEvent, normalize, open_event_file, parse_event_stream
 
 KEY = (0, 123, 456)  # a cache_key as if from a real input file
@@ -26,7 +26,7 @@ def read_bytes(data, name="trace.txt", work=None, **opts):
         path = os.path.join(d, name)
         with open(path, "wb") as f:
             f.write(data)
-        return ingest.normalize(path, FormatOptions(**opts), work)
+        return ingest.normalize(path, work=work, **opts)
 
 
 def read_events(events):
@@ -231,15 +231,15 @@ def traces(draw):
     return data, no_time
 
 
-def oracle_read(path, options):
+def oracle_read(path, no_time=False):
     with open_event_file(path) as f:
-        return normalize(parse_event_stream(f, options))
+        return normalize(parse_event_stream(f, no_time))
 
 
-def outcome(read, path, options):
+def outcome(read, path, no_time):
     """The stream ``read`` returns for ``path``, or its StreamFormatError's text."""
     try:
-        return read(path, options)
+        return read(path, no_time)
     except StreamFormatError as exc:
         return str(exc)
 
@@ -248,7 +248,6 @@ def assert_reads_like_oracle(data, no_time, block=None):
     """The block reader and the line-by-line reference give the same stream,
     dtypes included, or the same error message, plain and gzipped, with
     blocks of ``block`` bytes (the default when None)."""
-    options = FormatOptions(no_time=no_time)
     with tempfile.TemporaryDirectory() as d, mock.patch.object(
         ingest, "_BLOCK_BYTES", block or ingest._BLOCK_BYTES
     ):
@@ -256,8 +255,8 @@ def assert_reads_like_oracle(data, no_time, block=None):
             path = os.path.join(d, name)
             with open(path, "wb") as f:
                 f.write(payload)
-            got = outcome(ingest.normalize, path, options)
-            want = outcome(oracle_read, path, options)
+            got = outcome(ingest.normalize, path, no_time)
+            want = outcome(oracle_read, path, no_time)
             if isinstance(want, str) or isinstance(got, str):
                 assert got == want
             else:
@@ -570,7 +569,7 @@ class TestBlockReader:
 def normalize_or_message(path, **opts):
     """``ingest.normalize(path)``'s stream, or its StreamFormatError text."""
     try:
-        return ingest.normalize(str(path), FormatOptions(**opts))
+        return ingest.normalize(str(path), **opts)
     except StreamFormatError as exc:
         return str(exc)
 
@@ -581,7 +580,7 @@ class TestReadFaults:
         path.write_bytes(gzip.compress(numbered_trace()))
         got = normalize_or_message(path)
         assert got.final_m > 0
-        assert_same_stream(got, oracle_read(str(path), FormatOptions()))
+        assert_same_stream(got, oracle_read(str(path)))
 
     def test_bad_line_in_first_of_many_blocks(self, tmp_path, monkeypatch):
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 4096)

@@ -18,8 +18,8 @@ from netreplay.distances import (
     distance_statistics,
 )
 from netreplay.generate import gen_complete, gen_gnp, gen_preferential, write_stream
-from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
-from netreplay.ingest import FormatOptions, StreamFormatError, checkpoint_plan, checkpoint_sizes
+from netreplay.graph import arrival_csr, finalize_snapshot
+from netreplay.ingest import StreamFormatError, checkpoint_plan, checkpoint_sizes
 from netreplay.pipeline import (
     RunConfig,
     checkpoint_bounds_seed,
@@ -34,6 +34,7 @@ from oracles import (
     ks_brute,
     probe_sides,
     scheduled_batches,
+    snapshot_from_edges,
 )
 
 FAST_EST = EstimatorConfig(i_min=4, epsilon=0.2)
@@ -702,7 +703,7 @@ class TestDeterminismAndCache:
         path = tmp_path / "pairs.txt"
         write_lines(path, ["a b", "b c", "c a"])
         two_column = pipeline.load_stream(
-            quick_config(path, use_cache=True, format_options=FormatOptions(no_time=True))
+            quick_config(path, use_cache=True, no_time=True)
         )
         assert (two_column.final_n, two_column.final_m) == (3, 3)
         with pytest.raises(StreamFormatError, match="line 1"):
@@ -726,7 +727,7 @@ class TestDeterminismAndCache:
         run_evolution(cfg)  # writes the sidecar
         without = run_evolution(quick_config(path, nominal_checkpoints=6, use_cache=False))
 
-        def no_parse(path, options, work=None):
+        def no_parse(path, no_time, work=None):
             raise AssertionError("the second cached run parsed the input")
 
         monkeypatch.setattr(pipeline, "normalize", no_parse)
@@ -741,15 +742,15 @@ class TestDeterminismAndCache:
         cfg = quick_config(path, use_cache=True)
         sidecar = str(path) + ".arrivals"
         # the previous layout: node_count_prefix without its leading entry
-        key = ingest.cache_key(str(path), FormatOptions())
+        key = ingest.cache_key(str(path), False)
         columns = struct.pack("<2i2i2Q2q", 0, 1, 1, 2, 0, 1, 2, 3)
         with open(sidecar, "wb") as f:
             f.write(b"NRSTRM03" + struct.pack("<2Q3q", 3, 2, *key) + columns)
         parses = []
 
-        def counted_normalize(path, options, work=None):
+        def counted_normalize(path, no_time, work=None):
             parses.append(1)
-            return ingest.normalize(path, options, work)
+            return ingest.normalize(path, no_time, work)
 
         monkeypatch.setattr(pipeline, "normalize", counted_normalize)
         stream = pipeline.load_stream(cfg)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from netreplay import triangles
 from netreplay.generate import gen_preferential
-from netreplay.graph import arrival_csr, finalize_snapshot, snapshot_from_edges
+from netreplay.graph import arrival_csr, finalize_snapshot
 from netreplay.pipeline import SERIES
 from netreplay.triangles import (
     analyze_triangles,
@@ -21,7 +21,7 @@ from netreplay.triangles import (
 )
 
 from conftest import brute_triangles, random_edges
-from oracles import basic_stats, count_triangles, probe_sides
+from oracles import basic_stats, count_triangles, probe_sides, snapshot_from_edges
 
 
 def complete_edges(n):
@@ -380,18 +380,45 @@ class TestProbeSides:
         if one_slot:
             assert counts.searches == counts.probes
 
+    def test_degree_ties_rank_by_index(self):
+        # A cycle with a chord (i, i + 2) at every fourth node: 30 nodes of
+        # degree 2 and 30 of degree 3, so the probes depend on how ties rank.
+        n = 60
+        pairs = [(i, (i + 1) % n) for i in range(n)] + [(i, i + 2) for i in range(0, n, 4)]
+        u, v = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+        deg = np.bincount(np.concatenate([u, v]), minlength=n)
+        counts = triangle_counts(arrival_csr(u, v, n), np.array([len(pairs)]))
+
+        def probes(by_rank):
+            sides = probe_sides(u.tolist(), v.tolist(), n, by_rank.tolist())
+            return sum(min(better, worse) for better, worse, _ in sides)
+
+        index = np.arange(n)
+        assert counts.probes == probes(np.lexsort((index, -deg)))
+        shuffled = np.random.default_rng(0).permutation(n)
+        assert counts.probes != probes(np.lexsort((shuffled, -deg)))  # ties in another order
+
 
 class TestTableWidth:
-    @pytest.mark.parametrize("leaves, dtype", [(65_536, np.int32), (65_537, np.int64)])
+    @pytest.mark.parametrize("leaves, dtype", [(65_536, np.int32), (70_000, np.int32)])
     def test_cells_hold_the_largest_possible_count(self, leaves, dtype):
-        # A node's count is at most C(its degree, 2); the hub's is
-        # C(65,536, 2) = 2^31 - 32,768, which an int32 holds, or
-        # C(65,537, 2) = 2^31 + 32,768, which it does not.
-        hub = np.zeros(leaves, dtype=np.int64)
-        csr = arrival_csr(hub, np.arange(1, leaves + 1), leaves + 1)
-        counts = triangle_counts(csr, np.array([0, leaves]))
+        # A hub linked to every leaf, then a path through the leaves, whose
+        # link (i, i + 1) closes the triangle (hub, i, i + 1). A node's count
+        # is the number of links among its neighbors, at most m < 2^31, so
+        # the cells are int32 even when the hub's C(degree, 2) neighbor
+        # pairs pass 2^31: C(65,536, 2) = 2^31 - 32,768, C(70,000, 2) =
+        # 2^31 + 302,481,352.
+        path = np.arange(1, leaves)
+        u = np.concatenate([np.zeros(leaves, dtype=np.int64), path])
+        v = np.concatenate([np.arange(1, leaves + 1), path + 1])
+        m = u.size
+        csr = arrival_csr(u, v, leaves + 1)
+        counts = triangle_counts(csr, np.array([0, leaves, leaves + 1000, m]))
         assert counts.per_node.dtype == dtype
-        assert counts.totals.tolist() == [0, 0]
+        assert counts.totals.tolist() == [0, 0, 1000, leaves - 1]
+        assert counts.per_node[-1, 0] == leaves - 1
+        ends = counts.per_node[-1, [1, leaves]].tolist()
+        assert ends == [1, 1] and np.all(counts.per_node[-1, 2:leaves] == 2)
 
 
 class TestProbeBatches:
