@@ -16,6 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+_MAX_POSITION = 2**31 - 1  # the low 31 bits of a degree_order key
+
 
 @dataclass(frozen=True)
 class BasicStats:
@@ -71,6 +73,20 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     gap[: a.size] = a
     gap[: b.size] -= b
     return float(np.max(np.abs(gap[1:])))
+
+
+def degree_order(deg: np.ndarray) -> np.ndarray:
+    """Positions of the ``int64`` degrees ``deg`` by degree, highest first,
+    ties by position: a stable argsort of ``-deg``. Each key holds the
+    degree's distance from the largest above its position, so one unstable
+    sort of distinct keys gives that order. Degrees and their count are
+    below 2^31, so a key fits in 62 bits."""
+    keys = deg.max(initial=0) - deg
+    keys <<= 31
+    keys |= np.arange(deg.size)
+    keys.sort()
+    keys &= _MAX_POSITION
+    return keys
 
 
 def powerlaw_fit(counts: np.ndarray) -> PowerLawFit:

@@ -44,6 +44,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
+from netreplay.degrees import degree_order
 from netreplay.graph import Snapshot
 
 
@@ -381,7 +382,7 @@ class _Rules:
             # node owns as many late entries as name it.
             degrees -= np.bincount(snapshot.neighbors[self.late], minlength=snapshot.n)
         degrees = degrees[nodes]
-        root_order = nodes[np.argsort(-degrees, kind="stable")]
+        root_order = nodes[degree_order(degrees)]  # hubs first, ties by node index
         # a connected mask is a tree when it has one link fewer than nodes;
         # every batch rejects a mask its sources do not cover
         tree = int(degrees.sum()) == 2 * (nodes.size - 1)

@@ -30,21 +30,25 @@ ids come one of three ways, which give the same ids:
 - the general path, for every other block: the block is split once and
   each token looked up in one dictionary kept across blocks.
 
-The dictionary holds every token, and it alone gives out ids. ``id_of``
-and the id cache cache its ids: the decimal path looks a token up in the
-dictionary only the first time it meets it, and the id cache once per
-block for each token missing from its slot, in order of first appearance,
-so a new token takes the next id whichever path meets it first. New links
-come from ``np.unique`` on packed pair keys. Only
-the keys whose endpoints were both known before the block are searched for
-among the keys kept so far, which are held as sorted runs merged by size,
-like a binary counter, so no block copies them all. Beyond the stream's own
-arrays (filled in place in buffers that grow by a quarter at a time and
-are cut to size), working memory is the block, the dictionary (one entry
-per node), ``id_of`` (4 bytes per value up to at most twice the largest
-decimal token seen, below the cap, so at most 64 MiB), the id cache (20
-bytes per slot: 1024 slots, grown to two to four per node as blocks take
-it) and 8 bytes per kept link, plus a merge buffer of up to half of them.
+A new token takes the next id, in order of first appearance, whichever
+path meets it first. While every block so far has been decimal, the
+dictionary stays empty: the decimal path numbers new values from the node
+count, and ``id_of`` alone holds their ids. The first block of another kind
+fills the dictionary from ``id_of`` once. From then on the dictionary holds
+every token and alone gives out ids, and ``id_of`` and the id cache cache
+them: the decimal path looks a token up only the first time it meets it,
+and the id cache once per block for each token missing from its slot. New
+links are the distinct packed pair keys of a block, found by one unstable
+sort (``_distinct``). Only the keys whose endpoints were both known before
+the block are searched for among the keys kept so far, which are held as
+sorted runs merged by size, like a binary counter, so no block copies them
+all. Beyond the stream's own arrays (filled in place in buffers that grow
+by a quarter at a time and are cut to size), working memory is the block,
+the dictionary (one entry per node, none on a trace of decimals alone),
+``id_of`` (4 bytes per value up to at most twice the largest decimal token
+seen, below the cap, so at most 64 MiB), the id cache (20 bytes per slot:
+1024 slots, grown to two to four per node as blocks take it) and 8 bytes
+per kept link, plus a merge buffer of up to half of them.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -159,7 +163,8 @@ def normalize(path: str, no_time: bool = False, work: Optional[dict] = None) -> 
     If ``work`` is given, it receives how the load ran: ``blocks`` parsed,
     ``decimal_blocks`` and ``id_cache_blocks`` among them (those whose node
     ids came from ``id_of`` or from the id cache; see the module docstring),
-    and ``token_lookups``, the lookups in the token dictionary on every path.
+    and ``token_lookups``, the lookups in the token dictionary on every path
+    (none on a trace of decimals alone, which never fills the dictionary).
     """
     blocks = _BlockNormalizer(no_time)
     opener = gzip.open if path.endswith(".gz") else open
@@ -231,11 +236,15 @@ class _BlockNormalizer:
         self.decimal_blocks = 0  # those whose node ids came from id_of
         self.id_cache_blocks = 0  # those whose node ids came from the id cache
         self.token_lookups = 0  # lookups in the index, on every path
+        self.nodes = 0  # distinct tokens so far: the next id
         self.last_time = np.zeros(1, np.uint64)
-        self.index: dict[str, int] = defaultdict(count().__next__)  # token -> node id
+        # token -> node id, empty until the first block that is not
+        # decimal fills it (see _fill_index)
+        self.index: dict[str, int] = {}
         # id_of[value] is the node id of the decimal token str(value), or -1
-        # while the decimal path has not met it: a cache of the index for
-        # canonical decimal tokens below _DECIMAL_CAP, grown by doubling.
+        # while the decimal path has not met it, for canonical decimal
+        # tokens below _DECIMAL_CAP, grown by doubling: the only record of
+        # those ids while the index is empty, a cache of it once filled.
         self.id_of = np.full(0, -1, np.int32)
         # The id cache, a cache of the index for tokens of at most
         # _PACKED_BYTES bytes: a direct-mapped table whose slot i holds one
@@ -243,7 +252,7 @@ class _BlockNormalizer:
         # _packed_tokens; zero while the slot is empty, which no token packs
         # to), and its node id cache_ids[i]. A token whose slot holds
         # another is looked up in the index and may take the slot. The
-        # table grows by doubling to keep two to four slots per index entry.
+        # table grows by doubling to keep two to four slots per node.
         self.cache_words = np.zeros((2, 1 << 10), np.uint64)
         self.cache_ids = np.zeros(1 << 10, np.int32)
         # The packed keys of the links kept so far, as sorted runs one after
@@ -336,16 +345,17 @@ class _BlockNormalizer:
         self.rows += rows.size
         if times.size:
             self.last_time = times[-1:]
-        before = len(self.index)
         if values is not None:
             ids = self._decimal_ids(values)
             self.decimal_blocks += 1
-        elif words is not None:
-            ids = self._cached_ids(words)
-            self.id_cache_blocks += 1
         else:
-            ids = self._token_ids(tokens)
-        self._add_events(ids, before, times)
+            self._fill_index()
+            if words is not None:
+                ids = self._cached_ids(words)
+                self.id_cache_blocks += 1
+            else:
+                ids = self._token_ids(tokens)
+        self._add_events(ids, times)
 
     def _token_ids(self, tokens: list[str]) -> np.ndarray:
         """The node ids of ``tokens``, new tokens numbered in order of first
@@ -358,21 +368,37 @@ class _BlockNormalizer:
         return np.fromiter(itemgetter(*tokens)(self.index), np.int64, len(tokens))
 
     def _decimal_ids(self, values: np.ndarray) -> np.ndarray:
-        """The node ids of the decimal tokens of ``values``. A value missing
-        from ``id_of`` is looked up in the index, in order of first
-        appearance, so a new token takes the next id there, and cached."""
+        """The node ids of the decimal tokens of ``values``. Values missing
+        from ``id_of`` take the next ids in order of first appearance: from
+        the node count while the index is empty (every node so far is a
+        decimal in ``id_of``), else by lookup in the index. Then cached."""
         self._grow_id_of(int(values.max(initial=-1)))
         ids = self.id_of[values]
         new = np.flatnonzero(ids < 0)
         if new.size:
-            fresh, at = np.unique(values[new], return_index=True)
+            fresh, at = _distinct(values[new])
             fresh = fresh[np.argsort(at)]
-            self.token_lookups += fresh.size
-            self.id_of[fresh] = np.fromiter(
-                map(self.index.__getitem__, map(str, fresh.tolist())), np.int32, fresh.size
-            )
+            if self.index:
+                self.token_lookups += fresh.size
+                self.id_of[fresh] = np.fromiter(
+                    map(self.index.__getitem__, map(str, fresh.tolist())), np.int32, fresh.size
+                )
+            else:
+                self.id_of[fresh] = np.arange(self.nodes, self.nodes + fresh.size)
             ids[new] = self.id_of[values[new]]
         return ids.astype(np.int64)
+
+    def _fill_index(self) -> None:
+        """Put every decimal token that ``id_of`` numbered into the empty
+        index, before a block first needs the index, so the index knows
+        every node and gives new tokens the next ids."""
+        if self.index:
+            return
+        values = np.flatnonzero(self.id_of >= 0)
+        self.index = defaultdict(
+            count(self.nodes).__next__,
+            zip(map(str, values.tolist()), self.id_of[values].tolist()),
+        )
 
     def _cached_ids(self, words: np.ndarray) -> np.ndarray:
         """The node ids of the tokens packed in the rows of ``words``. Tokens
@@ -393,19 +419,19 @@ class _BlockNormalizer:
             )
             ids[miss] = found[group]
             # One token per slot: of those meeting in one, the first.
-            slot, put = np.unique(slots[fresh], return_index=True)
+            slot, put = _distinct(slots[fresh])
             low[slot], high[slot] = words[fresh[put]].T
             self.cache_ids[slot] = found[put]
         return ids.astype(np.int64)
 
     def _grow_id_cache(self) -> None:
-        """Double the id cache until it has two slots per index entry. Each
+        """Double the id cache until it has two slots per node. Each
         cached token moves to its slot in the larger table; a token's new
         slot starts with the bits of its old one, so no two meet."""
         size = self.cache_ids.size
-        if size >= 2 * len(self.index):
+        if size >= 2 * self.nodes:
             return
-        while size < 2 * len(self.index):
+        while size < 2 * self.nodes:
             size *= 2
         held = np.flatnonzero(self.cache_words[1])  # a token's length byte is never 0
         words, ids = self.cache_words[:, held].T, self.cache_ids[held]
@@ -421,16 +447,19 @@ class _BlockNormalizer:
             self.id_of.resize(min(_DECIMAL_CAP, max(largest + 1, 2 * size)), refcheck=False)
             self.id_of[size:] = -1
 
-    def _add_events(self, ids: np.ndarray, before: int, times: np.ndarray) -> None:
+    def _add_events(self, ids: np.ndarray, times: np.ndarray) -> None:
         """Normalize events given as alternating source and destination node
-        ids, with their times; ``before`` nodes were known before them."""
+        ids, with their times, and count the nodes they discover."""
         # Ids follow first appearance, so the nodes seen before an event
         # number one more than the largest id before it.
+        before = self.nodes
+        largest = np.maximum.accumulate(np.concatenate(([before - 1], ids)))
+        self.nodes = int(largest[-1]) + 1
         u, v = ids[0::2], ids[1::2]
-        seen = np.maximum.accumulate(np.concatenate(([before - 1], ids)))[0:-1:2] + 1
+        seen = largest[0:-1:2] + 1
         links = np.flatnonzero(u != v)
         lo, hi = np.minimum(u[links], v[links]), np.maximum(u[links], v[links])
-        keys, at_first = np.unique(lo << 31 | hi, return_index=True)
+        keys, at_first = _distinct(lo << 31 | hi)
         # A kept link joins two nodes known before this block, so only such
         # keys are searched for, run by run, until found.
         new = (keys & _MAX_NODE) >= before
@@ -468,7 +497,7 @@ class _BlockNormalizer:
             self.kept[runs[-2] : runs[-1]].sort(kind="stable")
 
     def stream(self) -> ArrivalStream:
-        final_n = len(self.index)
+        final_n = self.nodes
         if final_n > _MAX_NODE:
             raise ValueError(f"too many nodes for 32-bit indices: {final_n}")
         m = self.events
@@ -565,6 +594,19 @@ def _slots(words: np.ndarray, size: int) -> np.ndarray:
     """The id cache slots, below the power of two ``size``, of the packed
     tokens ``words``: the top bits of their hash."""
     return (_mixed(words) >> np.uint64(65 - size.bit_length())).astype(np.intp)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` in increasing order and the position of each
+    one's first occurrence, as ``np.unique`` gives them with
+    ``return_index``, from one unstable sort: the first occurrence of a key
+    is the least position in its run of the sorted keys."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    head = np.ones(order.size, bool)
+    head[1:] = ordered[1:] != ordered[:-1]
+    starts = np.flatnonzero(head)
+    return ordered[starts], np.minimum.reduceat(order, starts)
 
 
 def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,7 +57,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from netreplay.degrees import BasicStats
+from netreplay.degrees import BasicStats, degree_order
 from netreplay.graph import ArrivalCSR
 
 _PROBE_BUDGET = 1 << 16  # per-batch intersection probes, caps peak memory
@@ -99,7 +99,7 @@ def triangle_counts(csr: ArrivalCSR, positions: np.ndarray) -> TriangleCounts:
     table = np.zeros((k + 1, n), dtype=np.int32)
     cells = table.reshape(-1)  # a flat add.at runs far faster than a 2-D one
     one = np.int32(1)  # an untyped 1 makes add.at cast every call
-    order = np.argsort(-deg, kind="stable")  # rank by degree desc, index asc
+    order = degree_order(deg)  # rank by degree desc, index asc
     rank = np.empty(n, dtype=np.int32)
     rank[order] = np.arange(n, dtype=np.int32)
 

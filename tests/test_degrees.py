@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from netreplay.degrees import cumulative, ks_statistic, powerlaw_fit, stats_from_counts
+from netreplay.degrees import (
+    cumulative,
+    degree_order,
+    ks_statistic,
+    powerlaw_fit,
+    stats_from_counts,
+)
 
 from oracles import basic_stats, ks_brute, snapshot_from_edges
 
@@ -184,6 +190,29 @@ class TestKsStatistic:
         deg_a, deg_b = np.array(deg_a), np.array(deg_b)
         got = ks_statistic(cumulative(np.bincount(deg_a)), cumulative(np.bincount(deg_b)))
         assert got == ks_brute(deg_a, deg_b)
+
+
+class TestDegreeOrder:
+    """degree_order equals a stable argsort of the negated degrees."""
+
+    @given(st.lists(st.integers(0, 2**31 - 1), max_size=200), st.integers(1, 2**31 - 1))
+    @example([5, 3, 5, 0, 3, 5], 2**31 - 1)
+    @settings(max_examples=200, deadline=None)
+    def test_equals_stable_argsort(self, degrees, spread):
+        # ``spread`` folds the degrees into few values, so ties are many.
+        deg = np.array(degrees, np.int64) % spread
+        order = degree_order(deg)
+        assert order.dtype == np.int64
+        assert np.array_equal(order, np.argsort(-deg, kind="stable"))
+
+    @pytest.mark.parametrize(
+        "deg",
+        [np.full(50, 7), np.zeros(50, np.int64), np.array([3]), np.array([0]), np.zeros(0)],
+        ids=["all-equal", "all-zero", "one", "one-zero", "empty"],
+    )
+    def test_ties_keep_positions(self, deg):
+        deg = deg.astype(np.int64)
+        assert np.array_equal(degree_order(deg), np.argsort(-deg, kind="stable"))
 
 
 class TestPowerLawFit:

@@ -263,6 +263,14 @@ def assert_reads_like_oracle(data, no_time, block=None):
                 assert_same_stream(got, want)
 
 
+def assert_same_distinct(keys):
+    """``ingest._distinct`` gives what ``np.unique`` gives with
+    ``return_index``, element for element, dtypes included."""
+    got, want = ingest._distinct(keys), np.unique(keys, return_index=True)
+    for a, b in zip(got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 # (id, trace bytes, no_time)
 EDGE_TRACES = [
     ("blank-comment-tabs", b"#\n# h\n\n0 a b\n#x y z\n  \t\n1\ta\t\tc\n# a b c\n\t#1 2 3\n2   c    d  \n", False),
@@ -481,6 +489,28 @@ class TestBlockReader:
         assert weak_work["id_cache_blocks"] == work["id_cache_blocks"] > 0
         assert weak_work["token_lookups"] > work["token_lookups"]
 
+    @pytest.mark.parametrize("multiplier", [None, 0])
+    @pytest.mark.parametrize("block", [None, 1, 2, 7])
+    def test_ids_across_the_dictionary_fill(self, monkeypatch, block, multiplier):
+        # Decimal blocks number their nodes while the dictionary is empty.
+        # An id cache block, then a split block, each name earlier decimals
+        # and new tokens, decimals among them, which later decimal blocks
+        # name again. A multiplier of 0 puts every token in one slot.
+        data = (
+            b"0 1 2\n1 2 3\n2 3 1\n3 4 5\n"
+            b"4 3 10.0.0.1\n4 10.0.0.2 6\n4 10.0.0.1 1\n"
+            b"5 host-a.example.org 4\n5 7 host-a.example.org\n5 2 10.0.0.2\n"
+            b"6 6 7\n7 7 8\n8 6 1\n9 8 10.0.0.1\n"
+        )
+        if multiplier is not None:
+            monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(multiplier))
+        assert_reads_like_oracle(data, False, block)
+        if block == 1:  # one line a block, so each way meets its lines
+            monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)
+            work = {}
+            read_bytes(data, work=work)
+            assert (work["decimal_blocks"], work["id_cache_blocks"], work["blocks"]) == (7, 5, 14)
+
     def test_packed_tokens_are_equal_only_for_equal_fields(self):
         fields = ["10.0.0.1", "10.0.0.10", "10.0.0.01", "a", "a\x00", "a\x00\x00", "\x00",
                   "255.255.255.255", "12345678", "123456780"]
@@ -511,7 +541,8 @@ class TestBlockReader:
                 assert work[key] == (work["blocks"] if key == way else 0)
             lookups = work["token_lookups"]
             if way == "decimal_blocks":
-                assert lookups == stream.final_n
+                # A trace of decimals alone never needs the dictionary.
+                assert lookups == 0
             elif way == "id_cache_blocks":
                 # Each block looks each token up at most once.
                 assert stream.final_n <= lookups <= stream.final_n * work["blocks"]
@@ -539,6 +570,17 @@ class TestBlockReader:
         code = np.array([ord(c) for c in f"12 {field}\n"], np.uint32)
         stops = np.array([2, len(code) - 1])
         assert ingest._decimal_values(code, np.array([0, 3]), stops, 19) is None
+
+    @given(st.lists(st.integers(-(2**63), 2**63 - 1), max_size=300), st.integers(1, 2**63))
+    @settings(max_examples=200, deadline=None)
+    def test_distinct_equals_unique(self, keys, spread):
+        # ``spread`` folds the keys into few values, so ties are many.
+        keys = np.array(keys, np.int64) % np.int64(min(spread, 2**63 - 1))
+        assert_same_distinct(keys)
+
+    @pytest.mark.parametrize("size, values", [(0, 1), (1, 1), (10_000, 3), (10_000, 1000)])
+    def test_distinct_equals_unique_on_long_runs(self, size, values):
+        assert_same_distinct(np.random.default_rng(size + values).integers(0, values, size))
 
     def test_kept_runs_stay_few_sorted_and_complete(self):
         # Every link kept so far is in exactly one run; each run is sorted
