@@ -20,35 +20,38 @@ ids come one of three ways, which give the same ids:
   canonical decimals (no leading zero unless the token is ``0``) below
   ``_DECIMAL_CAP``: the tokens' values index ``id_of``, an ``int32`` array
   of node ids, without a split or a dictionary lookup per token;
-- the id cache, for any other ASCII block whose times were read by
+- the id table, for any other ASCII block whose times were read by
   arithmetic and whose endpoint tokens are each at most ``_PACKED_BYTES``
   (15) bytes, every IPv4 dotted quad among them: each token is packed into
   two 64-bit words (its bytes, zero-padded, and its length) by one gather,
-  and the words are looked up by a multiplicative hash in a direct-mapped
-  table of packed tokens and their ids. A hit needs both words equal, so a
-  collision costs a lookup, never a wrong id;
+  and looked up in an open-addressed table of ``int32`` node ids (-1 for an
+  empty slot) from the slot its multiplicative hash names on, past the
+  slots whose id's stored words differ from its own, to its id or to an
+  empty slot. Each id's two words are stored once, in id order, and a slot
+  is never emptied, so the table is lossless;
 - the general path, for every other block: the block is split once and
   each token looked up in one dictionary kept across blocks.
 
 A new token takes the next id, in order of first appearance, whichever
-path meets it first. While every block so far has been decimal, the
-dictionary stays empty: the decimal path numbers new values from the node
-count, and ``id_of`` alone holds their ids. The first block of another kind
-fills the dictionary from ``id_of`` once. From then on the dictionary holds
-every token and alone gives out ids, and ``id_of`` and the id cache cache
-them: the decimal path looks a token up only the first time it meets it,
-and the id cache once per block for each token missing from its slot. New
-links are the distinct packed pair keys of a block, found by one unstable
-sort (``_distinct``). Only the keys whose endpoints were both known before
-the block are searched for among the keys kept so far, which are held as
-sorted runs merged by size, like a binary counter, so no block copies them
-all. Beyond the stream's own arrays (filled in place in buffers that grow
-by a quarter at a time and are cut to size), working memory is the block,
-the dictionary (one entry per node, none on a trace of decimals alone),
+path meets it first. While every block so far has been decimal, or every
+one packed, the dictionary stays empty: that path numbers new tokens from
+the node count, and ``id_of`` or the id table alone holds their ids. The
+first block of another kind fills the dictionary once, from ``id_of`` and
+the stored words. From then on the dictionary holds every token and alone
+gives out ids, and ``id_of`` and the id table cache it, so each path looks a
+token up only the first time it meets it. New links are the distinct packed
+pair keys of a block, found by one unstable sort (``_distinct``). Only the
+keys whose endpoints were both known before the block are searched for
+among the keys kept so far, which are held as sorted runs merged by size,
+like a binary counter, so no block copies them all. Beyond the stream's own
+arrays (filled in place in buffers that grow by a quarter at a time and are
+cut to size), working memory is the block, the dictionary (about 115 bytes
+per node, none on a trace of decimals alone or of packed tokens alone),
 ``id_of`` (4 bytes per value up to at most twice the largest decimal token
-seen, below the cap, so at most 64 MiB), the id cache (20 bytes per slot:
-1024 slots, grown to two to four per node as blocks take it) and 8 bytes
-per kept link, plus a merge buffer of up to half of them.
+seen, below the cap, so at most 64 MiB), the id table (4 bytes per slot,
+1024 slots doubled to keep two to four per id it holds, and 16 to 20 bytes
+per node for the stored words, once a block takes it) and 8 bytes per kept
+link, plus a merge buffer of up to half of them.
 
 A checkpoint is the graph observed "as soon as the k-th node was discovered".
 Because a single link can reveal two nodes at once, a checkpoint may overshoot
@@ -96,7 +99,7 @@ _STAMP_DIGITS = 19  # stamps this long or shorter are read by array arithmetic: 
 _DECIMAL_CAP = 1 << 24
 _CAP_DIGITS = len(str(_DECIMAL_CAP - 1))
 # Endpoint tokens this long or shorter (every IPv4 dotted quad) are packed
-# into two 64-bit words and looked up in the id cache, not in the dictionary.
+# into two 64-bit words and looked up in the id table, not in the dictionary.
 _PACKED_BYTES = 15
 # Per token length: the bits of each packed word that hold its bytes, and
 # the length itself in the last byte.
@@ -162,9 +165,11 @@ def normalize(path: str, no_time: bool = False, work: Optional[dict] = None) -> 
 
     If ``work`` is given, it receives how the load ran: ``blocks`` parsed,
     ``decimal_blocks`` and ``id_cache_blocks`` among them (those whose node
-    ids came from ``id_of`` or from the id cache; see the module docstring),
-    and ``token_lookups``, the lookups in the token dictionary on every path
-    (none on a trace of decimals alone, which never fills the dictionary).
+    ids came from ``id_of`` or from the id table; see the module docstring),
+    ``token_lookups``, the lookups in the token dictionary on every path
+    (none on a trace of decimals alone or of packed tokens alone, which
+    never fills the dictionary), and ``id_probes``, the id table slots read
+    past each token's first, by lookups and insertions.
     """
     blocks = _BlockNormalizer(no_time)
     opener = gzip.open if path.endswith(".gz") else open
@@ -179,6 +184,7 @@ def normalize(path: str, no_time: bool = False, work: Optional[dict] = None) -> 
             decimal_blocks=blocks.decimal_blocks,
             id_cache_blocks=blocks.id_cache_blocks,
             token_lookups=blocks.token_lookups,
+            id_probes=blocks.id_probes,
         )
     return blocks.stream()
 
@@ -234,27 +240,31 @@ class _BlockNormalizer:
         self.rows = 0  # data lines among them
         self.blocks = 0  # non-empty chunks fed
         self.decimal_blocks = 0  # those whose node ids came from id_of
-        self.id_cache_blocks = 0  # those whose node ids came from the id cache
+        self.id_cache_blocks = 0  # those whose node ids came from the id table
         self.token_lookups = 0  # lookups in the index, on every path
+        self.id_probes = 0  # id table slots read past each token's first
         self.nodes = 0  # distinct tokens so far: the next id
         self.last_time = np.zeros(1, np.uint64)
-        # token -> node id, empty until the first block that is not
-        # decimal fills it (see _fill_index)
+        # token -> node id, empty until the first block of another kind than
+        # those that numbered the nodes so far fills it (see _numbers_itself)
         self.index: dict[str, int] = {}
+        # "decimal" or "packed": the path that numbered every node so far,
+        # while the index is empty
+        self.numbered_by: Optional[str] = None
         # id_of[value] is the node id of the decimal token str(value), or -1
         # while the decimal path has not met it, for canonical decimal
         # tokens below _DECIMAL_CAP, grown by doubling: the only record of
         # those ids while the index is empty, a cache of it once filled.
         self.id_of = np.full(0, -1, np.int32)
-        # The id cache, a cache of the index for tokens of at most
-        # _PACKED_BYTES bytes: a direct-mapped table whose slot i holds one
-        # token, packed as the two words cache_words[:, i] (see
-        # _packed_tokens; zero while the slot is empty, which no token packs
-        # to), and its node id cache_ids[i]. A token whose slot holds
-        # another is looked up in the index and may take the slot. The
-        # table grows by doubling to keep two to four slots per node.
-        self.cache_words = np.zeros((2, 1 << 10), np.uint64)
-        self.cache_ids = np.zeros(1 << 10, np.int32)
+        # The id table, for tokens of at most _PACKED_BYTES bytes: packed[i]
+        # is the two words node id i's token packs to (see _packed_tokens;
+        # zero, which no token packs to, for an id the table does not hold),
+        # and table an open-addressed set of those ids, -1 in an empty slot,
+        # doubled to keep at most half of it full. The only record of the ids
+        # it holds while the index is empty, a cache of it once filled.
+        self.packed = np.zeros((1 << 10, 2), np.uint64)
+        self.table = np.full(1 << 10, -1, np.int32)
+        self.held = 0  # ids in the table
         # The packed keys of the links kept so far, as sorted runs one after
         # another in one buffer: run i is kept[runs[i] : runs[i + 1]]. Each
         # run is more than twice the size of the next, so there are at most
@@ -348,13 +358,12 @@ class _BlockNormalizer:
         if values is not None:
             ids = self._decimal_ids(values)
             self.decimal_blocks += 1
+        elif words is not None:
+            ids = self._packed_ids(words)
+            self.id_cache_blocks += 1
         else:
             self._fill_index()
-            if words is not None:
-                ids = self._cached_ids(words)
-                self.id_cache_blocks += 1
-            else:
-                ids = self._token_ids(tokens)
+            ids = self._token_ids(tokens)
         self._add_events(ids, times)
 
     def _token_ids(self, tokens: list[str]) -> np.ndarray:
@@ -369,77 +378,118 @@ class _BlockNormalizer:
 
     def _decimal_ids(self, values: np.ndarray) -> np.ndarray:
         """The node ids of the decimal tokens of ``values``. Values missing
-        from ``id_of`` take the next ids in order of first appearance: from
-        the node count while the index is empty (every node so far is a
-        decimal in ``id_of``), else by lookup in the index. Then cached."""
+        from ``id_of`` take the next ids in order of first appearance, from
+        the node count or by lookup in the index (see _numbers_itself). Then
+        cached."""
         self._grow_id_of(int(values.max(initial=-1)))
         ids = self.id_of[values]
         new = np.flatnonzero(ids < 0)
         if new.size:
             fresh, at = _distinct(values[new])
             fresh = fresh[np.argsort(at)]
-            if self.index:
+            if self._numbers_itself("decimal"):
+                self.id_of[fresh] = np.arange(self.nodes, self.nodes + fresh.size)
+            else:
                 self.token_lookups += fresh.size
                 self.id_of[fresh] = np.fromiter(
                     map(self.index.__getitem__, map(str, fresh.tolist())), np.int32, fresh.size
                 )
-            else:
-                self.id_of[fresh] = np.arange(self.nodes, self.nodes + fresh.size)
             ids[new] = self.id_of[values[new]]
         return ids.astype(np.int64)
 
+    def _packed_ids(self, words: np.ndarray) -> np.ndarray:
+        """The node ids of the tokens packed in the rows of ``words``. Tokens
+        missing from the id table take the next ids in order of first
+        appearance, each once (see _first_rows), from the node count or by
+        lookup in the index (see _numbers_itself). Then stored."""
+        ids = self._find(words)
+        miss = np.flatnonzero(ids < 0)
+        if miss.size:
+            first, group = _first_rows(words[miss])
+            fresh = miss[first]
+            if self._numbers_itself("packed"):
+                found = np.arange(self.nodes, self.nodes + fresh.size)
+            else:
+                self.token_lookups += fresh.size
+                found = np.fromiter(
+                    map(self.index.__getitem__, _unpacked(words[fresh])), np.int64, fresh.size
+                )
+            ids[miss] = found[group]
+            self._store(found, words[fresh])
+        return ids.astype(np.int64)
+
+    def _numbers_itself(self, kind: str) -> bool:
+        """Whether a block of ``kind`` ("decimal" or "packed") numbers its new
+        tokens from the node count: while the index is empty and every node
+        so far was numbered by blocks of that kind. Otherwise the index is
+        filled, if it is empty, and gives out the ids."""
+        if not self.index and self.numbered_by in (None, kind):
+            self.numbered_by = kind
+            return True
+        self._fill_index()
+        return False
+
     def _fill_index(self) -> None:
-        """Put every decimal token that ``id_of`` numbered into the empty
-        index, before a block first needs the index, so the index knows
-        every node and gives new tokens the next ids."""
+        """Put every token that ``id_of`` or the id table numbered into the
+        empty index, before a block first needs the index, so the index
+        knows every node and gives new tokens the next ids."""
         if self.index:
             return
         values = np.flatnonzero(self.id_of >= 0)
+        named = np.flatnonzero(self.packed[:, 1])  # a token's length byte is never 0
         self.index = defaultdict(
             count(self.nodes).__next__,
             zip(map(str, values.tolist()), self.id_of[values].tolist()),
         )
+        self.index.update(zip(_unpacked(self.packed[named]), named.tolist()))
 
-    def _cached_ids(self, words: np.ndarray) -> np.ndarray:
-        """The node ids of the tokens packed in the rows of ``words``. Tokens
-        missing from the id cache are looked up in the index, each once (see
-        _first_rows), in order of first appearance, so a new token takes the
-        next id there, and cached."""
-        self._grow_id_cache()
-        slots = _slots(words, self.cache_ids.size)
-        low, high = self.cache_words
-        ids = self.cache_ids[slots]
-        miss = np.flatnonzero((low[slots] != words[:, 0]) | (high[slots] != words[:, 1]))
-        if miss.size:
-            first, group = _first_rows(words[miss])
-            fresh = miss[first]
-            self.token_lookups += fresh.size
-            found = np.fromiter(
-                map(self.index.__getitem__, _unpacked(words[fresh])), np.int32, fresh.size
-            )
-            ids[miss] = found[group]
-            # One token per slot: of those meeting in one, the first.
-            slot, put = _distinct(slots[fresh])
-            low[slot], high[slot] = words[fresh[put]].T
-            self.cache_ids[slot] = found[put]
-        return ids.astype(np.int64)
+    def _find(self, words: np.ndarray) -> np.ndarray:
+        """The node ids of the tokens packed in the rows of ``words``, -1 for
+        those the id table lacks. Each token reads the slots from its hash's
+        on, past those holding another token's id, to its own or an empty
+        one."""
+        table, mask = self.table, self.table.size - 1
+        slots = _slots(words, table.size)
+        ids = table[slots]
+        look = np.flatnonzero((ids >= 0) & _differ(self.packed[ids], words))
+        while look.size:
+            slots[look] = (slots[look] + 1) & mask
+            ids[look] = table[slots[look]]
+            self.id_probes += look.size
+            look = look[ids[look] >= 0]
+            look = look[_differ(self.packed[ids[look]], words[look])]
+        return ids
 
-    def _grow_id_cache(self) -> None:
-        """Double the id cache until it has two slots per node. Each
-        cached token moves to its slot in the larger table; a token's new
-        slot starts with the bits of its old one, so no two meet."""
-        size = self.cache_ids.size
-        if size >= 2 * self.nodes:
-            return
-        while size < 2 * self.nodes:
-            size *= 2
-        held = np.flatnonzero(self.cache_words[1])  # a token's length byte is never 0
-        words, ids = self.cache_words[:, held].T, self.cache_ids[held]
-        self.cache_words = np.zeros((2, size), np.uint64)
-        self.cache_ids = np.zeros(size, np.int32)
-        slots = _slots(words, size)
-        self.cache_words[:, slots] = words.T
-        self.cache_ids[slots] = ids
+    def _store(self, ids: np.ndarray, words: np.ndarray) -> None:
+        """Keep the rows of ``words`` as the packed tokens of the node ids
+        ``ids``, none of which the id table holds, and put the ids in the
+        table, doubled first while that would fill more than half of it."""
+        end = int(ids.max()) + 1
+        if end > len(self.packed):
+            self.packed.resize((max(end, len(self.packed) * 5 // 4), 2), refcheck=False)
+        self.packed[ids] = words
+        self.held += ids.size
+        size = self.table.size
+        if 2 * self.held > size:
+            while 2 * self.held > size:
+                size *= 2
+            ids = np.concatenate((self.table[self.table >= 0], ids))
+            self.table = np.full(size, -1, np.int32)
+        self._insert(ids)
+
+    def _insert(self, ids: np.ndarray) -> None:
+        """Put each of the node ids ``ids``, whose tokens are stored and
+        absent from the id table, in the first empty slot from its hash's
+        on. Of ids meeting at an empty slot, one takes it and the others
+        read on."""
+        table, mask = self.table, self.table.size - 1
+        slots = _slots(self.packed[ids], table.size)
+        while ids.size:
+            free = table[slots] < 0
+            table[slots[free]] = ids[free]
+            wait = table[slots] != ids
+            ids, slots = ids[wait], (slots[wait] + 1) & mask
+            self.id_probes += ids.size
 
     def _grow_id_of(self, largest: int) -> None:
         size = self.id_of.size
@@ -582,18 +632,19 @@ def _unpacked(words: np.ndarray) -> list[str]:
     return raw.tobytes().decode("ascii").split()
 
 
-def _mixed(words: np.ndarray) -> np.ndarray:
-    """A multiplicative hash of both words of each packed token ``words``."""
+def _slots(words: np.ndarray, size: int) -> np.ndarray:
+    """The id table slots, below the power of two ``size``, of the packed
+    tokens ``words``: the top bits of a multiplicative hash of both words."""
     mixed = words[:, 0] * _HASH_MULTIPLIER
     mixed ^= words[:, 1]
     mixed *= _HASH_MULTIPLIER
-    return mixed
+    return (mixed >> np.uint64(65 - size.bit_length())).astype(np.intp)
 
 
-def _slots(words: np.ndarray, size: int) -> np.ndarray:
-    """The id cache slots, below the power of two ``size``, of the packed
-    tokens ``words``: the top bits of their hash."""
-    return (_mixed(words) >> np.uint64(65 - size.bit_length())).astype(np.intp)
+def _differ(rows: np.ndarray, words: np.ndarray) -> np.ndarray:
+    """Whether each row of the packed token array ``rows`` differs from the
+    same row of ``words``."""
+    return (rows[:, 0] != words[:, 0]) | (rows[:, 1] != words[:, 1])
 
 
 def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -612,16 +663,12 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _first_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Groups of equal rows of a packed token array ``rows``: the first
     position of each group, in increasing order, and each row's group.
-
-    Rows are sorted by hash, so equal rows sort together and each distinct
-    row makes one group. Only where distinct rows hash alike can they
-    interleave and a row make more than one group; the first of them still
-    holds its first position, so a row's first group comes where it first
-    appears."""
-    order = np.argsort(_mixed(rows))
-    low, high = rows[order, 0], rows[order, 1]
+    Rows are sorted by both words, so each distinct row makes exactly one
+    group, however many rows share a hash."""
+    order = np.lexsort((rows[:, 0], rows[:, 1]))
+    ordered = rows[order]
     head = np.ones(order.size, bool)
-    head[1:] = (low[1:] != low[:-1]) | (high[1:] != high[:-1])
+    head[1:] = _differ(ordered[1:], ordered[:-1])
     firsts = np.minimum.reduceat(order, np.flatnonzero(head))
     rank = np.argsort(firsts)
     index = np.empty(rank.size, np.intp)

@@ -3,6 +3,7 @@ import gzip
 import os
 import re
 import tempfile
+import tracemalloc
 import zlib
 from pathlib import Path
 from unittest import mock
@@ -13,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from netreplay import ingest
+from netreplay.generate import gen_preferential
 from netreplay.ingest import ArrivalStream, StreamFormatError
 from oracles import RawEvent, normalize, open_event_file, parse_event_stream
 
@@ -329,7 +331,7 @@ EDGE_TRACES = [
      False),
     ("stamp-20-digits-decreasing", b"00000000000000000005 1 2\n4 2 3\n", False),
     ("stamp-leading-zeros", b"007 1 2\n7 2 3\n0008 3 1\n", False),
-    # Short tokens of other blocks: packed and looked up in the id cache
+    # Short tokens of other blocks: packed and looked up in the id table
     # where a block's times are read by arithmetic, through the dictionary
     # elsewhere, with the same node ids.
     ("quad-prefixes", b"0 10.0.0.1 10.0.0.10\n1 10.0.0.10 10.0.0.100\n2 10.0.0.100 10.0.0.1\n"
@@ -377,20 +379,22 @@ def address_traces(draw):
     return "".join(lines).encode(), no_time
 
 
-def address_trace(lines=30_000):
+def address_trace(lines=30_000, quads_only=False):
     """A trace over 3000 dotted quads in 10/8, with runs of decimal lines
     long enough to fill blocks and now and then a zero-padded quad or a
-    name of more than 15 bytes."""
+    name of more than 15 bytes, unless ``quads_only``."""
     rng = np.random.default_rng(12)
     addr = rng.choice(1 << 24, size=3000, replace=False).tolist()
     quads = [f"10.{a >> 16}.{a >> 8 & 255}.{a & 255}" for a in addr]
     out = []
     for i, (a, b) in enumerate(rng.integers(0, 3000, size=(lines, 2)).tolist()):
-        if i // 2000 % 4 == 3:
+        if i // 2000 % 4 == 3 and not quads_only:
             a, b = str(a), str(b)
         else:
             a, b = quads[a], quads[b]
-            if i % 2900 == 5:
+            if quads_only:
+                pass
+            elif i % 2900 == 5:
                 b = f"host-{b}.example.net"
             elif i % 3700 == 9:
                 b = "0" + b
@@ -454,7 +458,7 @@ class TestBlockReader:
     @given(address_traces(), st.sampled_from([16, 64, 256]), st.sampled_from([None, 0]))
     @settings(max_examples=200, deadline=None)
     def test_address_traces_match_reference(self, trace, block, multiplier):
-        # A multiplier of 0 puts every token in one id cache slot.
+        # A multiplier of 0 puts every token in one id table slot.
         with mock.patch.object(
             ingest, "_HASH_MULTIPLIER", ingest._HASH_MULTIPLIER if multiplier is None
             else np.uint64(multiplier)
@@ -480,36 +484,91 @@ class TestBlockReader:
     @pytest.mark.parametrize("multiplier", [0, 1, 3])
     def test_weak_hash_gives_the_same_stream(self, monkeypatch, multiplier):
         # 0 puts every token in one slot; 1 and 3 hash by a few high bytes.
-        data = address_trace(12_000)
+        # A weak hash costs id table probes, never a dictionary lookup: none
+        # on dotted quads alone, and as many as under the real hash where
+        # decimal runs and long names fill the dictionary.
         monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1 << 14)
-        work, weak_work = {}, {}
-        stream = read_bytes(data, work=work)
-        monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(multiplier))
-        assert_same_stream(read_bytes(data, work=weak_work), stream)
-        assert weak_work["id_cache_blocks"] == work["id_cache_blocks"] > 0
-        assert weak_work["token_lookups"] > work["token_lookups"]
+        strong = ingest._HASH_MULTIPLIER
+        for quads_only in (True, False):
+            data = address_trace(12_000, quads_only)
+            work, weak_work = {}, {}
+            monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", strong)
+            stream = read_bytes(data, work=work)
+            monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(multiplier))
+            assert_same_stream(read_bytes(data, work=weak_work), stream)
+            assert weak_work["id_cache_blocks"] == work["id_cache_blocks"] > 0
+            assert weak_work["token_lookups"] == work["token_lookups"]
+            assert (work["token_lookups"] == 0) == quads_only
+            assert weak_work["id_probes"] > work["id_probes"]
 
     @pytest.mark.parametrize("multiplier", [None, 0])
     @pytest.mark.parametrize("block", [None, 1, 2, 7])
     def test_ids_across_the_dictionary_fill(self, monkeypatch, block, multiplier):
         # Decimal blocks number their nodes while the dictionary is empty.
-        # An id cache block, then a split block, each name earlier decimals
+        # An id table block, then a split block, each name earlier decimals
         # and new tokens, decimals among them, which later decimal blocks
         # name again. A multiplier of 0 puts every token in one slot.
-        data = (
+        decimal_first = (
             b"0 1 2\n1 2 3\n2 3 1\n3 4 5\n"
             b"4 3 10.0.0.1\n4 10.0.0.2 6\n4 10.0.0.1 1\n"
             b"5 host-a.example.org 4\n5 7 host-a.example.org\n5 2 10.0.0.2\n"
             b"6 6 7\n7 7 8\n8 6 1\n9 8 10.0.0.1\n"
         )
+        # Id table blocks number their nodes while the dictionary is empty,
+        # decimals among them (12 beside 10.0.0.1). Decimal blocks name those
+        # decimals and a new one, a split block a 16-byte token, and later id
+        # table and decimal blocks name tokens of every kind again.
+        packed_first = (
+            b"0 10.0.0.1 12\n1 12 10.0.0.2\n2 10.0.0.2 7\n3 10.0.0.3 10.0.0.1\n"
+            b"4 12 7\n5 7 13\n6 13 12\n"
+            b"7 255.255.255.2550 10.0.0.1\n7 13 255.255.255.2550\n"
+            b"7 10.0.0.4 12\n8 10.0.0.4 10.0.0.3\n9 14 10.0.0.2\n9 255.255.255.255 13\n"
+            b"10 14 12\n11 15 7\n"
+        )
         if multiplier is not None:
             monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(multiplier))
-        assert_reads_like_oracle(data, False, block)
+        assert_reads_like_oracle(decimal_first, False, block)
+        assert_reads_like_oracle(packed_first, False, block)
         if block == 1:  # one line a block, so each way meets its lines
             monkeypatch.setattr(ingest, "_BLOCK_BYTES", 1)
             work = {}
-            read_bytes(data, work=work)
+            read_bytes(decimal_first, work=work)
             assert (work["decimal_blocks"], work["id_cache_blocks"], work["blocks"]) == (7, 5, 14)
+            read_bytes(packed_first, work=work)
+            assert (work["decimal_blocks"], work["id_cache_blocks"], work["blocks"]) == (5, 8, 15)
+            # Before the first decimal block the id table numbers 10.0.0.1 to
+            # 10.0.0.3, 12 and 7 alone. After it the dictionary gives the
+            # ids, and each path looks a token up only the first time it
+            # meets it: 12 and 7, then 13, the split lines' four tokens,
+            # 10.0.0.4, 14 on either path, 255.255.255.255 and 13 in the id
+            # table, and 15.
+            assert work["token_lookups"] == 13
+
+    def test_table_doubles_under_one_slot(self, monkeypatch):
+        # A multiplier of 0 gives every token the same first slot, so each
+        # lookup and insertion reads past every id held. Blocks of about 300
+        # lines add 3000 addresses, so the table doubles from 1024 slots to
+        # 8192, once per block that takes it past half full. One address
+        # ends every even line, and on the odd lines of each ten the one
+        # those ten open with, so many rows of a block pack alike, some of
+        # a token first seen in that block.
+        monkeypatch.setattr(ingest, "_HASH_MULTIPLIER", np.uint64(0))
+        rng = np.random.default_rng(8)
+        addr = rng.choice(1 << 24, size=3001, replace=False).tolist()
+        quads = [f"10.{a >> 16}.{a >> 8 & 255}.{a & 255}" for a in addr]
+        data = "".join(
+            f"{i} {quads[i]} {quads[i // 10 * 10 + 1] if i % 2 else quads[3000]}\n"
+            for i in range(3000)
+        ).encode()
+        assert_reads_like_oracle(data, False, 1 << 13)
+        blocks = ingest._BlockNormalizer(no_time=False)
+        sizes = []
+        for start in range(0, 3000, 300):
+            blocks.feed(b"".join(data.splitlines(keepends=True)[start : start + 300]))
+            sizes.append(blocks.table.size)
+        assert blocks.held == blocks.nodes == 3001
+        assert sorted(set(sizes)) == [1024, 2048, 4096, 8192]
+        assert blocks.index == {}
 
     def test_packed_tokens_are_equal_only_for_equal_fields(self):
         fields = ["10.0.0.1", "10.0.0.10", "10.0.0.01", "a", "a\x00", "a\x00\x00", "\x00",
@@ -528,24 +587,24 @@ class TestBlockReader:
         trace = numbered_trace(lines)
         decimal = tmp_path / "decimal.txt.gz"
         decimal.write_bytes(gzip.compress(trace.replace(b" n", b" ")))
-        named = tmp_path / "named.txt"  # tokens n0 to n100: the id cache
+        named = tmp_path / "named.txt"  # tokens n0 to n100: the id table
         named.write_bytes(trace)
         long = tmp_path / "long.txt"  # 16-byte tokens: the dictionary alone
         long.write_bytes(trace.replace(b" n", b" host-name-0000-"))
         for path, way in ((decimal, "decimal_blocks"), (named, "id_cache_blocks"), (long, None)):
             work = {}
-            stream = ingest.normalize(str(path), work=work)
-            assert set(work) == {"blocks", "decimal_blocks", "id_cache_blocks", "token_lookups"}
+            ingest.normalize(str(path), work=work)
+            assert set(work) == {
+                "blocks", "decimal_blocks", "id_cache_blocks", "token_lookups", "id_probes"
+            }
             assert work["blocks"] >= 2
             for key in ("decimal_blocks", "id_cache_blocks"):
                 assert work[key] == (work["blocks"] if key == way else 0)
             lookups = work["token_lookups"]
-            if way == "decimal_blocks":
-                # A trace of decimals alone never needs the dictionary.
+            if way is not None:
+                # A trace of decimals alone, or of short tokens alone, never
+                # needs the dictionary.
                 assert lookups == 0
-            elif way == "id_cache_blocks":
-                # Each block looks each token up at most once.
-                assert stream.final_n <= lookups <= stream.final_n * work["blocks"]
             else:
                 assert lookups == 2 * lines
 
@@ -601,6 +660,36 @@ class TestBlockReader:
         kept = np.sort(np.concatenate(runs))
         assert np.array_equal(kept, np.sort(lo << 31 | hi))
         assert len(runs) <= np.log2(stream.final_m) + 1
+
+    def test_traced_peak_bounded_per_node_link_and_block(self, monkeypatch):
+        # Beside the buffers every load starts with (4096 entries of the four
+        # columns and of the kept keys, 1024 rows of stored words and 1024
+        # table slots), a load of short tokens holds at most 40 bytes per
+        # node (two to four table slots of 4 bytes, and 16 bytes of stored
+        # words grown by a quarter), 48 per link (the columns' 24 bytes and
+        # the kept keys' 8, each grown by a quarter, and a merge buffer of up
+        # to 4) and 24 per byte of the block it parses. A token dictionary
+        # alone would take about 115 bytes per node.
+        n, block = 6000, 1 << 12
+        _, u, v = gen_preferential(n, 1, seed=3)
+        addr = np.random.default_rng(3).choice(1 << 24, size=n, replace=False).tolist()
+        quads = [f"10.{a >> 16}.{a >> 8 & 255}.{a & 255}" for a in addr]
+        data = "".join(f"{i} {quads[a]} {quads[b]}\n" for i, (a, b) in enumerate(zip(u, v)))
+        monkeypatch.setattr(ingest, "_BLOCK_BYTES", block)
+        with tempfile.TemporaryDirectory() as d:
+            path = os.path.join(d, "quads.txt")
+            Path(path).write_bytes(data.encode())
+            work = {}
+            tracemalloc.start()
+            try:
+                stream = ingest.normalize(path, work=work)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert (stream.final_n, stream.final_m) == (n, n - 1)
+        assert work["id_cache_blocks"] == work["blocks"] > 40
+        start = (1 << 12) * (4 + 4 + 8 + 8 + 8) + (1 << 10) * (16 + 4)
+        assert peak < start + 40 * n + 48 * stream.final_m + 24 * block
 
     def test_whitespace_is_str_isspace(self):
         code = np.arange(0x110000, dtype=np.uint32)

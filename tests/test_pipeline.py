@@ -302,7 +302,8 @@ class TestOutputs:
         # A generated trace names its nodes 0, 1, 2, ...: one decimal block,
         # which numbers its 100 nodes without the dictionary.
         assert parsed == {
-            "blocks": 1, "decimal_blocks": 1, "id_cache_blocks": 0, "token_lookups": 0
+            "blocks": 1, "decimal_blocks": 1, "id_cache_blocks": 0, "token_lookups": 0,
+            "id_probes": 0,
         }
         assert load_work("cached") == {}
 
